@@ -1,23 +1,259 @@
-"""Kernel selection: prefer the compiled extension, fall back to pure Python.
+"""Matrix kernels over Z/p^N, in pure Python.
 
-Set IWALAB_PURE_PYTHON=1 to force the fallback (used by the benchmark and to
-reproduce results on installs without a C toolchain).  Both implementations
-are algorithmically identical and bit-for-bit deterministic.
+These are the hot inner loops of the package: elementary-divisor elimination,
+determinants, and division-free characteristic polynomials for dense matrices
+whose entries are residues modulo p^N, plus the exact integer determinant
+behind the NotFinite certificates.
+
+Conventions:
+  * matrices are lists of lists of nonnegative ints already reduced mod p^N;
+    no kernel modifies its input;
+  * valuation exponents >= N are encoded as -1 ("at least N");
+  * pivot search is row-major first-unit, so outputs are deterministic.
+
+Elimination runs on one-digit residues first: `smith_exponents` works mod p^k
+for the largest k with p^k below CPython's int digit base, where every
+residue is a single machine digit, and goes to the full p^N only when some
+divisor reaches p^k.
 """
 
-import os
+import sys
 
-if os.environ.get("IWALAB_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+KERNEL_IMPL = "python"
 
-smith_exponents = _impl.smith_exponents
-det_mod = _impl.det_mod
-charpoly_mod = _impl.charpoly_mod
-bareiss_det = _impl.bareiss_det
+_DIGIT_BASE = 1 << sys.int_info.bits_per_digit
 
-KERNEL_IMPL = _impl.IMPL_NAME
+
+def word_precision(p, N):
+    """Largest k <= N with p^k < the int digit base (0 when p itself is not below it)."""
+    k = 0
+    q = p
+    while k < N and q < _DIGIT_BASE:
+        k += 1
+        q *= p
+    return k
+
+
+def smith_exponents(rows, p, N):
+    """Elementary-divisor exponents of `rows` over Z/p^N, ascending, -1 = AtLeastN.
+
+    The exponents of A mod p^k are min(e, k) of those of A, so when none
+    reaches k at the word precision k they are exact at every N >= k; only
+    otherwise is the elimination repeated at the full precision.
+    """
+    k = word_precision(p, N)
+    if 0 < k < N:
+        q = p ** k
+        out = _smith([[v % q for v in r] for r in rows], p, k)
+        if -1 not in out:
+            return out
+    return _smith([list(r) for r in rows], p, N)
+
+
+def _smith(m, p, N):
+    """Smith exponents of the residue rows `m` over Z/p^N, eliminating in place.
+
+    Local-ring elimination: pull a unit pivot (entry not divisible by p),
+    clear its column, drop its row and column.  When no unit entry exists the
+    whole active block is divisible by p, so p is factored out globally and
+    the running shift increases; once the block vanishes at the remaining
+    precision every outstanding divisor is AtLeastN.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    k = nr if nr < nc else nc
+    out = []
+    if k == 0:
+        return out
+    shift = 0
+    q = p ** N
+    while len(out) < k:
+        pi = -1
+        pj = -1
+        found_nonzero = False
+        for i in range(nr):
+            row = m[i]
+            for j in range(nc):
+                a = row[j]
+                if a:
+                    found_nonzero = True
+                    if a % p:
+                        pi = i
+                        pj = j
+                        break
+            if pi >= 0:
+                break
+        if pi < 0:
+            if not found_nonzero:
+                break
+            shift += 1
+            if shift >= N:
+                break
+            q //= p
+            for i in range(nr):
+                row = m[i]
+                for j in range(nc):
+                    row[j] //= p
+            continue
+        out.append(shift)
+        inv = pow(m[pi][pj], -1, q)
+        prow = m[pi]
+        for r in range(nr):
+            if r == pi:
+                continue
+            c = m[r][pj]
+            if c:
+                c = (c * inv) % q
+                row = m[r]
+                for t in range(nc):
+                    row[t] = (row[t] - c * prow[t]) % q
+        del m[pi]
+        for row in m:
+            del row[pj]
+        nr -= 1
+        nc -= 1
+    out.extend([-1] * (k - len(out)))
+    return out
+
+
+def det_mod(rows, p, N):
+    """Determinant of a square matrix over Z/p^N, as a residue in [0, p^N).
+
+    Exact: the returned residue is det mod p^N (0 means valuation >= N).
+    Global p-extraction keeps the certified precision at N: a factor p taken
+    out of an r x r block contributes r to the determinant's valuation while
+    costing one digit of entry precision, and r >= 1.
+    """
+    n = len(rows)
+    qfull = p ** N
+    if n == 0:
+        return 1 % qfull
+    m = [list(r) for r in rows]
+    q = qfull
+    val = 0
+    unit = 1
+    sign = 1
+    size = n
+    while size > 0:
+        pi = -1
+        pj = -1
+        found_nonzero = False
+        for i in range(size):
+            row = m[i]
+            for j in range(size):
+                a = row[j]
+                if a:
+                    found_nonzero = True
+                    if a % p:
+                        pi = i
+                        pj = j
+                        break
+            if pi >= 0:
+                break
+        if pi < 0:
+            if not found_nonzero:
+                return 0
+            val += size
+            if val >= N:
+                return 0
+            q //= p
+            for i in range(size):
+                row = m[i]
+                for j in range(size):
+                    row[j] //= p
+            continue
+        a = m[pi][pj]
+        unit = (unit * a) % qfull
+        if (pi + pj) & 1:
+            sign = -sign
+        inv = pow(a, -1, q)
+        prow = m[pi]
+        for r in range(size):
+            if r == pi:
+                continue
+            c = m[r][pj]
+            if c:
+                c = (c * inv) % q
+                row = m[r]
+                for t in range(size):
+                    row[t] = (row[t] - c * prow[t]) % q
+        del m[pi]
+        for row in m:
+            del row[pj]
+        size -= 1
+    d = (unit * pow(p, val, qfull)) % qfull
+    if sign < 0:
+        d = (-d) % qfull
+    return d
+
+
+def charpoly_mod(rows, q):
+    """Coefficients of det(t*I - A) mod q, ascending in t (Berkowitz, division-free)."""
+    n = len(rows)
+    if n == 0:
+        return [1 % q]
+    C = [1 % q, (-rows[0][0]) % q]
+    for r in range(2, n + 1):
+        rm1 = r - 1
+        d = rows[rm1][rm1]
+        R = rows[rm1][:rm1]
+        S = [rows[i][rm1] for i in range(rm1)]
+        col = [1 % q, (-d) % q]
+        v = S[:]
+        for k in range(rm1):
+            s = 0
+            for i in range(rm1):
+                s += R[i] * v[i]
+            col.append((-s) % q)
+            if k < rm1 - 1:
+                w = [0] * rm1
+                for i in range(rm1):
+                    acc = 0
+                    Mi = rows[i]
+                    for j in range(rm1):
+                        acc += Mi[j] * v[j]
+                    w[i] = acc % q
+                v = w
+        newC = [0] * (r + 1)
+        top = len(col) - 1
+        for i in range(r + 1):
+            lo = i - top
+            if lo < 0:
+                lo = 0
+            hi = i if i < rm1 else rm1
+            acc = 0
+            for j in range(lo, hi + 1):
+                acc += col[i - j] * C[j]
+            newC[i] = acc % q
+        C = newC
+    C.reverse()
+    return C
+
+
+def bareiss_det(rows):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = m[k][k]
+        prow = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            mik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pkk * row[j] - mik * prow[j]) // prev
+            row[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]

@@ -261,7 +261,7 @@ def smith_form(mat: Sequence[Sequence[PadicInt]]) -> ElementaryDivisors:
 
 def smith_form_raw(rows: Sequence[Sequence[int]], ctx: PadicContext) -> ElementaryDivisors:
     """Same as smith_form on plain residue rows (the fast path)."""
-    exps = kernels.smith_exponents([list(r) for r in rows], ctx.p, ctx.N)
+    exps = kernels.smith_exponents(rows, ctx.p, ctx.N)
     return ElementaryDivisors(
         exponents=tuple(AT_LEAST_N if e < 0 else e for e in exps),
         row_count=len(rows),
@@ -306,4 +306,4 @@ def det_residue(rows: Sequence[Sequence[int]], ctx: PadicContext) -> int:
     for r in rows:
         if len(r) != n:
             raise NotSquareError("determinant of a non-square matrix")
-    return kernels.det_mod([list(r) for r in rows], ctx.p, ctx.N)
+    return kernels.det_mod(rows, ctx.p, ctx.N)

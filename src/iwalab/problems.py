@@ -138,10 +138,14 @@ def parse_problem(text: str) -> ProblemFile:
         entries = _as_matrix(data["F"], d, "F")
         module = GammaModule.from_int_matrix(ctx, entries)
         n_levels = _as_int_list(data.get("n_levels", [0, 1]), "n_levels")
+        if not n_levels:
+            raise ValidationError("levels-nonempty", "n_levels must name at least one level")
         for n in n_levels:
             if n < 0:
                 raise ValidationError("level", "levels must be >= 0")
         n_max = _as_int(data["n_max"], "n_max") if "n_max" in data else max(n_levels)
+        if n_max < 0:
+            raise ValidationError("level", f"n_max must be >= 0, got {n_max}")
         return ProblemFile(
             kind="gamma",
             p=p,

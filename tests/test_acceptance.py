@@ -1,9 +1,9 @@
 """Acceptance suite: one criterion per test, one pass/fail line per criterion.
 
 All arithmetic comparisons are exact (tolerance zero): statuses must match as
-enum values and exponents as integers.  Runtime expectations are asserted only
-when the compiled kernels are active.  Lines are emitted on the real stderr so
-they stay visible under pytest's capture.
+enum values and exponents as integers.  Criteria 1 and 2 also assert runtime
+bounds.  Lines are emitted on the real stderr so they stay visible under
+pytest's capture.
 """
 
 import json
@@ -14,7 +14,6 @@ import time
 import pytest
 
 from iwalab import (
-    KERNEL_IMPL,
     Character,
     Level,
     PadicContext,
@@ -30,8 +29,6 @@ from iwalab.problems import parse_problem
 from iwalab.workbench import digest_text, run
 
 from oracles import cofactor_det_mod, int_valuation, resultant_int
-
-TIMED = KERNEL_IMPL == "cython"
 
 
 def announce(name, ok, detail=""):
@@ -70,8 +67,7 @@ def test_criterion_1_twisting_lemma_suite(gammas):
                 assert rd.chi_exponent == ra.chi_exponent
                 runs += 1
     dt = time.time() - t0
-    if TIMED:
-        assert dt < 60, f"criterion 1 took {dt:.1f}s"
+    assert dt < 60, f"criterion 1 took {dt:.1f}s"
     announce(
         "criterion-1 twisting-lemma suite",
         True,
@@ -130,8 +126,7 @@ def test_criterion_2_triple_agreement(crosseds):
                     assert r3.h1_exponent == 0
                 triples += 1
     dt = time.time() - t0
-    if TIMED:
-        assert dt < 300, f"criterion 2 took {dt:.1f}s"
+    assert dt < 300, f"criterion 2 took {dt:.1f}s"
     announce(
         "criterion-2 triple agreement",
         True,

@@ -1,66 +1,19 @@
-"""Compiled kernels must agree bit-for-bit with the pure-Python twins,
-and both must agree with external integer oracles."""
+"""The kernels must agree with external integer oracles."""
 
 import random
 
 import pytest
 
-from iwalab import _kernels_py
+from iwalab import kernels
 
 from oracles import charpoly_desc, det_int, int_valuation, snf_exponents
-
-try:
-    from iwalab import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-IMPLS = [_kernels_py] if _compiled is None else [_kernels_py, _compiled]
 
 
 def rand_matrix(rng, n, q):
     return [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
 
 
-@pytest.mark.skipif(_compiled is None, reason="compiled kernels unavailable")
-class TestTwinEquivalence:
-    def test_smith(self):
-        rng = random.Random(0)
-        for _ in range(40):
-            p, N = rng.choice([(3, 8), (5, 6)])
-            q = p**N
-            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-            rows = [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)]
-            # seed extra p-divisibility to hit the global-extraction branch
-            if rng.random() < 0.4:
-                rows = [[(v * p) % q for v in r] for r in rows]
-            assert _kernels_py.smith_exponents(rows, p, N) == _compiled.smith_exponents(
-                rows, p, N
-            )
-
-    def test_det(self):
-        rng = random.Random(1)
-        for _ in range(40):
-            p, N = rng.choice([(3, 8), (5, 6)])
-            q = p**N
-            rows = rand_matrix(rng, rng.randint(1, 6), q)
-            assert _kernels_py.det_mod(rows, p, N) == _compiled.det_mod(rows, p, N)
-
-    def test_charpoly(self):
-        rng = random.Random(2)
-        for _ in range(30):
-            q = 3**8
-            rows = rand_matrix(rng, rng.randint(1, 6), q)
-            assert _kernels_py.charpoly_mod(rows, q) == _compiled.charpoly_mod(rows, q)
-
-    def test_bareiss(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-            assert _kernels_py.bareiss_det(rows) == _compiled.bareiss_det(rows)
-
-
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.IMPL_NAME)
+@pytest.mark.parametrize("impl", [kernels], ids=[kernels.KERNEL_IMPL])
 class TestAgainstOracles:
     def test_det_mod_vs_integer_det(self, impl):
         rng = random.Random(4)

@@ -14,6 +14,7 @@ from iwalab import (
     cokernel_kernel_orders,
     smith_form,
 )
+from iwalab.kernels import word_precision
 from iwalab.padic import smith_form_raw
 
 from oracles import cofactor_det_mod, snf_exponents
@@ -21,6 +22,22 @@ from oracles import cofactor_det_mod, snf_exponents
 
 def mat(ctx, rows):
     return [[ctx.make(v) for v in r] for r in rows]
+
+
+def planted_rows(rng, p, e, n=3):
+    """U * diag(p^e * unit, small, ...) * V with unimodular U, V; e=None plants a zero divisor."""
+    lead = 0 if e is None else p**e * rng.choice([1, -1, p + 1])
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = lead
+    for i in range(1, n):
+        rows[i][i] = rng.choice([1, -1]) * rng.randint(1, 40)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] += c * r[i]
+    return rows
 
 
 class TestContext:
@@ -137,11 +154,28 @@ class TestSmithForm:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         rows = [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
-        p, N = rng.choice([(3, 6), (5, 5)])
+        p, N = rng.choice([(3, 6), (5, 5), (5, 64), (7, 40)])
         ctx = PadicContext(p, N)
         got = smith_form_raw([[v % ctx.modulus for v in r] for r in rows], ctx).exponents
         want = snf_exponents(rows, p, N)
         assert [None if e is AT_LEAST_N else e for e in got] == want
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, None], ids=["k-1", "k", "k+1", "singular"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_integer_snf_beyond_word_precision(self, p, shift):
+        # A divisor p^e at the word precision k decides whether elimination
+        # mod p^k suffices (e < k) or falls back to the full p^N.
+        rng = random.Random(p * 10 + (2 if shift is None else shift))
+        for N in (40, 64):
+            k = word_precision(p, N)
+            assert 0 < k < N
+            e = None if shift is None else k + shift
+            rows = planted_rows(rng, p, e)
+            ctx = PadicContext(p, N)
+            got = smith_form_raw([[v % ctx.modulus for v in r] for r in rows], ctx).exponents
+            want = snf_exponents(rows, p, N)
+            assert e in want
+            assert [None if x is AT_LEAST_N else x for x in got] == want
 
     @given(st.integers(min_value=0, max_value=10**4))
     def test_permutation_invariance(self, seed):
@@ -172,12 +206,13 @@ class TestSmithForm:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         ints = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)]
-        lo, hi = PadicContext(3, 6), PadicContext(3, 12)
+        lo = PadicContext(3, 6)
         dl = smith_form_raw([[v % lo.modulus for v in r] for r in ints], lo).exponents
-        dh = smith_form_raw([[v % hi.modulus for v in r] for r in ints], hi).exponents
-        for el, eh in zip(dl, dh):
-            if el is not AT_LEAST_N:
-                assert el == eh
+        for hi in (PadicContext(3, 12), PadicContext(3, 40)):
+            dh = smith_form_raw([[v % hi.modulus for v in r] for r in ints], hi).exponents
+            for el, eh in zip(dl, dh):
+                if el is not AT_LEAST_N:
+                    assert el == eh
 
 
 class TestCokernelOrders:

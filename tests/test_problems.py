@@ -79,6 +79,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(bad)
 
+    @pytest.mark.parametrize(
+        "stanza", [{"n_levels": []}, {"n_max": -1}], ids=["empty-levels", "negative-n-max"]
+    )
+    def test_level_range_rejected(self, stanza):
+        with pytest.raises(ValidationError):
+            parse(dict(MINIMAL_GAMMA, **stanza))
+
 
 class TestRun:
     def test_euler_gamma(self):
