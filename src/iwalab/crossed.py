@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .exactint import int_valuation
-from .gamma import series_matrix_det
 from .padic import AT_LEAST_N, PadicContext, PadicInt, cokernel_kernel_orders, smith_form_raw
 from .results import (
     CandidateRecord,
@@ -75,8 +74,8 @@ class CrossedModule:
                     raise ValidationError(
                         "exact-action", "action entries must be exact polynomials in Y"
                     )
-        det = series_matrix_det(A)
-        if det.coeffs[0] % p == 0:
+        # det(A)(0) = det(A(0)), so the unit check needs only the constant terms mod p
+        if kernels.det_mod([[e.coeffs[0] % p for e in row] for row in A], p, 1) == 0:
             raise ValidationError(
                 "unit-determinant", "det(A) must be a unit in Z_p[[Y]] (unit constant term)"
             )

@@ -45,40 +45,43 @@ def sylvester_resultant(f, g) -> int:
 
 
 def poly_mat_det(entries):
-    """Determinant of a matrix of integer polynomials (ascending lists).
+    """Determinant over Z[X] of a matrix of integer polynomials (ascending lists).
 
-    Expansion by minors memoized over column subsets; fine for the small
-    presentation sizes this package handles.
+    Fraction-free (Bareiss) elimination: step k replaces each trailing entry
+    by (pivot * a_ij - a_ik * a_kj) / previous pivot, a division that is
+    exact in Z[X] because the result is a minor of the input.  A zero pivot
+    is swapped for the first nonzero entry below it.  The package's only
+    polynomial-matrix determinant; series determinants reduce it mod p^N.
+    Returns the trimmed ascending coefficient list ([0] when singular).
     """
-    d = len(entries)
-    if d == 0:
+    n = len(entries)
+    if n == 0:
         return [1]
-    cache = {}
-
-    def minor(row, mask):
-        if row == d:
-            return [1]
-        key = mask
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        acc = [0]
-        sign = 1
-        for j in range(d):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            e = entries[row][j]
-            if any(e):
-                term = po.pmul(e, minor(row + 1, mask & ~bit), None)
-                if sign < 0:
-                    term = [-t for t in term]
-                acc = po.padd(acc, term, None)
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return po.trim_int(minor(0, (1 << d) - 1))
+    m = [[po.trim_int(e) for e in row] for row in entries]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not any(m[k][k]):
+            for i in range(k + 1, n):
+                if any(m[i][k]):
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return [0]
+        pkk = m[k][k]
+        prow = m[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            mik = row[k]
+            for j in range(k + 1, n):
+                t = po.pmul(pkk, row[j], None)
+                if any(mik):
+                    t = po.psub(t, po.pmul(mik, prow[j], None), None)
+                row[j] = po.pdiv_exact(t, prev)
+        prev = pkk
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 def twisted_char_poly(c, u: int):

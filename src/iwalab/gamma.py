@@ -39,33 +39,26 @@ from .series import (
 
 
 def series_matrix_det(entries) -> PowerSeries:
-    """Determinant of a square matrix of PowerSeries, division-free."""
-    d = len(entries)
+    """Determinant of a square matrix of PowerSeries, as a reduction mod p^N.
+
+    The entries' residues are lifted to integer polynomials, their
+    determinant is taken over Z[X] by `exactint.poly_mat_det`, and the result
+    is reduced mod p^N.  When any entry is truncated, only the coefficients
+    below the smallest such window are known: the entries are cut to that
+    window and the result is truncated to it.
+    """
     ctx = entries[0][0].context
     var = entries[0][0].variable
-    cache = {}
-
-    def minor(row, mask):
-        if row == d:
-            return PowerSeries.one(ctx, var)
-        hit = cache.get(mask)
-        if hit is not None:
-            return hit
-        acc = PowerSeries.zero(ctx, var)
-        sign = 1
-        for j in range(d):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            e = entries[row][j]
-            if not e.is_zero_to_precision():
-                term = e * minor(row + 1, mask & ~bit)
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        cache[mask] = acc
-        return acc
-
-    return minor(0, (1 << d) - 1)
+    for row in entries:
+        for e in row:
+            if e.context != ctx or e.variable != var:
+                raise MixedContextError("determinant entries in different contexts or variables")
+    windows = [e.truncation for row in entries for e in row if not e.is_exact]
+    w = min(windows) if windows else None
+    det = exactint.poly_mat_det([[list(e.coeffs[:w]) for e in row] for row in entries])
+    if w is None:
+        return PowerSeries.from_ints(ctx, var, det)
+    return PowerSeries.truncated(ctx, var, det, trunc=w)
 
 
 class GammaModule:
@@ -86,12 +79,12 @@ class GammaModule:
         self.F = tuple(tuple(row) for row in F)
         self.context = ctx
         self.exact_entries = exact_entries
-        self.det_int = (
-            exactint.poly_mat_det([[list(e) for e in row] for row in exact_entries])
-            if exact_entries is not None
-            else None
-        )
-        self.det = series_matrix_det(self.F)
+        if exact_entries is not None:
+            self.det_int = exactint.poly_mat_det([[list(e) for e in row] for row in exact_entries])
+            self.det = PowerSeries.from_ints(ctx, "X", self.det_int)
+        else:
+            self.det_int = None
+            self.det = series_matrix_det(self.F)
         if self.det.is_zero_to_precision():
             if self.det_int is not None and self.det_int != [0]:
                 raise PrecisionExhaustedError(

@@ -16,14 +16,13 @@ from .crossed import CrossedModule, Level
 from .errors import ParseError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
-from .series import Character
+from .series import DEFAULT_TRUNCATION, Character
 
 _COMMON_KEYS = {"schema", "kind", "p", "d", "precision", "truncation", "characters", "budget"}
 _GAMMA_KEYS = _COMMON_KEYS | {"F", "n_levels", "n_max"}
 _CROSSED_KEYS = _COMMON_KEYS | {"kappa", "A", "levels"}
 
 DEFAULT_PRECISION = 64
-DEFAULT_TRUNCATION = 128
 DEFAULT_BUDGET = 25
 
 
@@ -84,15 +83,6 @@ class ProblemFile:
             return GammaModule.from_int_matrix(ctx, self.raw_entries)
         return CrossedModule.from_int_data(ctx, self.raw_kappa, self.raw_entries)
 
-    def characters_at(self, N: int):
-        ctx = PadicContext(self.p, N)
-        return [Character.from_int(ctx, u) for u in self.characters]
-
-    def levels(self):
-        if self.kind == "gamma":
-            return self.gamma_levels
-        return self.crossed_levels
-
 
 def parse_problem(text: str) -> ProblemFile:
     try:
@@ -127,6 +117,8 @@ def parse_problem(text: str) -> ProblemFile:
     if budget < 1:
         raise ValidationError("budget-positive", f"budget must be >= 1, got {budget}")
     characters = _as_int_list(data.get("characters", [1]), "characters")
+    if not characters:
+        raise ValidationError("characters-nonempty", "characters must name at least one character")
 
     ctx = PadicContext(p, precision)
     for u in characters:

@@ -5,8 +5,9 @@ every dual-route check keeps two genuinely distinct sides.
 """
 
 import sympy
-from sympy import Matrix, Poly, symbols
+from sympy import ZZ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 _T = symbols("t")
 
@@ -69,6 +70,20 @@ def charpoly_desc(rows):
 
 def det_int(rows):
     return int(Matrix(rows).det())
+
+
+def poly_det_int(entries):
+    """Determinant of a matrix of integer polynomials via sympy's ZZ[t] matrices.
+
+    Entries and result are ascending coefficient lists; the result is trimmed
+    ([0] for a singular matrix).
+    """
+    ring = ZZ[_T]
+    n = len(entries)
+    rows = [[ring.from_sympy(sum(c * _T**k for k, c in enumerate(e))) for e in row]
+            for row in entries]
+    det = ring.to_sympy(DomainMatrix(rows, (n, n), ring).det())
+    return [int(c) for c in reversed(Poly(det, _T).all_coeffs())]
 
 
 def poly_reduce_mod_int(f, g):

@@ -40,6 +40,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             crossed(4, [[[0, 1]]])  # A = (Y): det constant term 0
 
+    def test_action_determinant_divisible_by_p_rejected(self):
+        # det A(0) = 4 - 1 = 3: the Y-terms cannot rescue a non-unit constant term
+        with pytest.raises(ValidationError) as exc:
+            crossed(4, [[[1, 1], [1]], [[1], [4, 0, 1]]])
+        assert exc.value.invariant == "unit-determinant"
+
     def test_unit_determinant_off_diagonal(self):
         # det = 1 - Y^2: constant term 1, fine
         crossed(4, [[[1], [0, 1]], [[0, 1], [1]]])

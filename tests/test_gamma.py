@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from iwalab import _polyops as po
 from iwalab import (
     BudgetExhaustedError,
     Character,
@@ -9,13 +10,18 @@ from iwalab import (
     GammaModule,
     PadicContext,
     PowerSeries,
+    PrecisionExhaustedError,
     ZeroDeterminantError,
     find_twist,
     lambda_mu,
+    series_matrix_det,
     twist_series,
     weierstrass_prepare,
 )
 from iwalab.corpus import random_gamma_module
+from iwalab.exactint import poly_mat_det
+
+from oracles import poly_det_int
 
 CTX = PadicContext(3, 32)
 TRIV = Character.trivial(CTX)
@@ -34,6 +40,108 @@ class TestConstruction:
     def test_singular_two_by_two_rejected(self):
         with pytest.raises(ZeroDeterminantError):
             gamma([[[0, 1], [0, 1]], [[0, 1], [0, 1]]])
+
+    def test_determinant_vanishing_mod_p_n_asks_for_precision(self):
+        # det = 81 X is nonzero but 0 mod 3^4
+        with pytest.raises(PrecisionExhaustedError):
+            gamma([[[0, 9], [0]], [[0], [9]]], PadicContext(3, 4))
+
+
+def _random_poly_matrix(rng, d, deg=3, bound=9):
+    return [
+        [[rng.randint(-bound, bound) for _ in range(rng.randint(1, deg + 1))] for _ in range(d)]
+        for _ in range(d)
+    ]
+
+
+class TestPresentationDeterminant:
+    def test_random_matrices_match_oracle(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            m = _random_poly_matrix(rng, rng.randint(1, 6))
+            assert poly_mat_det(m) == poly_det_int(m)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        # det [[0, 1], [X, 2]] = -X
+        m = [[[0], [1]], [[0, 1], [2]]]
+        assert poly_mat_det(m) == poly_det_int(m) == [0, -1]
+
+    def test_zero_pivot_after_first_step(self):
+        # the (1, 1) entry is 1*1 - 1*1 = 0 after eliminating column 0
+        m = [[[1], [1], [0]], [[1], [1], [1]], [[0], [1], [0, 1]]]
+        assert poly_mat_det(m) == poly_det_int(m) == [-1]
+
+    def test_singular_and_rank_one(self):
+        rng = random.Random(42)
+        for d in range(2, 6):
+            u = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(d)]
+            v = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(d)]
+            rank_one = [[po.pmul(a, b, None) for b in v] for a in u]
+            assert poly_mat_det(rank_one) == poly_det_int(rank_one) == [0]
+            m = _random_poly_matrix(rng, d)
+            m[-1] = [po.pmul([2, 1], e, None) for e in m[0]]  # (X + 2) * first row
+            assert poly_mat_det(m) == poly_det_int(m) == [0]
+        assert poly_mat_det([[[0], [0]], [[0], [0]]]) == [0]
+
+    def test_one_by_one(self):
+        assert poly_mat_det([[[-3, 0, 1, 0]]]) == [-3, 0, 1]
+        assert poly_mat_det([[[0, 0]]]) == [0]
+
+    def test_x_identity_plus_constant_at_d10(self):
+        rng = random.Random(43)
+        d = 10
+        c = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        m = [[[c[i][j]] + ([1] if i == j else []) for j in range(d)] for i in range(d)]
+        det = poly_mat_det(m)
+        assert det == poly_det_int(m)
+        assert len(det) == d + 1 and det[-1] == 1
+
+    def test_series_determinant_is_reduction_mod_p_n(self):
+        rng = random.Random(44)
+        ctx = PadicContext(3, 6)
+        q = ctx.modulus
+        for _ in range(30):
+            m = _random_poly_matrix(rng, rng.randint(1, 5), bound=3**8)
+            F = [[PowerSeries.from_ints(ctx, "X", e) for e in row] for row in m]
+            det = series_matrix_det(F)
+            assert det.is_exact
+            assert det.coeffs == tuple(c % q for c in poly_det_int(m))
+
+    def test_series_window_bounded_by_every_truncated_entry(self):
+        # det [[1, O(X^3)], [X, 1]] = 1 + O(X^3): the truncated entry is zero
+        # to precision but still bounds the window
+        one = PowerSeries.from_ints(CTX, "X", [1])
+        big_o = PowerSeries.truncated(CTX, "X", [0], trunc=3)
+        x = PowerSeries.from_ints(CTX, "X", [0, 1])
+        det = series_matrix_det([[one, big_o], [x, one]])
+        assert not det.is_exact
+        assert det.truncation == 3
+        assert det.coeffs == (1, 0, 0)
+
+    def test_series_window_is_the_smallest(self):
+        rng = random.Random(45)
+        q = CTX.modulus
+        for _ in range(20):
+            m = _random_poly_matrix(rng, 3, deg=5)
+            wins = [[rng.choice((None, 3, 4, 6)) for _ in range(3)] for _ in range(3)]
+            F = [
+                [
+                    PowerSeries.from_ints(CTX, "X", e)
+                    if w is None
+                    else PowerSeries.truncated(CTX, "X", [c % q for c in e], trunc=w)
+                    for e, w in zip(row, wrow)
+                ]
+                for row, wrow in zip(m, wins)
+            ]
+            w = min((v for wrow in wins for v in wrow if v is not None), default=None)
+            cut = [[e[:w] for e in row] for row in m]
+            want = [c % q for c in poly_det_int(cut)]
+            det = series_matrix_det(F)
+            if w is None:
+                assert det.coeffs == tuple(want)
+            else:
+                assert det.truncation == w
+                assert det.coeffs == tuple((want + [0] * w)[:w])
 
 
 class TestCharacteristicElement:

@@ -86,6 +86,12 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse(dict(MINIMAL_GAMMA, **stanza))
 
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_empty_characters_rejected(self, stanza):
+        with pytest.raises(ValidationError) as exc:
+            parse(dict(stanza, characters=[]))
+        assert exc.value.invariant == "characters-nonempty"
+
 
 class TestRun:
     def test_euler_gamma(self):
@@ -172,6 +178,14 @@ class TestCli:
         inp.write_text('{"kind": "gamma", "foo": 1}')
         assert main(["euler", "--input", str(inp)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_empty_characters_exit_code(self, stanza, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(stanza, characters=[])))
+        assert main(["euler", "--input", str(inp)]) == 1
+        err = capsys.readouterr().err
+        assert "characters-nonempty" in err and "Traceback" not in err
 
     def test_missing_input(self, capsys):
         assert main(["euler"]) == 1
