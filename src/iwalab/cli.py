@@ -103,10 +103,14 @@ def main(argv=None) -> int:
                 text = fh.read()
             digest = digest_text(text)
             problem = parse_problem(text)
-            if args.precision:
-                data = dict(problem.source)
-                data["precision"] = args.precision
-                problem = parse_problem(json.dumps(data))
+            overrides = {
+                key: value
+                for key, value in (("precision", args.precision), ("budget", args.budget))
+                if value is not None
+            }
+            if overrides:
+                # re-parsed, so an override meets the same checks as the file's own key
+                problem = parse_problem(json.dumps({**problem.source, **overrides}))
         elif args.command != "selftest":
             print("error: --input is required for this command", file=sys.stderr)
             return 1
@@ -115,7 +119,6 @@ def main(argv=None) -> int:
             args.command,
             max_precision=args.max_precision,
             input_digest=digest,
-            budget=args.budget,
         )
     except IwalabError as exc:
         print(f"error: {exc}", file=sys.stderr)

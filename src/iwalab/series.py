@@ -228,83 +228,51 @@ def _first_unit_index(coeffs, p):
     return None
 
 
-def _fp_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(f, g, p):
-    """Division with remainder in F_p[X]; g must have a unit leading coefficient."""
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    if len(f) - 1 < dg:
-        return [0], _fp_trim(f)
-    quo = [0] * (len(f) - dg)
-    for i in range(len(f) - 1 - dg, -1, -1):
-        t = (f[i + dg] * inv) % p
-        if t:
-            quo[i] = t
-            for j, gc in enumerate(g):
-                f[i + j] = (f[i + j] - t * gc) % p
-    return _fp_trim(quo), _fp_trim(f[:dg] if dg else [0])
-
-
 def _fp_bezout(a, b, p):
     """(s, t) with s*a + t*b = 1 in F_p[X], for coprime a, b."""
     r0, r1 = list(a), list(b)
     s0, s1 = [1], [0]
     t0, t1 = [0], [1]
     while r1 != [0]:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_trim(po.psub(s0, po.pmul(q, s1, p), p))
-        t0, t1 = t1, _fp_trim(po.psub(t0, po.pmul(q, t1, p), p))
+        q, r = po.poly_divmod_unit_lead(r0, r1, p)
+        r0, r1 = r1, po.trim_int(r)
+        s0, s1 = s1, po.trim_int(po.psub(s0, po.pmul(q, s1, p), p))
+        t0, t1 = t1, po.trim_int(po.psub(t0, po.pmul(q, t1, p), p))
     c = pow(r0[0], -1, p)
     return po.pscale(s0, c, p), po.pscale(t0, c, p)
 
 
 def _hensel_prepare_poly(f1, lam, p, N, q):
-    """Exact-polynomial Weierstrass preparation by Hensel factorization.
+    """Exact-polynomial Weierstrass preparation by quadratic Hensel lifting.
 
     f1 has its first unit coefficient at index lam; lifts the mod-p splitting
     f1 = X^lam * (unit cofactor) to f1 = P * U mod p^N with P monic of degree
-    lam congruent to X^lam mod p.  Returns (P, U) as residue lists; this is
-    the genuine distinguished part, with no window truncation anywhere.
+    lam congruent to X^lam mod p.  The Bezout pair s*P + t*U = 1 is lifted
+    with (P, U), and each pass doubles the p-adic precision, capped at N, so
+    the lift takes about log2 N passes (von zur Gathen & Gerhard, Modern
+    Computer Algebra, Algorithm 15.10).  Only the monic P is ever divided by,
+    so f1's leading coefficient may be divisible by p.  Returns (P, U) as
+    residue lists; this is the genuine distinguished part, with no window
+    truncation anywhere.
     """
-    deg = len(f1) - 1
     if lam == 0:
         return [1], [c % q for c in f1]
-    pbar = [0] * lam + [1]
-    ubar = _fp_trim([c % p for c in f1[lam:]])
-    _, t = _fp_bezout(pbar, ubar, p)
-    P = list(pbar)
-    U = list(ubar) + [0] * (deg - lam + 1 - len(ubar))
-    pk = p
-    for _ in range(1, N):
-        prod = po.pmul(P, U, q)
-        err = po.psub([c % q for c in f1], prod, q)
-        if not any(err):
-            break
-        dig = _fp_trim([(c // pk) % p for c in err])
-        a0 = po.pmul(t, dig, p)
-        _, A = _fp_divmod(a0, pbar, p)
-        rem = _fp_trim(po.psub(dig, po.pmul(A, ubar, p), p))
-        B, _ = _fp_divmod(rem, pbar, p)
-        for i, c in enumerate(A):
-            if c:
-                P[i] = (P[i] + pk * c) % q
-        for i, c in enumerate(B):
-            if c:
-                if i < len(U):
-                    U[i] = (U[i] + pk * c) % q
-                else:
-                    U.extend([0] * (i - len(U)))
-                    U.append((pk * c) % q)
-        pk *= p
-    while len(U) > 1 and U[-1] == 0:
-        U.pop()
+    P = [0] * lam + [1]
+    U = po.trim_int([c % p for c in f1[lam:]])
+    s, t = _fp_bezout(P, U, p)
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        m = p ** k
+        e = po.psub(f1, po.pmul(P, U, m), m)
+        quo, r = po.poly_divmod_unit_lead(po.pmul(t, e, m), P, m)
+        P = po.padd(P, r, m)
+        U = po.trim_int(po.padd(U, po.padd(po.pmul(s, e, m), po.pmul(quo, U, m), m), m))
+        if k < N:
+            b = po.psub(po.padd(po.pmul(s, P, m), po.pmul(t, U, m), m), [1], m)
+            c, d = po.poly_divmod_unit_lead(po.pmul(t, b, m), P, m)
+            t = po.trim_int(po.psub(t, d, m))
+            s = po.trim_int(po.psub(s, po.padd(po.pmul(s, b, m), po.pmul(c, U, m), m), m))
     return P, U
 
 

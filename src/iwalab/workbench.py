@@ -55,7 +55,7 @@ def _escalating(problem, max_precision, escalations, task_id, compute):
 
 
 def run(problem: ProblemFile | None, command: str, *, max_precision: int = PRECISION_CAP,
-        input_digest: str = "", budget: int | None = None):
+        input_digest: str = ""):
     """Execute one command; returns (report dict, exit code)."""
     t0 = time.perf_counter()
     report = {
@@ -84,7 +84,7 @@ def run(problem: ProblemFile | None, command: str, *, max_precision: int = PRECI
     }
     if command not in handlers:
         raise ValidationError("command", f"unknown command {command!r}")
-    code = handlers[command](problem, report, max_precision, budget)
+    code = handlers[command](problem, report, max_precision)
     report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return report, code
 
@@ -98,7 +98,7 @@ def _require(problem, kind, command):
         )
 
 
-def _cmd_prepare(problem, report, max_precision, budget):
+def _cmd_prepare(problem, report, max_precision):
     _require(problem, "gamma", "prepare")
     w = problem.module._wdata
     report["tasks"].append(
@@ -113,7 +113,7 @@ def _cmd_prepare(problem, report, max_precision, budget):
     return 0
 
 
-def _cmd_char(problem, report, max_precision, budget):
+def _cmd_char(problem, report, max_precision):
     _require(problem, "gamma", "char")
     c = problem.module.characteristic_element()
     lam, mu = problem.module.char_invariants()
@@ -127,7 +127,7 @@ def _cmd_char(problem, report, max_precision, budget):
     return 0
 
 
-def _cmd_euler(problem, report, max_precision, budget):
+def _cmd_euler(problem, report, max_precision):
     if problem is None or problem.kind not in ("gamma", "crossed"):
         raise ValidationError("command-stanza", "euler needs a gamma or crossed stanza")
     cache = _ModuleCache(problem)
@@ -199,7 +199,7 @@ def _cmd_euler(problem, report, max_precision, budget):
     return 2 if undecided else 0
 
 
-def _cmd_akashi(problem, report, max_precision, budget):
+def _cmd_akashi(problem, report, max_precision):
     _require(problem, "crossed", "akashi")
     levels = problem.crossed_levels or []
     if not levels:
@@ -231,18 +231,17 @@ def _outcome_dicts(outcomes):
     return out
 
 
-def _cmd_find_twist(problem, report, max_precision, budget):
+def _cmd_find_twist(problem, report, max_precision):
     if problem is None or problem.kind not in ("gamma", "crossed"):
         raise ValidationError("command-stanza", "find-twist needs a gamma or crossed stanza")
-    cap = budget if budget is not None else problem.budget
     try:
         if problem.kind == "gamma":
-            rho, search = find_twist(problem.module, problem.n_max, budget=cap)
+            rho, search = find_twist(problem.module, problem.n_max, budget=problem.budget)
         else:
             levels = problem.crossed_levels or []
             if not levels:
                 raise ValidationError("command-stanza", "find-twist on crossed needs 'levels'")
-            rho, search = find_twist_crossed(problem.module, levels, budget=cap)
+            rho, search = find_twist_crossed(problem.module, levels, budget=problem.budget)
         accepted = search.accepted_u
     except BudgetExhaustedError as exc:
         search = exc.report
@@ -250,7 +249,7 @@ def _cmd_find_twist(problem, report, max_precision, budget):
 
     task = {
         "accepted_u": _s(accepted),
-        "budget": str(cap),
+        "budget": str(problem.budget),
         "candidates": [
             {"u": str(c.u), "accepted": c.accepted, "outcomes": _outcome_dicts(c.outcomes)}
             for c in search.candidates
@@ -281,7 +280,7 @@ def _cmd_find_twist(problem, report, max_precision, budget):
     return 0 if accepted is not None else 2
 
 
-def _cmd_selftest(problem, report, max_precision, budget):
+def _cmd_selftest(problem, report, max_precision):
     """Triple-agreement corpus run end to end, plus the checked-in golden case."""
     from .crossed import CrossedModule, Level
     from .padic import PadicContext

@@ -93,3 +93,75 @@ def poly_reduce_mod_int(f, g):
     _, rem = sympy.div(pf, pg, _T)
     coeffs = [int(c) for c in Poly(rem, _T).all_coeffs()]
     return list(reversed(coeffs)) if coeffs else [0]
+
+
+def _fp_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_divmod(f, g, p):
+    """Division with remainder in F_p[X]; g must have a unit leading coefficient."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    if len(f) - 1 < dg:
+        return [0], _fp_trim(f)
+    quo = [0] * (len(f) - dg)
+    for i in range(len(f) - 1 - dg, -1, -1):
+        t = (f[i + dg] * inv) % p
+        if t:
+            quo[i] = t
+            for j, gc in enumerate(g):
+                f[i + j] = (f[i + j] - t * gc) % p
+    return _fp_trim(quo), _fp_trim(f[:dg] if dg else [0])
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    return [(a[i] - (b[i] if i < len(b) else 0)) % p for i in range(n)]
+
+
+def hensel_prepare_one_digit(f1, lam, p, N):
+    """Weierstrass factorization f1 = P * U mod p^N, lifted one p-adic digit per pass.
+
+    f1 has its first unit coefficient at index lam (lam >= 1); P is monic of
+    degree lam and congruent to X^lam mod p.  Each pass fixes the next digit
+    of (P, U) from the residual divided by p^k, with the mod-p Bezout
+    cofactor of the unit part taken from sympy's extended Euclid over GF(p).
+    """
+    q = p ** N
+    deg = len(f1) - 1
+    pbar = [0] * lam + [1]
+    ubar = _fp_trim([c % p for c in f1[lam:]])
+    _, t, _ = Poly(list(reversed(pbar)), _T, modulus=p).gcdex(
+        Poly(list(reversed(ubar)), _T, modulus=p))
+    t = [int(c) % p for c in reversed(t.all_coeffs())]
+    P = list(pbar)
+    U = list(ubar) + [0] * (deg - lam + 1 - len(ubar))
+    pk = p
+    for _ in range(1, N):
+        err = _fp_sub([c % q for c in f1], _fp_mul(P, U, q), q)
+        if not any(err):
+            break
+        dig = _fp_trim([(c // pk) % p for c in err])
+        _, A = _fp_divmod(_fp_mul(t, dig, p), pbar, p)
+        B, _ = _fp_divmod(_fp_trim(_fp_sub(dig, _fp_mul(A, ubar, p), p)), pbar, p)
+        for i, c in enumerate(A):
+            P[i] = (P[i] + pk * c) % q
+        for i, c in enumerate(B):
+            if i >= len(U):
+                U.extend([0] * (i + 1 - len(U)))
+            U[i] = (U[i] + pk * c) % q
+        pk *= p
+    return P, _fp_trim(U)

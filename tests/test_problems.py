@@ -201,6 +201,38 @@ class TestCli:
         assert report["context"]["precision"] == "8"
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, invariant",
+        [
+            ("euler", "--precision", "0", "precision-positive"),
+            ("euler", "--precision", "-5", "precision-positive"),
+            ("find-twist", "--budget", "0", "budget-positive"),
+            ("find-twist", "--budget", "-1", "budget-positive"),
+        ],
+    )
+    def test_override_refused_like_file_key(self, command, flag, value, invariant,
+                                            tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(MINIMAL_CROSSED))
+        out = tmp_path / "r.json"
+        assert main([command, "--input", str(inp), flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert invariant in err and "Traceback" not in err
+        assert not out.exists()
+        key = flag.lstrip("-")
+        with pytest.raises(ValidationError, match=invariant):
+            parse(dict(MINIMAL_CROSSED, **{key: int(value)}))
+
+    def test_budget_override(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(MINIMAL_CROSSED))
+        code = main(["find-twist", "--input", str(inp), "--budget", "3", "--out",
+                     str(tmp_path / "r.json")])
+        assert code == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["tasks"][0]["budget"] == "3"
+        capsys.readouterr()
+
     def test_find_twist_cli(self, tmp_path, capsys):
         inp = tmp_path / "prob.json"
         inp.write_text(json.dumps(MINIMAL_CROSSED))

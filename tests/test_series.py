@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from iwalab import (
     weierstrass_prepare,
 )
 
-from oracles import int_valuation, resultant_int
+from iwalab import series
+from iwalab.workbench import PRECISION_CAP
+from oracles import hensel_prepare_one_digit, int_valuation, resultant_int
 
 CTX = PadicContext(3, 16)
 
@@ -152,6 +155,79 @@ class TestWeierstrassPrepare:
         window = len(prod.coeffs)
         for j in range(min(window, len(f.coeffs))):
             assert recon[j] == f.coeffs[j], (j, w.mu, w.lam)
+
+
+def rand_prepare_input(rng, p, N, deg, lam, lead_div_p=False):
+    """Exact integer coefficients with first unit coefficient at lam (mu = 0)."""
+    f = [p * rng.randint(-p**N, p**N) for _ in range(lam)]
+    f.append(rng.choice([u for u in range(-3 * p, 3 * p) if u % p]))
+    f += [rng.randint(-p**N, p**N) for _ in range(deg - lam)]
+    if lead_div_p and deg > lam:
+        f[-1] = p * rng.choice((1, -2, 5))
+    return f
+
+
+class TestExactPrepareAtEscalationPrecision:
+    """The exact-polynomial prepare against the one-digit Hensel lift of the oracle."""
+
+    @staticmethod
+    def check_against_oracle(f, p, N):
+        g = PowerSeries.from_ints(PadicContext(p, N), "X", f)
+        w = weierstrass_prepare(g)
+        f1 = [c // p**w.mu for c in g.coeffs]
+        P, U = hensel_prepare_one_digit(f1, w.lam, p, w.distinguished.context.N)
+        assert w.distinguished.coeffs == tuple(P)
+        assert w.unit.coeffs == tuple(U)
+        return w
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 100, 256])
+    def test_matches_one_digit_lift(self, p, N):
+        rng = random.Random(1000 * p + N)
+        for case in range(6):
+            deg = rng.randint(1, 9)
+            lam = deg if case == 0 else rng.randint(1, deg)
+            f = rand_prepare_input(rng, p, N, deg, lam, lead_div_p=case % 2 == 1)
+            w = self.check_against_oracle(f, p, N)
+            assert (w.mu, w.lam) == (0, lam)
+
+    @pytest.mark.parametrize("p, N", [(3, 64), (5, 100), (7, 256)])
+    def test_matches_one_digit_lift_with_mu(self, p, N):
+        rng = random.Random(p * N)
+        for mu in (1, 3):
+            f = [p**mu * c for c in rand_prepare_input(rng, p, N - mu, 5, 2, lead_div_p=True)]
+            w = self.check_against_oracle(f, p, N)
+            assert (w.mu, w.lam, w.distinguished.context.N) == (mu, 2, N - mu)
+
+    @pytest.mark.parametrize(
+        "f, p",
+        [([7**5, 37, 2, 5], 7), ([2 * 3**70, 4, 1, 3], 3), ([-(3**70), 1, 0, 0, 3], 3)],
+        ids=["7^5", "2*3^70", "-3^70-lead-div-p"],
+    )
+    def test_residual_vanishing_at_intermediate_modulus(self, f, p):
+        # f - P*U vanishes at a low modulus while P = X is still wrong mod p^128
+        w = self.check_against_oracle(f, p, 128)
+        assert w.lam == 1
+        assert w.distinguished.coeffs != (0, 1)
+
+    def test_pass_count_is_logarithmic(self, monkeypatch):
+        calls = 0
+        pmul = series.po.pmul
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return pmul(*args, **kwargs)
+
+        monkeypatch.setattr(series.po, "pmul", counting)
+        ctx = PadicContext(3, PRECISION_CAP)
+        bound = 12 * math.ceil(math.log2(PRECISION_CAP))
+        rng = random.Random(5)
+        for deg in range(3, 11):
+            f = rand_prepare_input(rng, 3, 40, deg, rng.randint(1, deg))
+            calls = 0
+            weierstrass_prepare(PowerSeries.from_ints(ctx, "X", f))
+            assert 0 < calls <= bound, (deg, calls)
 
 
 class TestLambdaMu:
