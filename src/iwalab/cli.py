@@ -12,6 +12,7 @@ machine-readable report goes to the sidecar file (default: <input>.report.json).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,9 @@ from .workbench import PRECISION_CAP, digest_text, run
 COMMANDS = ("prepare", "char", "euler", "akashi", "find-twist", "selftest")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="iwalab", description=__doc__.strip().splitlines()[0])
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", help="problem file (JSON stanza)")

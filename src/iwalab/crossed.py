@@ -132,11 +132,10 @@ class CrossedModule:
 
     # -- the semilinear machinery ----------------------------------------------
 
-    def _sigma_powers(self, m: int, q, exact: bool):
-        """Powers of sigma(Y) = (1+Y)^(kappa mod p^m) - 1 in the rank-p^m quotient."""
+    def _sigma_powers(self, m: int, q, e: int):
+        """Powers of (1+Y)^e - 1 in the rank-p^m quotient; e = kappa^k mod p^m gives sigma^k(Y)."""
         p = self.context.p
         pm = p ** m
-        e = self._kappa_int(exact) % pm
         s = [comb(e, j) if j else 0 for j in range(e + 1)]
         if q is not None:
             s = [c % q for c in s]
@@ -171,13 +170,9 @@ class CrossedModule:
         p, q = ctx.p, ctx.modulus
         pm = p ** m
         e = pow(self._kappa_int(self.kappa_exact is not None), k, pm)
-        s = [comb(e, j) % q if j else 0 for j in range(e + 1)]
         fbar = po.reduce_mod_omega(list(f.coeffs), p, m, q)
-        acc = [0] * pm
-        for c in reversed(fbar):
-            acc = po.reduce_mod_omega(po.pmul(acc, s, q), p, m, q)
-            acc[0] = (acc[0] + c) % q
-        return PowerSeries(ctx, "Y", tuple(acc), exact_degree=pm - 1)
+        out = self._apply_sigma(fbar, self._sigma_powers(m, q, e), q)
+        return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
 
     def _gamma_power_rows(self, level: Level, exact: bool = False):
         """Matrix of the gamma-lift's p^n-th power on the staged quotient.
@@ -204,7 +199,7 @@ class CrossedModule:
         else:
             ents = [[list(e.coeffs) for e in row] for row in self.A]
         A_red = [[po.reduce_mod_omega(e, p, level.m, q) for e in row] for row in ents]
-        table = self._sigma_powers(level.m, q, exact)
+        table = self._sigma_powers(level.m, q, self._kappa_int(exact) % pm)
         C = A_red
         for _ in range(pn - 1):
             SC = [[self._apply_sigma(C[i][j], table, q) for j in range(d)] for i in range(d)]

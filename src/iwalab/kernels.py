@@ -1,8 +1,8 @@
 """Matrix kernels over Z/p^N, in pure Python.
 
 These are the hot inner loops of the package: elementary-divisor elimination,
-determinants, and division-free characteristic polynomials for dense matrices
-whose entries are residues modulo p^N, plus the exact integer determinant
+determinants, and division-free characteristic polynomials for matrices whose
+entries are residues modulo p^N, plus the exact integer determinant
 behind the NotFinite certificates.
 
 Conventions:
@@ -15,6 +15,12 @@ Elimination runs on one-digit residues first: `smith_exponents` works mod p^k
 for the largest k with p^k below CPython's int digit base, where every
 residue is a single machine digit, and goes to the full p^N only when some
 divisor reaches p^k.
+
+`smith_exponents` and `det_mod` share the pivot search, the global
+p-extraction and the elimination step; each keeps only its own bookkeeping
+(the Smith shift; the determinant's unit, sign and valuation).  A row update
+touches only the columns where the pivot row is nonzero, so sparse inputs
+(the group-ring presentations) pay for their fill-in, not for their width.
 """
 
 import sys
@@ -59,59 +65,20 @@ def _smith(m, p, N):
     the running shift increases; once the block vanishes at the remaining
     precision every outstanding divisor is AtLeastN.
     """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    k = nr if nr < nc else nc
+    k = min(len(m), len(m[0])) if m else 0
     out = []
-    if k == 0:
-        return out
     shift = 0
     q = p ** N
     while len(out) < k:
-        pi = -1
-        pj = -1
-        found_nonzero = False
-        for i in range(nr):
-            row = m[i]
-            for j in range(nc):
-                a = row[j]
-                if a:
-                    found_nonzero = True
-                    if a % p:
-                        pi = i
-                        pj = j
-                        break
-            if pi >= 0:
-                break
-        if pi < 0:
-            if not found_nonzero:
-                break
+        pivot = _unit_pivot(m, p)
+        if pivot is None:
             shift += 1
-            if shift >= N:
+            if shift >= N or not _divide_out_p(m, p):
                 break
             q //= p
-            for i in range(nr):
-                row = m[i]
-                for j in range(nc):
-                    row[j] //= p
             continue
         out.append(shift)
-        inv = pow(m[pi][pj], -1, q)
-        prow = m[pi]
-        for r in range(nr):
-            if r == pi:
-                continue
-            c = m[r][pj]
-            if c:
-                c = (c * inv) % q
-                row = m[r]
-                for t in range(nc):
-                    row[t] = (row[t] - c * prow[t]) % q
-        del m[pi]
-        for row in m:
-            del row[pj]
-        nr -= 1
-        nc -= 1
+        _eliminate(m, *pivot, q)
     out.extend([-1] * (k - len(out)))
     return out
 
@@ -124,67 +91,69 @@ def det_mod(rows, p, N):
     out of an r x r block contributes r to the determinant's valuation while
     costing one digit of entry precision, and r >= 1.
     """
-    n = len(rows)
     qfull = p ** N
-    if n == 0:
-        return 1 % qfull
     m = [list(r) for r in rows]
     q = qfull
     val = 0
     unit = 1
     sign = 1
-    size = n
-    while size > 0:
-        pi = -1
-        pj = -1
-        found_nonzero = False
-        for i in range(size):
-            row = m[i]
-            for j in range(size):
-                a = row[j]
-                if a:
-                    found_nonzero = True
-                    if a % p:
-                        pi = i
-                        pj = j
-                        break
-            if pi >= 0:
-                break
-        if pi < 0:
-            if not found_nonzero:
-                return 0
-            val += size
-            if val >= N:
+    while m:
+        pivot = _unit_pivot(m, p)
+        if pivot is None:
+            val += len(m)
+            if val >= N or not _divide_out_p(m, p):
                 return 0
             q //= p
-            for i in range(size):
-                row = m[i]
-                for j in range(size):
-                    row[j] //= p
             continue
-        a = m[pi][pj]
-        unit = (unit * a) % qfull
+        pi, pj = pivot
+        unit = (unit * m[pi][pj]) % qfull
         if (pi + pj) & 1:
             sign = -sign
-        inv = pow(a, -1, q)
-        prow = m[pi]
-        for r in range(size):
-            if r == pi:
-                continue
-            c = m[r][pj]
-            if c:
-                c = (c * inv) % q
-                row = m[r]
-                for t in range(size):
-                    row[t] = (row[t] - c * prow[t]) % q
-        del m[pi]
-        for row in m:
-            del row[pj]
-        size -= 1
+        _eliminate(m, pi, pj, q)
     d = (unit * pow(p, val, qfull)) % qfull
     if sign < 0:
         d = (-d) % qfull
     return d
+
+
+def _unit_pivot(m, p):
+    """Row-major first entry of `m` not divisible by p, as (i, j); None when there is none."""
+    for i, row in enumerate(m):
+        for j, a in enumerate(row):
+            if a and a % p:
+                return i, j
+    return None
+
+
+def _divide_out_p(m, p):
+    """Divide every entry of `m` by p in place (all are multiples of p); False when `m` is zero."""
+    nonzero = False
+    for row in m:
+        for j, a in enumerate(row):
+            if a:
+                nonzero = True
+                row[j] = a // p
+    return nonzero
+
+
+def _eliminate(m, pi, pj, q):
+    """Clear column pj mod q with the unit pivot m[pi][pj], then drop its row and column.
+
+    Each row update runs over the pivot row's support only: a column where
+    the pivot row is zero is unchanged by it, and column pj itself is dropped.
+    """
+    prow = m[pi]
+    inv = pow(prow[pj], -1, q)
+    support = [(t, v) for t, v in enumerate(prow) if v and t != pj]
+    for r, row in enumerate(m):
+        c = row[pj]
+        if c and r != pi:
+            c = (c * inv) % q
+            for t, v in support:
+                row[t] = (row[t] - c * v) % q
+    del m[pi]
+    for row in m:
+        del row[pj]
 
 
 def charpoly_mod(rows, q):

@@ -5,9 +5,10 @@ every dual-route check keeps two genuinely distinct sides.
 """
 
 import sympy
-from sympy import ZZ, Matrix, Poly, symbols
+from sympy import QQ, ZZ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form
 
 _T = symbols("t")
 
@@ -32,6 +33,39 @@ def snf_exponents(rows, p, N):
         v = int_valuation(int(S[i, i]), p)
         out.append(None if v is None or v >= N else v)
     return sorted(out, key=lambda e: (e is None, e))
+
+
+def index_snf_exponents(rows, p, N):
+    """`snf_exponents` read off lattice indices, for ranks where sympy's SNF stalls.
+
+    With rows <= cols, the column lattice L of the matrix has
+    [Z^r : L + p^j Z^r] = p^(sum_i min(e_i, j)), and the HNF of [M | p^j I]
+    (mod D = p^(j r), a multiple of that index) has this index as its
+    diagonal product; consecutive j give #{i : e_i >= j}.  Entries stay
+    below D, so there is no coefficient explosion.
+    """
+    if len(rows) > len(rows[0]):
+        rows = [list(c) for c in zip(*rows)]
+    r, c = len(rows), len(rows[0])
+    M = DomainMatrix([[ZZ(v) for v in row] for row in rows], (r, c), ZZ)
+    infinite = r - M.convert_to(QQ).rank()
+
+    def index_exponent(j):
+        pj = p**j
+        aug = [[ZZ(v) for v in row] + [ZZ(pj if t == i else 0) for t in range(r)]
+               for i, row in enumerate(rows)]
+        H = hermite_normal_form(DomainMatrix(aug, (r, c + r), ZZ), D=ZZ(p ** (j * r)))
+        return sum(int_valuation(int(H[i, i].element), p) for i in range(r))
+
+    out = []
+    s_prev, at_least = 0, r
+    for j in range(1, N + 1):
+        if at_least == infinite:
+            break
+        s = index_exponent(j)
+        out += [j - 1] * (at_least - (s - s_prev))
+        s_prev, at_least = s, s - s_prev
+    return out + [None] * at_least
 
 
 def cofactor_det_mod(rows, q):

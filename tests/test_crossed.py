@@ -89,6 +89,28 @@ class TestSigmaPower:
         want = [0, 1] + [0] * 7
         assert list(got.coeffs) == want
 
+    @pytest.mark.parametrize("p, kappa", [(3, 4), (5, 6)])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_random_f_matches_horner(self, p, kappa, k):
+        # oracle: Horner's rule for f(s) over Z, s = (1+Y)^e - 1 with e = kappa^k mod p^2,
+        # then the remainder by omega_2 = (1+Y)^(p^2) - 1
+        import sympy
+
+        ctx = PadicContext(p, 20)
+        q = ctx.modulus
+        pm = p * p
+        rng = random.Random(10 * p + k)
+        f = [rng.randrange(100) for _ in range(2 * pm + 1)]
+        Y = sympy.symbols("Y")
+        s = sympy.Poly((1 + Y) ** pow(kappa, k, pm) - 1, Y)
+        acc = sympy.Poly(0, Y)
+        for c in reversed(f):
+            acc = acc * s + c
+        rem = acc.rem(sympy.Poly((1 + Y) ** pm - 1, Y))
+        want = [int(c) % q for c in reversed(rem.all_coeffs())]
+        got = crossed(kappa, [[[1]]], ctx).sigma_power(PowerSeries.from_ints(ctx, "Y", f), k, 2)
+        assert list(got.coeffs) == want + [0] * (pm - len(want))
+
 
 class TestGammaPowerMatrix:
     def test_trivial_action_gives_identity(self):

@@ -6,7 +6,13 @@ import pytest
 
 from iwalab import kernels
 
-from oracles import charpoly_desc, det_int, int_valuation, snf_exponents
+from oracles import (
+    charpoly_desc,
+    det_int,
+    index_snf_exponents,
+    int_valuation,
+    snf_exponents,
+)
 
 
 def rand_matrix(rng, n, q):
@@ -66,3 +72,96 @@ class TestAgainstOracles:
                 assert det == 0
             else:
                 assert int_valuation(det, p) == sum(exps)
+
+
+def cyclic(n, u):
+    """I - u*P, P the cyclic shift: the shape of a group-ring presentation g*I - u*A."""
+    return [[(j == i) - u * (j == (i + 1) % n) for j in range(n)] for i in range(n)]
+
+
+def structured_inputs(p, rng):
+    """Sparse and degenerate integer matrices, square and rectangular."""
+    yield cyclic(40, 1 + p)  # det 1 - (1+p)^40, valuation 1 + v_p(40)
+    yield cyclic(30, p)  # unit determinant
+    yield cyclic(10, 1 + p**20)  # a divisor past the word precision: the p^N rerun
+    yield cyclic(12, -1)  # I + P at even n: singular
+    one = [[rng.choice([0, 0, p, p * p, 1]) for _ in range(9)] for _ in range(9)]
+    one[0] = [0] * 9
+    one[0][4] = 1 + p  # pivot row with a single nonzero
+    yield one
+    holes = [[rng.randint(-20, 20) * rng.choice([1, p]) for _ in range(8)] for _ in range(8)]
+    holes[3] = [0] * 8  # zero row and zero column
+    for row in holes:
+        row[5] = 0
+    yield holes
+    yield [[rng.randint(-9, 9) * p ** rng.randint(0, 2) for _ in range(7)] for _ in range(4)]
+    yield [[rng.randint(-9, 9) * p ** rng.randint(0, 2) for _ in range(3)] for _ in range(6)]
+
+
+def check_kernels(rows, p, exponents, det):
+    """smith_exponents and det_mod on `rows` mod p^N against the oracles' answers.
+
+    N runs over the word precision (one elimination only) and beyond it (40, 64);
+    `exponents` are the oracle's at N = 64, `det` is None for a rectangular input.
+    """
+    for N in (kernels.word_precision(p, 64), 40, 64):
+        q = p**N
+        red = [[v % q for v in r] for r in rows]
+        got = [None if e < 0 else e for e in kernels.smith_exponents(red, p, N)]
+        assert got == [e if e is not None and e < N else None for e in exponents]
+        if det is not None:
+            assert kernels.det_mod(red, p, N) == det % q
+
+
+class TestStructuredInputs:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_smith_and_det_vs_oracles(self, p):
+        rng = random.Random(p)
+        for rows in structured_inputs(p, rng):
+            det = det_int(rows) if len(rows) == len(rows[0]) else None
+            check_kernels(rows, p, snf_exponents(rows, p, 64), det)
+
+    @pytest.mark.parametrize(
+        "p, kappa, entries, level, u",
+        [
+            (3, 4, [[[1, 1], [0, 2]], [[3], [1, 0, 1]]], (2, 1), 4),  # rank 54
+            (5, 6, [[[1, 1], [0, 2]], [[5], [1, 0, 1]]], (1, 1), 1),  # rank 50, singular
+        ],
+    )
+    def test_group_ring_rows_vs_oracles(self, p, kappa, entries, level, u):
+        from iwalab import Character, CrossedModule, Level, PadicContext
+
+        ctx = PadicContext(p, 64)
+        module = CrossedModule.from_int_data(ctx, kappa, entries)
+        rows = module._group_ring_rows(Character.from_int(ctx, u), Level(*level), exact=True)
+        assert len(rows) >= 50
+        check_kernels(rows, p, index_snf_exponents(rows, p, 64), det_int(rows))
+
+    def test_index_oracle_vs_integer_snf(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            p = rng.choice([2, 3, 5])
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice([0, 1, -1, p, p * p, rng.randint(-30, 30)]) for _ in range(nc)]
+                    for _ in range(nr)]
+            N = rng.choice([1, 3, 6])
+            assert index_snf_exponents(rows, p, N) == snf_exponents(rows, p, N)
+
+
+class CountingRow(list):
+    writes = 0
+
+    def __setitem__(self, i, v):
+        CountingRow.writes += 1
+        super().__setitem__(i, v)
+
+
+def test_row_updates_touch_only_the_pivot_support():
+    # I - 4P: every pivot row has two nonzeros, so an update writes O(1) entries
+    # per row; a full-width update would write n(n+1)/2 = 5050
+    n, p, N = 100, 3, 18
+    q = p**N
+    rows = [CountingRow(v % q for v in r) for r in cyclic(n, 4)]
+    CountingRow.writes = 0
+    kernels._smith(rows, p, N)
+    assert CountingRow.writes <= 4 * n

@@ -201,6 +201,16 @@ class TestCli:
         assert report["context"]["precision"] == "8"
         capsys.readouterr()
 
+    def test_override_does_not_reach_next_call(self, tmp_path, capsys):
+        # the parser is built once per process, so one call's options must not leak
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, n_levels=[0], precision=16)))
+        out = tmp_path / "r.json"
+        for flags, want in ((["--precision", "128"], "128"), ([], "16")):
+            assert main(["euler", "--input", str(inp), "--out", str(out), *flags]) == 0
+            assert json.loads(out.read_text())["context"]["precision"] == want
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "command, flag, value, invariant",
         [
