@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .errors import IwalabError
+from .errors import IwalabError, ParseError
 from .problems import parse_problem
 from .workbench import PRECISION_CAP, digest_text, run
 
@@ -102,8 +102,11 @@ def main(argv=None) -> int:
         problem = None
         digest = digest_text("")
         if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ParseError(f"cannot read {args.input}: {exc}") from None
             digest = digest_text(text)
             problem = parse_problem(text)
             overrides = {
@@ -132,9 +135,13 @@ def main(argv=None) -> int:
     if out_path is None and args.input:
         out_path = args.input + ".report.json"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write the report to {out_path}: {exc}", file=sys.stderr)
+            return 1
         print(f"report written to {out_path}")
     return code
 

@@ -36,6 +36,11 @@ from .results import (
 )
 from .series import Character, PowerSeries
 
+# Largest matrix rank a route may build: the group-ring presentation has rank
+# d*p^(n+m), and problem files are refused at parse time above it (gamma
+# levels at d*p^n, crossed levels at d*p^(n+m)).
+RANK_CAP = 2000
+
 
 @dataclass(frozen=True)
 class Level:
@@ -87,9 +92,8 @@ class CrossedModule:
         self.kappa_exact = kappa_exact
         self.A = tuple(tuple(row) for row in A)
         self.exact_entries = exact_entries
-        self._rows_cache = {}
+        self._cocycle_cache = {}
         self._akashi_cache = {}
-        self._exact_rows_cache = {}
 
     @classmethod
     def from_int_data(cls, ctx: PadicContext, kappa: int, entries) -> "CrossedModule":
@@ -130,35 +134,27 @@ class CrossedModule:
     def _kappa_int(self, exact: bool) -> int:
         return self.kappa_exact if exact else self.kappa.residue
 
-    # -- the semilinear machinery ----------------------------------------------
+    # -- the staged quotient in group-ring coordinates ---------------------------
+    #
+    # Z_p[Y]/omega_m is the group ring Z_p[h]/(h^(p^m) - 1) of H/H^(p^m), with
+    # h = 1 + Y.  In the basis 1, h, ..., h^(p^m - 1) sigma permutes the basis
+    # (h^b -> h^(kappa b)), products are cyclic convolutions and multiplication
+    # by an element is a circulant.  The change of basis from the Y^t is
+    # unitriangular over Z, so characteristic polynomials, determinants and
+    # Smith exponents of the level matrix are those of its Y-basis form.
 
-    def _sigma_powers(self, m: int, q, e: int):
-        """Powers of (1+Y)^e - 1 in the rank-p^m quotient; e = kappa^k mod p^m gives sigma^k(Y)."""
-        p = self.context.p
-        pm = p ** m
-        s = [comb(e, j) if j else 0 for j in range(e + 1)]
-        if q is not None:
-            s = [c % q for c in s]
-        table = [[1] + [0] * (pm - 1)]
-        cur = table[0]
-        for _ in range(1, pm):
-            cur = po.reduce_mod_omega(po.pmul(cur, s, q), p, m, q)
-            table.append(cur)
-        return table
-
-    def _apply_sigma(self, poly, table, q):
-        out = [0] * len(table[0])
-        for j, c in enumerate(poly):
-            if c:
-                tj = table[j]
-                for t in range(len(out)):
-                    out[t] += c * tj[t]
-        if q is None:
-            return out
-        return [v % q for v in out]
+    def _action_h(self, m: int, exact: bool):
+        """Entries of A(h - 1) mod h^(p^m) - 1: length-p^m lists in the h-basis."""
+        q = None if exact else self.context.modulus
+        pm = self.context.p ** m
+        if exact:
+            ents = self.exact_entries
+        else:
+            ents = [[e.coeffs for e in row] for row in self.A]
+        return [[_to_h(e, pm, q) for e in row] for row in ents]
 
     def sigma_power(self, f: PowerSeries, k: int, m: int) -> PowerSeries:
-        """Image of f under sigma^k in the rank-p^m quotient of Z_p[[Y]].
+        """Image of f under sigma^k in the rank-p^m quotient of Z_p[[Y]], in the Y-basis.
 
         Only kappa^k mod p^m matters since (1+Y)^(p^m) = 1 there.
         """
@@ -170,64 +166,70 @@ class CrossedModule:
         p, q = ctx.p, ctx.modulus
         pm = p ** m
         e = pow(self._kappa_int(self.kappa_exact is not None), k, pm)
-        fbar = po.reduce_mod_omega(list(f.coeffs), p, m, q)
-        out = self._apply_sigma(fbar, self._sigma_powers(m, q, e), q)
+        out = _to_y(_sigma_h(_to_h(f.coeffs, pm, q), e), q)
         return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
+
+    def _cocycle(self, level: Level, exact: bool = False):
+        """The cocycle product sigma^(p^n - 1)(A) ... sigma(A) A, entries in the h-basis.
+
+        sigma^(p^n) itself is trivial on the staged quotient by the level's
+        normality, so this product is the gamma-lift's p^n-th power.
+        """
+        self.check_level(level)
+        key = (level.n, level.m, exact)
+        hit = self._cocycle_cache.get(key)
+        if hit is not None:
+            return hit
+        p = self.context.p
+        q = None if exact else self.context.modulus
+        pm = p ** level.m
+        kbar = self._kappa_int(exact) % pm
+        A = self._action_h(level.m, exact)
+        A_support = [[[(b, y) for b, y in enumerate(e) if y] for e in row] for row in A]
+        C = A
+        for _ in range(p ** level.n - 1):
+            C = _cyclic_matmul([[_sigma_h(e, kbar) for e in row] for row in C], A_support, q)
+        self._cocycle_cache[key] = C
+        return C
 
     def _gamma_power_rows(self, level: Level, exact: bool = False):
         """Matrix of the gamma-lift's p^n-th power on the staged quotient.
 
         Returns the (d*p^m)-square matrix of right multiplication by the
-        cocycle product sigma^(p^n - 1)(A) ... sigma(A) A, in the basis
-        e_i Y^t ordered by (i, t); sigma^(p^n) itself is trivial there by the
-        level's normality.
+        cocycle product C in the basis e_i h^t ordered by (i, t): block (i, j)
+        is the circulant of C[i][j], its row r being C[i][j] shifted
+        cyclically by r.
         """
-        self.check_level(level)
-        key = (level.n, level.m)
-        cache = self._exact_rows_cache if exact else self._rows_cache
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.context
-        p = ctx.p
-        q = None if exact else ctx.modulus
-        pn = p ** level.n
-        pm = p ** level.m
-        d = self.d
-        if exact:
-            ents = [[list(e) for e in row] for row in self.exact_entries]
-        else:
-            ents = [[list(e.coeffs) for e in row] for row in self.A]
-        A_red = [[po.reduce_mod_omega(e, p, level.m, q) for e in row] for row in ents]
-        table = self._sigma_powers(level.m, q, self._kappa_int(exact) % pm)
-        C = A_red
-        for _ in range(pn - 1):
-            SC = [[self._apply_sigma(C[i][j], table, q) for j in range(d)] for i in range(d)]
-            nxt = []
-            for i in range(d):
-                out_row = []
-                for j in range(d):
-                    acc = [0]
-                    for t in range(d):
-                        acc = po.padd(acc, po.pmul(SC[i][t], A_red[t][j], q), q)
-                    out_row.append(po.reduce_mod_omega(acc, p, level.m, q))
-                nxt.append(out_row)
-            C = nxt
-        D = d * pm
-        rows = [[0] * D for _ in range(D)]
-        for i in range(d):
-            for j in range(d):
-                block = po.mult_matrix_mod_omega(C[i][j], p, level.m, q)
-                for r in range(pm):
-                    rows[i * pm + r][j * pm: j * pm + pm] = block[r]
-        cache[key] = rows
+        C = self._cocycle(level, exact)
+        pm = len(C[0][0])
+        rows = []
+        for Ci in C:
+            for r in range(pm):
+                row = []
+                for c in Ci:
+                    row += c[pm - r:] + c[:pm - r]
+                rows.append(row)
         return rows
 
     def gamma_power_matrix(self, level: Level):
-        """Public wrapper returning PadicInt entries."""
-        rows = self._gamma_power_rows(level)
+        """The level matrix in the basis e_i Y^t ordered by (i, t), with PadicInt entries.
+
+        Row (i, r), block j holds the Y-coefficients of Y^r C[i][j] reduced
+        mod omega_m.
+        """
+        C = self._cocycle(level)
         ctx = self.context
-        return [[PadicInt(ctx, v) for v in row] for row in rows]
+        q = ctx.modulus
+        pm = len(C[0][0])
+        y_powers = [_to_h([0] * r + [1], pm, q) for r in range(pm)]
+        rows = []
+        for Ci in C:
+            for yr in y_powers:
+                row = []
+                for c in Ci:
+                    row += _to_y(po.cyclic_reduce(po.pmul(yr, c, None), pm, q), q)
+                rows.append([PadicInt(ctx, v) for v in row])
+        return rows
 
     # -- Akashi series ----------------------------------------------------------
 
@@ -235,16 +237,25 @@ class CrossedModule:
         """det((1+X) I - B) for the level's action matrix B, exact of degree d*p^m.
 
         Only the H-coinvariants contribute because the module is free over
-        Z_p[[Y]]; higher H-homology vanishes.
+        Z_p[[Y]]; higher H-homology vanishes.  h^(p^m) - 1 is the product of
+        the cyclotomic Phi_{p^k}(h), k <= m, so the staged quotient splits
+        over Q_p into the fields Q_p(zeta_{p^k}) and det(t - B) is the product
+        of det(t - B_k), B_k the matrix of C on (Z_p[h]/Phi_{p^k}(h))^d (the
+        Artin formalism of the Akashi series over the characters of H).  Each
+        factor is an integral characteristic polynomial and the identity holds
+        over Z, so the product is exact mod p^N.
         """
         key = (level.n, level.m)
         hit = self._akashi_cache.get(key)
         if hit is not None:
             return hit
-        rows = self._gamma_power_rows(level)
+        C = self._cocycle(level)
         ctx = self.context
         q = ctx.modulus
-        cp = kernels.charpoly_mod(rows, q)
+        cp = [1]
+        for k in range(level.m + 1):
+            block = _cyclotomic_rows(C, ctx.p, k, q)
+            cp = po.pmul(cp, kernels.charpoly_mod(block, q), q)
         deg = len(cp) - 1
         ak = [0] * (deg + 1)
         for k, c in enumerate(cp):
@@ -306,7 +317,7 @@ class CrossedModule:
         return EulerResult.from_h0(v)
 
     def group_ring_oracle(
-        self, rho: Character, level: Level, size_cap: int = 2000
+        self, rho: Character, level: Level, size_cap: int = RANK_CAP
     ) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].
 
@@ -347,15 +358,7 @@ class CrossedModule:
         u = rho.u_exact if exact else rho.u.residue
         kbar = self._kappa_int(exact) % pm
         kinv = pow(kbar, -1, pm) if pm > 1 else 0
-        if exact:
-            ents = [[list(e) for e in row] for row in self.exact_entries]
-        else:
-            ents = [[list(e.coeffs) for e in row] for row in self.A]
-        # action entries rewritten in the h-power basis: Y -> h - 1, then h^pm = 1
-        AH = [
-            [po.cyclic_reduce(po.substitute_linear(e, -1, 1, q), pm, q) for e in row]
-            for row in ents
-        ]
+        AH = self._action_h(level.m, exact)
         rows = [[0] * (d * pnm) for _ in range(d * pnm)]
         for i in range(d):
             for a in range(pn):
@@ -371,6 +374,78 @@ class CrossedModule:
         if q is not None:
             rows = [[v % q for v in row] for row in rows]
         return rows
+
+
+def _to_h(f, pm, q):
+    """Y-basis coefficients of f as h-basis coefficients mod h^pm - 1 (Y = h - 1)."""
+    return po.cyclic_reduce(po.substitute_linear(list(f), -1, 1, q), pm, q)
+
+
+def _to_y(f, q):
+    """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
+    return po.substitute_linear(f, 1, 1, q, len(f))
+
+
+def _sigma_h(f, e):
+    """sigma^k of an h-basis element, e = kappa^k mod p^m: h^b -> h^(e b)."""
+    pm = len(f)
+    out = [0] * pm
+    for b, c in enumerate(f):
+        out[b * e % pm] = c
+    return out
+
+
+def _cyclic_matmul(S, A_support, q):
+    """Product S A of square matrices over Z[h]/(h^(p^m) - 1) in the h-basis, mod q (None: exact).
+
+    `A_support` lists each entry of the right factor by its nonzero
+    (index, coefficient) pairs: the action matrix is sparse in this basis.
+    """
+    pm = len(S[0][0])
+    d = len(S)
+    out = []
+    for Si in S:
+        row = []
+        for j in range(d):
+            acc = [0] * (2 * pm - 1)
+            for t in range(d):
+                g = A_support[t][j]
+                for a, x in enumerate(Si[t]):
+                    if x:
+                        for b, y in g:
+                            acc[a + b] += x * y
+            row.append(po.cyclic_reduce(acc, pm, q))
+        out.append(row)
+    return out
+
+
+def _cyclotomic_rows(C, p, k, q):
+    """Matrix mod q of right multiplication by C on (Z[h]/Phi_{p^k}(h))^d.
+
+    Basis e_i h^t, t < phi(p^k), ordered by (i, t).  An element folds its
+    indices mod p^k; for k = 0 that reads off its value at h = 1, the root of
+    Phi_1(h) = h - 1.  For k >= 1, Phi_{p^k}(h) = sum_{j<p} h^(j s) with
+    s = p^(k-1), so h^(phi + t) is then replaced by -sum_{j<p-1} h^(j s + t).
+    """
+    pk = p ** k
+    s = pk // p
+    phi = pk - s
+    rows = []
+    for Ci in C:
+        folded = [po.cyclic_reduce(c, pk, None) for c in Ci]
+        for r in range(phi):
+            row = []
+            for g in folded:
+                rot = g[pk - r:] + g[:pk - r]
+                out = rot[:phi]
+                for t in range(s):
+                    v = rot[phi + t]
+                    if v:
+                        for j in range(t, phi, s):
+                            out[j] -= v
+                row += [x % q for x in out]
+            rows.append(row)
+    return rows
 
 
 def find_twist_crossed(module: CrossedModule, levels, budget: int = 25):

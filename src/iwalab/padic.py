@@ -298,12 +298,3 @@ def cokernel_kernel_orders(divisors: ElementaryDivisors) -> HomologyOrders:
     if divisors.has_at_least_n:
         return HomologyOrders(None, None)
     return HomologyOrders(divisors.finite_sum, 0)
-
-
-def det_residue(rows: Sequence[Sequence[int]], ctx: PadicContext) -> int:
-    """Determinant of a square residue matrix, as a residue mod p^N."""
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise NotSquareError("determinant of a non-square matrix")
-    return kernels.det_mod(rows, ctx.p, ctx.N)

@@ -4,7 +4,8 @@ A problem file is the module stanza itself plus optional orchestration keys.
 All integers may be decimal strings (arbitrary precision survives the text
 format) or plain JSON ints; unknown keys are rejected so result provenance is
 unambiguous.  Module invariants (torsion, unit determinant, level normality,
-character image) are checked here, before any computation.
+character image) are checked here, before any computation, and so is the
+size of every requested level: its dense matrix rank may not exceed RANK_CAP.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .crossed import CrossedModule, Level
-from .errors import ParseError, ValidationError
+from .crossed import RANK_CAP, CrossedModule, Level
+from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
 from .series import DEFAULT_TRUNCATION, Character
@@ -55,6 +56,17 @@ def _as_matrix(value, d: int, what: str):
             raise ParseError(f"{what}: row {i} must have {d} series entries")
         rows.append([_as_int_list(e, f"{what}[{i}]") for e in row])
     return rows
+
+
+def _check_rank(d: int, p: int, e: int, what: str):
+    """Refuse a level whose matrix rank d*p^e exceeds RANK_CAP, without forming p^e past it."""
+    rank = d
+    for _ in range(e):
+        if rank > RANK_CAP:
+            break
+        rank *= p
+    if rank > RANK_CAP:
+        raise SizeCapExceededError(f"{what}: rank {d}*{p}^{e} exceeds the cap {RANK_CAP}")
 
 
 @dataclass
@@ -138,6 +150,8 @@ def parse_problem(text: str) -> ProblemFile:
         n_max = _as_int(data["n_max"], "n_max") if "n_max" in data else max(n_levels)
         if n_max < 0:
             raise ValidationError("level", f"n_max must be >= 0, got {n_max}")
+        for n in n_levels + [n_max]:
+            _check_rank(d, p, n, f"level {n}")
         return ProblemFile(
             kind="gamma",
             p=p,
@@ -167,7 +181,9 @@ def parse_problem(text: str) -> ProblemFile:
     for lv in raw_levels:
         if not isinstance(lv, list) or len(lv) != 2:
             raise ParseError("levels: each level is a pair [n, m]")
-        levels.append(module.check_level(Level(_as_int(lv[0], "level"), _as_int(lv[1], "level"))))
+        level = module.check_level(Level(_as_int(lv[0], "level"), _as_int(lv[1], "level")))
+        _check_rank(d, p, level.index_exponent, f"level ({level.n},{level.m})")
+        levels.append(level)
     return ProblemFile(
         kind="crossed",
         p=p,

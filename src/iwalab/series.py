@@ -93,13 +93,6 @@ class PowerSeries:
         """Number of known coefficients, or None for an exact polynomial."""
         return None if self.is_exact else len(self.coeffs)
 
-    def coefficient(self, i: int) -> PadicInt:
-        if i < len(self.coeffs):
-            return PadicInt(self.context, self.coeffs[i])
-        if self.is_exact:
-            return self.context.zero()
-        raise PrecisionExhaustedError(f"coefficient {i} beyond truncation {len(self.coeffs)}")
-
     def is_zero_to_precision(self) -> bool:
         return not any(self.coeffs)
 

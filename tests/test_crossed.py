@@ -128,7 +128,14 @@ class TestGammaPowerMatrix:
         assert all(rows[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3))
 
     def test_one_plus_y_level_one_two(self):
-        # oracle: 21 mod 9 = 3; B is the 9x9 multiplication matrix of (1+Y)^3
+        # oracle: 21 mod 9 = 3, so the cocycle is h^3 with h = 1+Y; in the
+        # basis 1, h, ..., h^8 of Z_3[h]/(h^9 - 1) B is the cyclic shift by 3
+        X = crossed(4, [[[1, 1]]])
+        rows = X._gamma_power_rows(Level(1, 2))
+        assert rows == [[1 if c == (r + 3) % 9 else 0 for c in range(9)] for r in range(9)]
+
+    def test_one_plus_y_level_one_two_y_basis(self):
+        # oracle: the public matrix is the 9x9 multiplication matrix of (1+Y)^3
         # in the basis 1, Y, ..., Y^8 modulo omega_2, built by integer reduction
         from iwalab._polyops import omega_coeffs
 
@@ -140,8 +147,8 @@ class TestGammaPowerMatrix:
             shifted = [0] * r + cube
             want.append([c % q for c in poly_reduce_mod_int(shifted, w2) + [0] * 9][:9])
         X = crossed(4, [[[1, 1]]])
-        rows = X._gamma_power_rows(Level(1, 2))
-        assert rows == want
+        rows = X.gamma_power_matrix(Level(1, 2))
+        assert [[v.residue for v in row] for row in rows] == want
 
     def test_public_wrapper_returns_padics(self):
         X = trivial_module()
@@ -175,6 +182,26 @@ class TestAkashiSeries:
             ak = X.akashi_series(lv)
             assert ak.exact_degree == X.d * 3**lv.m
             assert ak.coeffs[-1] == 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_cyclotomic_product_equals_full_charpoly(self, p):
+        # oracle: Berkowitz on the full h-basis level matrix, then t -> 1 + X
+        from iwalab._polyops import substitute_linear
+        from iwalab.kernels import charpoly_mod
+
+        ctx = PadicContext(p, 40)
+        q = ctx.modulus
+        rng = random.Random(40 + p)
+        seen = set()
+        for _ in range(4):
+            X = random_crossed_module(rng, ctx, d_max=1 if p == 7 else 2)
+            # kappa = 1 + p^2 reaches m = n + 2
+            X = crossed(rng.choice([X.kappa_exact, 1 + p * p]), X.exact_entries, ctx)
+            for lv in admissible_levels(X, 2, 3, rank_cap=54):
+                cp = charpoly_mod(X._gamma_power_rows(lv), q)
+                assert list(X.akashi_series(lv).coeffs) == substitute_linear(cp, 1, 1, q, len(cp))
+                seen.add(lv.m)
+        assert max(seen) >= 2
 
     def test_constant_matrix_block_embedding(self):
         # for constant A the level matrix is A^(p^n) tensor the rank-p^m identity,

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from iwalab import ParseError, ValidationError
+from iwalab import ParseError, SizeCapExceededError, ValidationError
 from iwalab.cli import main
+from iwalab.crossed import RANK_CAP
 from iwalab.problems import parse_problem
 from iwalab.workbench import run
 
@@ -91,6 +92,30 @@ class TestParse:
         with pytest.raises(ValidationError) as exc:
             parse(dict(stanza, characters=[]))
         assert exc.value.invariant == "characters-nonempty"
+
+    @pytest.mark.parametrize(
+        "stanza",
+        [
+            dict(MINIMAL_GAMMA, n_levels=[12]),  # a dense 3^12-square matrix
+            dict(MINIMAL_GAMMA, n_levels=[0], n_max=7),  # find-twist would reach 3^7 = 2187
+            dict(MINIMAL_GAMMA, d=3, F=[[["1"] if i == j else ["0"] for j in range(3)] for i in range(3)],
+                 n_levels=[6]),  # 3 * 729
+            dict(MINIMAL_CROSSED, kappa="1", levels=[[0, 0], [3, 4]]),  # 3^7 at m = 4
+            dict(MINIMAL_CROSSED, levels=[[10**9, 1]]),  # p^n is never formed
+        ],
+        ids=["gamma-level", "gamma-n-max", "gamma-rank-d", "crossed-level", "crossed-huge-n"],
+    )
+    def test_rank_above_cap_refused(self, stanza):
+        with pytest.raises(SizeCapExceededError, match=str(RANK_CAP)):
+            parse(stanza)
+
+    def test_rank_at_cap_accepted(self):
+        # 2 * 3^6 = 1458 and 3^6 = 729 stay under 2000; one more factor of p does not
+        assert RANK_CAP == 2000
+        identity = [[["1"] if i == j else ["0"] for j in range(2)] for i in range(2)]
+        assert parse(dict(MINIMAL_GAMMA, d=2, F=identity, n_levels=[6])).gamma_levels == [6]
+        pf = parse(dict(MINIMAL_CROSSED, kappa="1", levels=[[2, 4]]))
+        assert [(lv.n, lv.m) for lv in pf.crossed_levels] == [(2, 4)]
 
 
 class TestRun:
@@ -186,6 +211,36 @@ class TestCli:
         assert main(["euler", "--input", str(inp)]) == 1
         err = capsys.readouterr().err
         assert "characters-nonempty" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "stanza",
+        [dict(MINIMAL_GAMMA, n_levels=[12]), dict(MINIMAL_CROSSED, levels=[[5, 2]])],
+        ids=["gamma", "crossed"],
+    )
+    def test_rank_cap_exit_code(self, stanza, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the cap 2000" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_unreadable_input_named(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["euler", "--input", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read")
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        assert main(["euler", "--input", str(binary)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
+    def test_unwritable_report_named(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, n_levels=[0])))
+        out = tmp_path / "missing-dir" / "r.json"
+        assert main(["euler", "--input", str(inp), "--out", str(out)]) == 1
+        assert "error: cannot write the report" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         assert main(["euler"]) == 1
