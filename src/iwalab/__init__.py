@@ -20,6 +20,7 @@ from .errors import (
     PrecisionExhaustedError,
     SizeCapExceededError,
     TailUncertifiedError,
+    UsageError,
     ValidationError,
     ZeroDeterminantError,
     ZeroToPrecisionError,
@@ -79,6 +80,7 @@ __all__ = [
     "SizeCapExceededError",
     "TailUncertifiedError",
     "TwistSearchReport",
+    "UsageError",
     "ValidationError",
     "WeierstrassData",
     "ZeroDeterminantError",

@@ -16,17 +16,25 @@ import functools
 import json
 import sys
 
-from .errors import IwalabError, ParseError
+from .crossed import PRECISION_CAP
+from .errors import IwalabError, ParseError, SizeCapExceededError, UsageError
 from .problems import parse_problem
-from .workbench import PRECISION_CAP, digest_text, run
+from .workbench import digest_text, run
 
 COMMANDS = ("prepare", "char", "euler", "akashi", "find-twist", "selftest")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as UsageError (exit 1): argparse's exit 2 means "undecided" here."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use; parse_args leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="iwalab", description=__doc__.strip().splitlines()[0])
+    ap = _Parser(prog="iwalab", description=__doc__.strip().splitlines()[0])
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", help="problem file (JSON stanza)")
     ap.add_argument("--precision", type=int, help="override the working precision exponent N")
@@ -97,8 +105,12 @@ def _print_table(report):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        if args.max_precision > PRECISION_CAP:
+            raise SizeCapExceededError(
+                f"--max-precision {args.max_precision} exceeds the cap {PRECISION_CAP}"
+            )
         problem = None
         digest = digest_text("")
         if args.input:
@@ -108,15 +120,13 @@ def main(argv=None) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read {args.input}: {exc}") from None
             digest = digest_text(text)
-            problem = parse_problem(text)
+            # an override replaces the file's key before parsing, so it meets the same checks
             overrides = {
                 key: value
                 for key, value in (("precision", args.precision), ("budget", args.budget))
                 if value is not None
             }
-            if overrides:
-                # re-parsed, so an override meets the same checks as the file's own key
-                problem = parse_problem(json.dumps({**problem.source, **overrides}))
+            problem = parse_problem(text, overrides)
         elif args.command != "selftest":
             print("error: --input is required for this command", file=sys.stderr)
             return 1

@@ -41,6 +41,11 @@ from .series import Character, PowerSeries
 # levels at d*p^n, crossed levels at d*p^(n+m)).
 RANK_CAP = 2000
 
+# Largest working precision N: a problem file's precision, --precision and
+# --max-precision (the escalation ceiling) are refused above it.  Every
+# residue carries N digits, so the cost of a step grows with N^2.
+PRECISION_CAP = 1024
+
 
 @dataclass(frozen=True)
 class Level:
@@ -346,33 +351,43 @@ class CrossedModule:
         """Right multiplication by (g I - u A) on Z_p[G/U]^d.
 
         G/U = <g, h | g^(p^n), h^(p^m), g h g^-1 = h^kappa>; Y maps to h - 1.
-        Basis e_i g^a h^b at index i*p^(n+m) + a*p^m + b.
+        Row e_i g^a h^b sits at index (a*d + i)*p^m + b.  Column e_j g^a h^b
+        sits at the index of row e_j g^(a-1) h^(b kappa), whose image under g
+        it is, so g contributes exactly 1 on the diagonal and u A lands in
+        block column a - 1 of row block a (block p^n - 1 for a = 0).  This
+        column order is a permutation, which leaves the Smith exponents and
+        the vanishing of the determinant unchanged; row-major first-unit
+        elimination then walks the unit diagonal of blocks 0 .. p^n - 2 and
+        fills in only the last block column.
         """
         ctx = self.context
-        p = ctx.p
         q = None if exact else ctx.modulus
-        pn = p ** level.n
-        pm = p ** level.m
-        pnm = pn * pm
+        pn = ctx.p ** level.n
+        pm = ctx.p ** level.m
         d = self.d
+        D = d * pn * pm
         u = rho.u_exact if exact else rho.u.residue
         kbar = self._kappa_int(exact) % pm
-        kinv = pow(kbar, -1, pm) if pm > 1 else 0
-        AH = self._action_h(level.m, exact)
-        rows = [[0] * (d * pnm) for _ in range(d * pnm)]
-        for i in range(d):
-            for a in range(pn):
-                a2 = (a + 1) % pn
+        uA = [
+            [[(c, -u * alpha if q is None else -u * alpha % q) for c, alpha in enumerate(e) if alpha]
+             for e in row]
+            for row in self._action_h(level.m, exact)
+        ]
+        rows = []
+        for a in range(pn):
+            base = (a - 1) % pn * d * pm
+            for uAi in uA:
                 for b in range(pm):
-                    row = rows[i * pnm + a * pm + b]
-                    row[i * pnm + a2 * pm + (b * kinv) % pm] += 1
-                    for j in range(d):
-                        base = j * pnm + a * pm
-                        for c, alpha in enumerate(AH[i][j]):
-                            if alpha:
-                                row[base + (b + c) % pm] -= u * alpha
-        if q is not None:
-            rows = [[v % q for v in row] for row in rows]
+                    row = [0] * D
+                    for j, support in enumerate(uAi):
+                        col = base + j * pm
+                        for c, v in support:
+                            row[col + (b + c) * kbar % pm] = v
+                    k = len(rows)
+                    row[k] += 1  # at level n = 0 the diagonal also holds an entry of u A
+                    if q is not None:
+                        row[k] %= q
+                    rows.append(row)
         return rows
 
 

@@ -49,9 +49,13 @@ class ParseError(IwalabError):
     """Malformed problem file."""
 
 
+class UsageError(IwalabError):
+    """Malformed command line (unknown command, option or option value)."""
+
+
 class BudgetExhaustedError(IwalabError):
     """No twisting character certified within the candidate budget."""
 
 
 class SizeCapExceededError(IwalabError):
-    """Group-ring computation would exceed the configured matrix-size cap."""
+    """A request exceeds a size cap: the matrix rank or the working precision."""

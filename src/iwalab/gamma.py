@@ -64,7 +64,7 @@ def series_matrix_det(entries) -> PowerSeries:
 class GammaModule:
     """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0)."""
 
-    def __init__(self, F, exact_entries=None):
+    def __init__(self, F, exact_entries=None, _det_int=None):
         d = len(F)
         if d == 0 or any(len(row) != d for row in F):
             raise ValidationError("square-presentation", "F must be a nonempty square matrix")
@@ -80,7 +80,10 @@ class GammaModule:
         self.context = ctx
         self.exact_entries = exact_entries
         if exact_entries is not None:
-            self.det_int = exactint.poly_mat_det([[list(e) for e in row] for row in exact_entries])
+            # det F over Z[X] does not depend on N: a re-embedding passes it on as _det_int
+            if _det_int is None:
+                _det_int = exactint.poly_mat_det([[list(e) for e in row] for row in exact_entries])
+            self.det_int = _det_int
             self.det = PowerSeries.from_ints(ctx, "X", self.det_int)
         else:
             self.det_int = None
@@ -94,17 +97,19 @@ class GammaModule:
         self._wdata = weierstrass_prepare(self.det)
 
     @classmethod
-    def from_int_matrix(cls, ctx: PadicContext, entries) -> "GammaModule":
+    def from_int_matrix(cls, ctx: PadicContext, entries, _det_int=None) -> "GammaModule":
         """Presentation with exact integer polynomial entries (ascending lists)."""
         F = [[PowerSeries.from_ints(ctx, "X", e) for e in row] for row in entries]
         raw = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
-        return cls(F, exact_entries=raw)
+        return cls(F, exact_entries=raw, _det_int=_det_int)
 
     def with_precision(self, N: int) -> "GammaModule":
         """Re-embed the exact integer data at a different precision."""
         if self.exact_entries is None:
             raise ValidationError("exactness", "cannot re-embed a non-exact presentation")
-        return GammaModule.from_int_matrix(self.context.with_precision(N), self.exact_entries)
+        return GammaModule.from_int_matrix(
+            self.context.with_precision(N), self.exact_entries, _det_int=self.det_int
+        )
 
     # -- characteristic element ---------------------------------------------
 

@@ -200,7 +200,11 @@ def charpoly_mod(rows, q):
 
 
 def bareiss_det(rows):
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
+
+    A row whose multiplier is 0 under a pivot equal to the previous one is
+    skipped: its update (pivot * entry - 0) / previous pivot is the identity.
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -221,6 +225,8 @@ def bareiss_det(rows):
         for i in range(k + 1, n):
             row = m[i]
             mik = row[k]
+            if not mik and pkk == prev:
+                continue
             for j in range(k + 1, n):
                 row[j] = (pkk * row[j] - mik * prow[j]) // prev
             row[k] = 0

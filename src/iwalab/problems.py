@@ -5,15 +5,16 @@ All integers may be decimal strings (arbitrary precision survives the text
 format) or plain JSON ints; unknown keys are rejected so result provenance is
 unambiguous.  Module invariants (torsion, unit determinant, level normality,
 character image) are checked here, before any computation, and so is the
-size of every requested level: its dense matrix rank may not exceed RANK_CAP.
+size of the request: the working precision may not exceed PRECISION_CAP, nor
+the dense matrix rank of any requested level RANK_CAP.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .crossed import RANK_CAP, CrossedModule, Level
+from .crossed import PRECISION_CAP, RANK_CAP, CrossedModule, Level
 from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
@@ -71,7 +72,7 @@ def _check_rank(d: int, p: int, e: int, what: str):
 
 @dataclass
 class ProblemFile:
-    """Validated problem: raw integer data plus a module built at `precision`."""
+    """Validated problem: the module built at `precision` plus the orchestration keys."""
 
     kind: str
     p: int
@@ -84,25 +85,22 @@ class ProblemFile:
     gamma_levels: list | None = None
     n_max: int | None = None
     crossed_levels: list | None = None
-    raw_entries: tuple = ()
-    raw_kappa: int | None = None
-    source: dict = field(default_factory=dict)
 
     def build_module(self, N: int):
         """Re-embed the exact input data at precision N (for escalation)."""
-        ctx = PadicContext(self.p, N)
-        if self.kind == "gamma":
-            return GammaModule.from_int_matrix(ctx, self.raw_entries)
-        return CrossedModule.from_int_data(ctx, self.raw_kappa, self.raw_entries)
+        return self.module.with_precision(N)
 
 
-def parse_problem(text: str) -> ProblemFile:
+def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
+    """Parse and validate a problem file; `overrides` replace its keys before any check."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("the problem file must be a JSON object")
+    if overrides:
+        data = {**data, **overrides}
 
     kind = data.get("kind")
     if kind not in ("gamma", "crossed"):
@@ -124,6 +122,8 @@ def parse_problem(text: str) -> ProblemFile:
     if d < 1:
         raise ValidationError("rank-positive", f"d must be >= 1, got {d}")
     precision = _as_int(data.get("precision", DEFAULT_PRECISION), "precision")
+    if precision > PRECISION_CAP:
+        raise SizeCapExceededError(f"precision {precision} exceeds the cap {PRECISION_CAP}")
     truncation = _as_int(data.get("truncation", DEFAULT_TRUNCATION), "truncation")
     budget = _as_int(data.get("budget", DEFAULT_BUDGET), "budget")
     if budget < 1:
@@ -163,8 +163,6 @@ def parse_problem(text: str) -> ProblemFile:
             schema=schema,
             gamma_levels=n_levels,
             n_max=n_max,
-            raw_entries=module.exact_entries,
-            source=data,
         )
 
     if "kappa" not in data:
@@ -194,7 +192,4 @@ def parse_problem(text: str) -> ProblemFile:
         module=module,
         schema=schema,
         crossed_levels=levels,
-        raw_entries=module.exact_entries,
-        raw_kappa=kappa,
-        source=data,
     )

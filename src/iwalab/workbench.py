@@ -13,14 +13,12 @@ import time
 
 from . import __version__
 from .corpus import admissible_levels, crossed_corpus
-from .crossed import find_twist_crossed
+from .crossed import PRECISION_CAP, find_twist_crossed
 from .errors import BudgetExhaustedError, ValidationError
 from .gamma import find_twist
 from .problems import ProblemFile
 from .results import EulerStatus
 from .series import Character
-
-PRECISION_CAP = 1024
 
 _DECIDED = (EulerStatus.EXISTS, EulerStatus.NOT_FINITE)
 

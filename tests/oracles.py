@@ -4,6 +4,8 @@ These deliberately avoid the package's own elimination and resultant code so
 every dual-route check keeps two genuinely distinct sides.
 """
 
+from math import comb
+
 import sympy
 from sympy import QQ, ZZ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import smith_normal_form
@@ -88,6 +90,39 @@ def cofactor_det_mod(rows, q):
         return acc
 
     return expand(rows, list(range(n))) % q
+
+
+def group_ring_rows_lex(kappa, entries, u, p, n, m):
+    """g I - u A on Z[G/U]^d, G/U = <g, h | g^(p^n), h^(p^m), g h g^-1 = h^kappa>.
+
+    Rows and columns in the lexicographic basis e_i g^a h^b at index
+    i*p^(n+m) + a*p^m + b, the order the group-ring route used before its
+    columns were permuted; entries of A(Y) become A(h - 1) mod h^(p^m) - 1 by
+    the binomial theorem.  Exact integers.
+    """
+    pn, pm = p**n, p**m
+    pnm = pn * pm
+    d = len(entries)
+    kinv = pow(kappa, -1, pm) if pm > 1 else 0
+
+    def in_h(f):
+        out = [0] * pm
+        for t, c in enumerate(f):
+            for s in range(t + 1):
+                out[s % pm] += c * comb(t, s) * (-1) ** (t - s)
+        return out
+
+    AH = [[in_h(e) for e in row] for row in entries]
+    rows = [[0] * (d * pnm) for _ in range(d * pnm)]
+    for i in range(d):
+        for a in range(pn):
+            for b in range(pm):
+                row = rows[i * pnm + a * pm + b]
+                row[i * pnm + (a + 1) % pn * pm + b * kinv % pm] += 1
+                for j in range(d):
+                    for c, alpha in enumerate(AH[i][j]):
+                        row[j * pnm + a * pm + (b + c) % pm] -= u * alpha
+    return rows
 
 
 def resultant_int(f, g):

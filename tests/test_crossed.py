@@ -14,9 +14,10 @@ from iwalab import (
     ValidationError,
     find_twist_crossed,
 )
+from iwalab import kernels
 from iwalab.corpus import admissible_levels, random_crossed_module
 
-from oracles import poly_reduce_mod_int
+from oracles import det_int, group_ring_rows_lex, poly_reduce_mod_int
 
 CTX = PadicContext(3, 32)
 TRIV = Character.trivial(CTX)
@@ -236,6 +237,74 @@ class TestAkashiSeries:
         )
         want = poly * poly * poly
         assert ak.coeffs == want.coeffs
+
+
+def group_ring_cases(levels):
+    """(module, level, u) on random modules at p = 3 and 5, the trivial character included.
+
+    The first module at each p has det(g I - A) = 0 at level (1, 1).
+    """
+    for p in (3, 5):
+        ctx = PadicContext(p, 64)
+        rng = random.Random(50 + p)
+        singular = crossed(1 + p, [[[1, 1], [0, 2]], [[p], [1, 0, 1]]], ctx)
+        for X in [singular] + [random_crossed_module(rng, ctx) for _ in range(4)]:
+            for lv in levels(X):
+                for u in (1, 1 + p, 1 + p * p):
+                    yield X, lv, u
+
+
+class TestGroupRingRows:
+    def test_unit_diagonal_and_zero_diagonal_blocks(self):
+        # rows and columns come in p^n blocks of size d*p^m; g I puts I on the
+        # diagonal blocks and u A sits only in block column a - 1 of row block a
+        seen = set()
+        for X, lv, u in group_ring_cases(lambda X: admissible_levels(X, 2, 1, rank_cap=54)):
+            if lv.n == 0:
+                continue
+            rows = X._group_ring_rows(Character.from_int(X.context, u), lv, exact=True)
+            pn, size = X.context.p ** lv.n, X.d * X.context.p ** lv.m
+            for r, row in enumerate(rows):
+                for c, v in enumerate(row):
+                    a, b = r // size, c // size
+                    if b == a:
+                        assert v == (r == c), (lv, u, r, c)
+                    elif b != (a - 1) % pn:
+                        assert v == 0, (lv, u, r, c)
+            seen.add((X.context.p, lv.n))
+        assert {(3, 1), (3, 2), (5, 1)} <= seen
+
+    def test_columns_permute_the_lexicographic_layout(self):
+        # row e_i g^a h^b moves from i p^(n+m) + a p^m + b to (a d + i) p^m + b, and
+        # column e_j g^a h^b to the index of row e_j g^(a-1) h^(b kappa)
+        for X, lv, u in group_ring_cases(lambda X: admissible_levels(X, 1, 1)):
+            p, d, kappa = X.context.p, X.d, X.kappa_exact
+            pn, pm = p**lv.n, p**lv.m
+            new = X._group_ring_rows(Character.from_int(X.context, u), lv, exact=True)
+            old = group_ring_rows_lex(kappa, X.exact_entries, u, p, lv.n, lv.m)
+            row_at = [(a * d + i) * pm + b for i in range(d) for a in range(pn) for b in range(pm)]
+            col_at = [((a - 1) % pn * d + j) * pm + b * kappa % pm
+                      for j in range(d) for a in range(pn) for b in range(pm)]
+            assert [[new[row_at[r]][col_at[c]] for c in range(len(old))]
+                    for r in range(len(old))] == old
+
+    def test_verdicts_match_lexicographic_layout(self):
+        # the oracle's verdict against the lexicographic matrix's Smith exponents
+        # mod p^64, and its NotFinite against the exact determinant
+        statuses = set()
+        for X, lv, u in group_ring_cases(lambda X: admissible_levels(X, 1, 1, rank_cap=50)):
+            p = X.context.p
+            old = group_ring_rows_lex(X.kappa_exact, X.exact_entries, u, p, lv.n, lv.m)
+            q = p**64
+            exps = kernels.smith_exponents([[v % q for v in r] for r in old], p, 64)
+            res = X.group_ring_oracle(Character.from_int(X.context, u), lv)
+            statuses.add(res.status)
+            if -1 in exps:
+                assert res.status is (EulerStatus.NOT_FINITE if det_int(old) == 0
+                                      else EulerStatus.INDETERMINATE), (lv, u)
+            else:
+                assert res.exists and res.h0_exponent == sum(exps), (lv, u)
+        assert {EulerStatus.EXISTS, EulerStatus.NOT_FINITE} <= statuses
 
 
 class TestEulerRoutes:

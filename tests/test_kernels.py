@@ -9,6 +9,7 @@ from iwalab import kernels
 from oracles import (
     charpoly_desc,
     det_int,
+    group_ring_rows_lex,
     index_snf_exponents,
     int_valuation,
     snf_exponents,
@@ -135,7 +136,9 @@ class TestStructuredInputs:
         module = CrossedModule.from_int_data(ctx, kappa, entries)
         rows = module._group_ring_rows(Character.from_int(ctx, u), Level(*level), exact=True)
         assert len(rows) >= 50
-        check_kernels(rows, p, index_snf_exponents(rows, p, 64), det_int(rows))
+        det = det_int(rows)
+        check_kernels(rows, p, index_snf_exponents(rows, p, 64), det)
+        assert kernels.bareiss_det(rows) == det
 
     def test_index_oracle_vs_integer_snf(self):
         rng = random.Random(9)
@@ -165,3 +168,64 @@ def test_row_updates_touch_only_the_pivot_support():
     CountingRow.writes = 0
     kernels._smith(rows, p, N)
     assert CountingRow.writes <= 4 * n
+
+
+def test_group_ring_elimination_stays_sparse():
+    # level (2, 2), d = 2, p = 3: rank D = 162.  With g's unit on the diagonal the
+    # pivots walk the diagonal blocks and fill in only the last block column
+    # (about 10k writes at the word precision); in the lexicographic layout the
+    # first unit of a row lies in a u A block and the row fills in (62k writes)
+    from iwalab import Character, CrossedModule, Level, PadicContext
+
+    p, k = 3, kernels.word_precision(3, 64)
+    q = p**k
+    ctx = PadicContext(p, 64)
+    entries = [[[1, 1], [0, 2]], [[3], [1, 0, 1]]]
+    module = CrossedModule.from_int_data(ctx, 4, entries)
+    for u in (1, 4):
+        new = module._group_ring_rows(Character.from_int(ctx, u), Level(2, 2), exact=True)
+        old = group_ring_rows_lex(4, entries, u, p, 2, 2)
+        writes = []
+        for rows in (new, old):
+            m = [CountingRow(v % q for v in r) for r in rows]
+            CountingRow.writes = 0
+            kernels._smith(m, p, k)
+            writes.append(CountingRow.writes)
+        bound = len(new) ** 2  # 26,244
+        assert writes[0] <= bound < writes[1], writes
+
+
+class TestBareiss:
+    """Fraction-free elimination skips a row whose multiplier is 0 under an unchanged pivot."""
+
+    CASES = {
+        # unit lower triangular: every pivot is 1, and rows 2, 3 then 2 have zero multipliers
+        "unit-pivots": [[1, 0, 0, 0], [5, 1, 0, 0], [0, 0, 1, 0], [0, 7, 0, 1]],
+        # pivots 2, 2, 2: equal but not units, so the skipped update is still the identity
+        "equal-non-unit-pivots": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+        # pivots 2, 6: a zero multiplier under a changed pivot must still be scaled
+        "changed-pivot": [[2, 1, 0], [0, 3, 1], [0, 0, 5]],
+        "zero-leading-pivot": [[0, 1, 2], [3, 0, 1], [0, 4, 0]],
+        "zero-column": [[1, 0, 2], [3, 0, 1], [4, 0, 5]],
+        "repeated-row-zero-multipliers": [[1, 0, 0], [0, 2, 3], [0, 2, 3]],
+        "singular-after-skips": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 4], [0, 0, 1, 2]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_structured(self, name):
+        rows = self.CASES[name]
+        assert kernels.bareiss_det(rows) == det_int(rows)
+
+    def test_sparse_random(self):
+        rng = random.Random(10)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            rows = [[rng.choice([0, 0, 0, 0, 1, -1, 2, 3, rng.randint(-9, 9)]) for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(n)] = list(rows[0])  # singular, or n = 1
+            want = det_int(rows)
+            singular += want == 0
+            assert kernels.bareiss_det(rows) == want
+        assert singular >= 50

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from iwalab import ParseError, SizeCapExceededError, ValidationError
+from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint
 from iwalab.cli import main
-from iwalab.crossed import RANK_CAP
+from iwalab.crossed import PRECISION_CAP, RANK_CAP
 from iwalab.problems import parse_problem
 from iwalab.workbench import run
 
@@ -116,6 +116,22 @@ class TestParse:
         assert parse(dict(MINIMAL_GAMMA, d=2, F=identity, n_levels=[6])).gamma_levels == [6]
         pf = parse(dict(MINIMAL_CROSSED, kappa="1", levels=[[2, 4]]))
         assert [(lv.n, lv.m) for lv in pf.crossed_levels] == [(2, 4)]
+
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_precision_cap(self, stanza):
+        # p^N is formed at parse time, so N is bounded before any arithmetic
+        assert PRECISION_CAP == 1024
+        assert parse(dict(stanza, precision=1024)).module.context.N == 1024
+        with pytest.raises(SizeCapExceededError, match="precision 1025 exceeds the cap 1024"):
+            parse(dict(stanza, precision=1025))
+        with pytest.raises(SizeCapExceededError):
+            parse(dict(stanza, precision=10**9))
+
+    def test_override_replaces_the_file_key(self):
+        text = json.dumps(dict(MINIMAL_GAMMA, precision=2000))
+        assert parse_problem(text, {"precision": 16}).precision == 16
+        with pytest.raises(SizeCapExceededError):
+            parse_problem(text)
 
 
 class TestRun:
@@ -304,3 +320,91 @@ class TestCli:
         code = main(["find-twist", "--input", str(inp), "--out", str(tmp_path / "r.json")])
         assert code == 0
         assert "ACCEPTED" in capsys.readouterr().out
+
+
+class TestCliUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["euler", "--precision", "x"], ["bogus"], ["euler", "--frobnicate"], []],
+        ids=["bad-value", "unknown-command", "unknown-option", "no-command"],
+    )
+    def test_usage_error_exits_one(self, argv, capsys):
+        # exit 2 is reserved for "undecided at the cap"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage:" not in err
+
+    def test_usage_error_is_named(self):
+        from iwalab.cli import _build_parser
+
+        with pytest.raises(UsageError, match="invalid choice"):
+            _build_parser().parse_args(["bogus"])
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestCliPrecisionCap:
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_precision_flag(self, stanza, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(stanza, n_levels=[0]) if stanza is MINIMAL_GAMMA else stanza))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--precision", "1024", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["context"]["precision"] == "1024"
+        out.unlink()
+        assert main(["euler", "--input", str(inp), "--precision", "1025", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: precision 1025 exceeds the cap 1024" in err and not out.exists()
+
+    def test_file_precision(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_CROSSED, precision=1025)))
+        assert main(["euler", "--input", str(inp)]) == 1
+        assert "exceeds the cap 1024" in capsys.readouterr().err
+
+    def test_max_precision_flag(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(MINIMAL_CROSSED))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--max-precision", "1025", "--out", str(out)]) == 1
+        assert "--max-precision 1025 exceeds the cap 1024" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDetIntReuse:
+    """det F over Z[X] is independent of N: one poly_mat_det per escalation chain."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        real = exactint.poly_mat_det
+
+        def counting(entries):
+            count.append(1)
+            return real(entries)
+
+        monkeypatch.setattr(exactint, "poly_mat_det", counting)
+        return count
+
+    def test_cli_escalation_chain(self, calls, tmp_path, capsys):
+        # F = X - 3^5 at the trivial character needs N > 5: 1 -> 2 -> 4 -> 8
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, F=[[["-243", "1"]]], n_levels=[0])))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--precision", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [e["to"] for e in report["escalations"]] == ["2", "4", "8"]
+        assert report["tasks"][0]["chi_exponent"] == "5"
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_with_precision_and_reverification(self, calls):
+        pf = parse({"kind": "gamma", "p": 3, "d": 1, "F": [[["0", "1"]]], "n_max": 1})
+        assert pf.build_module(128).det_int == pf.module.det_int
+        report, code = run(pf, "find-twist")
+        assert code == 0 and report["tasks"][0]["reverified_ok"] is True
+        assert len(calls) == 1
