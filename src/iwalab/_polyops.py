@@ -137,56 +137,6 @@ def omega_coeffs(p, n):
     return [0] + [comb(pn, k) for k in range(1, pn + 1)]
 
 
-def reduce_mod_omega(coeffs, p, n, q):
-    """`coeffs` reduced modulo (1+X)^(p^n) - 1, as a length-p^n list.
-
-    Terminates because each fold of the high part both shortens it by one
-    and multiplies it into the p-divisible lower omega coefficients.
-    """
-    pn = p ** n
-    out = list(coeffs[:pn])
-    out += [0] * (pn - len(out))
-    if q is not None:
-        out = [c % q for c in out]
-    if len(coeffs) <= pn:
-        return out
-    neg_wlow = [-w for w in omega_coeffs(p, n)[:pn]]
-    if q is not None:
-        neg_wlow = [w % q for w in neg_wlow]
-    high = list(coeffs[pn:])
-    while any(high):
-        folded = pmul(high, neg_wlow, q)
-        out = padd(out, folded[:pn], q)
-        high = folded[pn:]
-    return out
-
-
-def mult_matrix_mod_omega(fbar, p, n, q):
-    """Rows of right multiplication by `fbar` on (Z/q)[X]/((1+X)^(p^n)-1).
-
-    Row k holds the coefficients of X^k * fbar reduced mod omega_n; `fbar`
-    must already be reduced (length <= p^n).
-    """
-    pn = p ** n
-    wlow = omega_coeffs(p, n)[:pn]
-    first = list(fbar) + [0] * (pn - len(fbar))
-    rows = [first]
-    cur = first
-    for _ in range(1, pn):
-        top = cur[-1]
-        nxt = [0] + cur[:-1]
-        if top:
-            if q is None:
-                for j in range(pn):
-                    nxt[j] = nxt[j] - top * wlow[j]
-            else:
-                for j in range(pn):
-                    nxt[j] = (nxt[j] - top * wlow[j]) % q
-        rows.append(nxt)
-        cur = nxt
-    return rows
-
-
 def cyclic_reduce(coeffs, order, q):
     """Reduce modulo h^order - 1: indices wrap around."""
     out = [0] * order
@@ -195,6 +145,37 @@ def cyclic_reduce(coeffs, order, q):
     if q is None:
         return out
     return [c % q for c in out]
+
+
+def to_group_ring(coeffs, order, q, twist=1):
+    """f(X) as an element of Z[h]/(h^order - 1), h = 1 + X, in the basis 1, h, ...
+
+    Substitutes X = twist*h - 1, then folds indices mod order.  twist = c
+    scales h^b to c^b h^b before the fold: it is the twist X -> c(1+X) - 1.
+    """
+    return cyclic_reduce(substitute_linear(coeffs, -1, twist, q), order, q)
+
+
+def circulant(c):
+    """Rows of right multiplication by c on Z[h]/(h^len(c) - 1): row r is h^r * c."""
+    n = len(c)
+    return [c[n - r:] + c[:n - r] for r in range(n)]
+
+
+def block_circulant(M):
+    """Rows of right multiplication by the matrix M over Z[h]/(h^n - 1) on row vectors.
+
+    Basis e_i h^t ordered by (i, t); block (i, j) is the circulant of M[i][j].
+    """
+    rows = []
+    for Mi in M:
+        blocks = [circulant(c) for c in Mi]
+        for r in range(len(blocks[0])):
+            row = []
+            for b in blocks:
+                row += b[r]
+            rows.append(row)
+    return rows
 
 
 def poly_divmod_unit_lead(f, g, q):

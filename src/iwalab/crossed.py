@@ -156,7 +156,7 @@ class CrossedModule:
             ents = self.exact_entries
         else:
             ents = [[e.coeffs for e in row] for row in self.A]
-        return [[_to_h(e, pm, q) for e in row] for row in ents]
+        return [[po.to_group_ring(e, pm, q) for e in row] for row in ents]
 
     def sigma_power(self, f: PowerSeries, k: int, m: int) -> PowerSeries:
         """Image of f under sigma^k in the rank-p^m quotient of Z_p[[Y]], in the Y-basis.
@@ -171,7 +171,7 @@ class CrossedModule:
         p, q = ctx.p, ctx.modulus
         pm = p ** m
         e = pow(self._kappa_int(self.kappa_exact is not None), k, pm)
-        out = _to_y(_sigma_h(_to_h(f.coeffs, pm, q), e), q)
+        out = _to_y(_sigma_h(po.to_group_ring(f.coeffs, pm, q), e), q)
         return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
 
     def _cocycle(self, level: Level, exact: bool = False):
@@ -205,16 +205,7 @@ class CrossedModule:
         is the circulant of C[i][j], its row r being C[i][j] shifted
         cyclically by r.
         """
-        C = self._cocycle(level, exact)
-        pm = len(C[0][0])
-        rows = []
-        for Ci in C:
-            for r in range(pm):
-                row = []
-                for c in Ci:
-                    row += c[pm - r:] + c[:pm - r]
-                rows.append(row)
-        return rows
+        return po.block_circulant(self._cocycle(level, exact))
 
     def gamma_power_matrix(self, level: Level):
         """The level matrix in the basis e_i Y^t ordered by (i, t), with PadicInt entries.
@@ -226,7 +217,7 @@ class CrossedModule:
         ctx = self.context
         q = ctx.modulus
         pm = len(C[0][0])
-        y_powers = [_to_h([0] * r + [1], pm, q) for r in range(pm)]
+        y_powers = [po.to_group_ring([0] * r + [1], pm, q) for r in range(pm)]
         rows = []
         for Ci in C:
             for yr in y_powers:
@@ -326,9 +317,10 @@ class CrossedModule:
     ) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].
 
-        Presents the twisted module over the whole quotient group in the basis
-        g^a h^b (lexicographic) and takes one cokernel; independent of the
-        staged reduction and of the Akashi evaluation.
+        Presents the twisted module over the whole quotient group, rows e_i g^a h^b
+        and columns permuted so that g's unit lies on the diagonal (see
+        `_group_ring_rows`), and takes one cokernel; independent of the staged
+        reduction and of the Akashi evaluation.
         """
         self.check_level(level)
         ctx = self.context
@@ -391,11 +383,6 @@ class CrossedModule:
         return rows
 
 
-def _to_h(f, pm, q):
-    """Y-basis coefficients of f as h-basis coefficients mod h^pm - 1 (Y = h - 1)."""
-    return po.cyclic_reduce(po.substitute_linear(list(f), -1, 1, q), pm, q)
-
-
 def _to_y(f, q):
     """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
     return po.substitute_linear(f, 1, 1, q, len(f))
@@ -439,7 +426,8 @@ def _cyclotomic_rows(C, p, k, q):
 
     Basis e_i h^t, t < phi(p^k), ordered by (i, t).  An element folds its
     indices mod p^k; for k = 0 that reads off its value at h = 1, the root of
-    Phi_1(h) = h - 1.  For k >= 1, Phi_{p^k}(h) = sum_{j<p} h^(j s) with
+    Phi_1(h) = h - 1.  Row (i, r) is then h^r C[i], the first phi rows of the
+    folded circulants.  For k >= 1, Phi_{p^k}(h) = sum_{j<p} h^(j s) with
     s = p^(k-1), so h^(phi + t) is then replaced by -sum_{j<p-1} h^(j s + t).
     """
     pk = p ** k
@@ -447,11 +435,11 @@ def _cyclotomic_rows(C, p, k, q):
     phi = pk - s
     rows = []
     for Ci in C:
-        folded = [po.cyclic_reduce(c, pk, None) for c in Ci]
+        circs = [po.circulant(po.cyclic_reduce(c, pk, None)) for c in Ci]
         for r in range(phi):
             row = []
-            for g in folded:
-                rot = g[pk - r:] + g[:pk - r]
+            for circ in circs:
+                rot = circ[r]
                 out = rot[:phi]
                 for t in range(s):
                     v = rot[phi + t]

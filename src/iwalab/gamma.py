@@ -134,7 +134,13 @@ class GammaModule:
         return EulerResult(EulerStatus.INDETERMINATE)
 
     def euler_direct(self, rho: Character, n: int) -> EulerResult:
-        """chi at level n from the twisted presentation reduced mod omega_n."""
+        """chi at level n from the twisted presentation over Z_p[h]/(h^(p^n) - 1).
+
+        Each entry goes to the group ring of Gamma/Gamma_n (h = 1 + X) with the
+        twist by rho^-1, which sends h to u^-1 h, and the level matrix is its
+        block circulant.  A truncated entry's unknown tail lies in
+        (p, X)^window, inside p^floor(window / p^n) in the quotient.
+        """
         ctx = self.context
         p = ctx.p
         pn = p ** n
@@ -146,16 +152,10 @@ class GammaModule:
         if neff < 1:
             raise PrecisionExhaustedError("entry truncations cannot see level %d" % n)
         q = p ** neff
-        d = self.d
-        D = d * pn
-        big = [[0] * D for _ in range(D)]
-        for i in range(d):
-            for j in range(d):
-                ent = twist_series(self.F[i][j], rho, "inverse")
-                fbar = po.reduce_mod_omega(list(ent.coeffs), p, n, q)
-                block = po.mult_matrix_mod_omega(fbar, p, n, q)
-                for r in range(pn):
-                    big[i * pn + r][j * pn: j * pn + pn] = block[r]
+        c = rho.value_residue(inverse=True)
+        big = po.block_circulant(
+            [[po.to_group_ring(e.coeffs, pn, q, c) for e in row] for row in self.F]
+        )
         eff_ctx = ctx if neff == ctx.N else ctx.with_precision(neff)
         orders = cokernel_kernel_orders(smith_form_raw(big, eff_ctx))
         if orders.indeterminate:

@@ -463,9 +463,12 @@ def omega(n: int, ctx: PadicContext, variable: str = "X") -> PowerSeries:
 def det_mult_mod_omega(f: PowerSeries, n: int) -> PadicInt:
     """Determinant of multiplication by f on the rank-p^n quotient by omega_n.
 
-    Equals the resultant Res(omega_n, f) up to sign.  A truncated dividend's
-    unknown tail folds down with valuation >= floor(window / p^n), so the
-    result is returned in a context of that certified precision.
+    Equals the resultant Res(omega_n, f) up to sign.  The quotient is the
+    group ring Z_p[h]/(h^(p^n) - 1), h = 1 + X, where multiplication by f is
+    a circulant; the change of basis from X is unitriangular, so the
+    determinant is the X-basis one.  A truncated dividend's unknown tail
+    folds down with valuation >= floor(window / p^n), so the result is
+    returned in a context of that certified precision.
     """
     ctx = f.context
     p, N = ctx.p, ctx.N
@@ -480,8 +483,6 @@ def det_mult_mod_omega(f: PowerSeries, n: int) -> PadicInt:
                 f"truncation {window} certifies no digits modulo omega_{n}"
             )
     q = p ** neff
-    fbar = po.reduce_mod_omega(list(f.coeffs), p, n, q)
-    rows = po.mult_matrix_mod_omega(fbar, p, n, q)
-    det = kernels.det_mod(rows, p, neff)
+    det = kernels.det_mod(po.circulant(po.to_group_ring(f.coeffs, pn, q)), p, neff)
     out_ctx = ctx if neff == N else ctx.with_precision(neff)
     return PadicInt(out_ctx, det)

@@ -13,9 +13,10 @@ import time
 
 from . import __version__
 from .corpus import admissible_levels, crossed_corpus
-from .crossed import PRECISION_CAP, find_twist_crossed
+from .crossed import PRECISION_CAP, CrossedModule, Level, find_twist_crossed
 from .errors import BudgetExhaustedError, ValidationError
 from .gamma import find_twist
+from .padic import PadicContext
 from .problems import ProblemFile
 from .results import EulerStatus
 from .series import Character
@@ -268,8 +269,6 @@ def _cmd_find_twist(problem, report, max_precision):
                     ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
             else:
                 for oc in search.candidates[-1].outcomes:
-                    from .crossed import Level
-
                     r = module2.euler_reduced(rho2, Level(*oc.level))
                     ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
             task["reverified_at"] = str(n2)
@@ -280,9 +279,6 @@ def _cmd_find_twist(problem, report, max_precision):
 
 def _cmd_selftest(problem, report, max_precision):
     """Triple-agreement corpus run end to end, plus the checked-in golden case."""
-    from .crossed import CrossedModule, Level
-    from .padic import PadicContext
-
     checks = []
 
     def check(name, ok, detail=""):

@@ -125,6 +125,30 @@ def group_ring_rows_lex(kappa, entries, u, p, n, m):
     return rows
 
 
+def omega_fold(f, p, n, q):
+    """f mod omega_n = (1+X)^(p^n) - 1 in the X-basis, reduced mod q (length p^n).
+
+    Long division by the monic omega_n from the top coefficient down: the
+    X-basis reduction the gamma layer used before its quotient moved to the
+    group-ring basis h = 1 + X.
+    """
+    pn = p**n
+    w = [comb(pn, k) for k in range(pn)]
+    w[0] = 0
+    r = list(f) + [0] * max(0, pn - len(f))
+    for i in range(len(r) - 1, pn - 1, -1):
+        t = r[i]
+        r[i] = 0
+        for k in range(1, pn):
+            r[i - pn + k] -= t * w[k]
+    return [c % q for c in r[:pn]]
+
+
+def omega_mult_rows(f, p, n, q):
+    """Rows of right multiplication by f on (Z/q)[X]/omega_n: row k is X^k f mod omega_n."""
+    return [omega_fold([0] * k + list(f), p, n, q) for k in range(p**n)]
+
+
 def resultant_int(f, g):
     """Res(f, g) over Z via sympy (ascending integer coefficient lists)."""
     pf = Poly(list(reversed(f)), _T)

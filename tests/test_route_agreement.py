@@ -1,8 +1,9 @@
 """Route agreement beyond the small corpora.
 
 Crossed modules (three routes): p = 7, kappa = 1 + p^2 at m = n + 2 (group-ring
-rank d*p^(n+m) <= 98), and n = 3 at p = 3, d = 1 (ranks 27 and 81).  Gamma
-modules (two routes): presentations with mu > 0.  Each test asserts the
+rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), and p = 11 at
+group-ring rank <= 121.  Gamma modules (two routes): presentations with
+mu > 0, and p = 11 at n <= 1 (rank <= 33).  Each test asserts the
 wall-time bound RUNTIME_BOUND_S, ten times what the slowest of them takes on
 a 2-core VM (about 1 s), so a slowdown of a route shows here before it shows
 in the suite's total.
@@ -115,4 +116,71 @@ def test_mu_positive_gamma_direct_vs_analytic():
                         assert rd.chi_exponent >= mu * p**n
                     seen.add((p, rd.status.value))
     assert {(3, "exists"), (5, "exists")} <= seen
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def near_distinguished_gamma(rng, ctx, d):
+    """F = diag(X + p a_i + ...) + p R: lambda >= d, and a_i = 0 puts X into det F."""
+    p = ctx.p
+    entries = [[[p * rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] for _ in range(d)]
+               for _ in range(d)]
+    for i in range(d):
+        entries[i][i] = [p * rng.randint(-2, 2), 1] + [rng.randint(-9, 9) for _ in range(i)]
+    return GammaModule.from_int_matrix(ctx, entries)
+
+
+def near_identity_crossed(rng, ctx, d, kappa, r0=None):
+    """A = I + p R + Y S is I mod (p, Y), so u^(p^n) B - I lies in the maximal
+    ideal of the local staged quotient and every level has chi > 0 or is not
+    finite; R(0) = r0 on the diagonal when given."""
+    p = ctx.p
+    entries = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            c = r0 if r0 is not None and i == j else rng.randint(-2, 2)
+            row.append([(i == j) + p * c] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))])
+        entries.append(row)
+    return CrossedModule.from_int_data(ctx, kappa, entries)
+
+
+def test_p11_gamma_direct_vs_analytic():
+    # d <= 3 at n <= 1: direct-route ranks d * 11^n <= 33
+    t0 = time.perf_counter()
+    p = 11
+    ctx = PadicContext(p, 64)
+    rng = random.Random(111)
+    seen = set()
+    for k in range(9):
+        M = near_distinguished_gamma(rng, ctx, 1 + k % 3)
+        for u in (1, 1 + p, 1 + p * p):
+            rho = Character.from_int(ctx, u)
+            for n in range(2):
+                rd = M.euler_direct(rho, n)
+                ra = M.euler_analytic(rho, n)
+                assert rd.status is ra.status, (M.exact_entries, u, n)
+                assert rd.chi_exponent == ra.chi_exponent, (M.exact_entries, u, n)
+                seen.add((M.d, n, rd.status.value))
+    assert {(d, 1, "exists") for d in (1, 2, 3)} <= seen
+    assert (2, 1, "not-finite-detected") in seen
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def test_p11_triple_agreement():
+    # group-ring ranks d * 11^(n+m) <= 121: (1,1) and (2,0) at d = 1, (0,1) and (1,0) at d = 2
+    t0 = time.perf_counter()
+    p = 11
+    ctx = PadicContext(p, 64)
+    rng = random.Random(112)
+    seen = set()
+    modules = [near_identity_crossed(rng, ctx, 1, 1 + p, r0=0)]
+    modules += [near_identity_crossed(rng, ctx, 1 + k % 2, (1 + p, 1 + 2 * p)[k // 2])
+                for k in range(4)]
+    for X in modules:
+        for lv in admissible_levels(X, 2, 2, rank_cap=121):
+            statuses = assert_routes_agree(X, lv, (1, 1 + p, 1 + p * p))
+            seen |= {(X.d, lv.n, lv.m, s) for s in statuses}
+    assert {(d, n, m) for d, n, m, _ in seen} == {
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0)}
+    assert {(1, 1, 1, "exists"), (1, 1, 1, "not-finite-detected")} <= seen
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
