@@ -33,8 +33,6 @@ from .padic import (
     PadicInt,
     cokernel_kernel_orders,
     smith_form,
-    unit_inverse,
-    valuation,
 )
 from .series import (
     Character,
@@ -95,8 +93,6 @@ __all__ = [
     "series_matrix_det",
     "smith_form",
     "twist_series",
-    "unit_inverse",
-    "valuation",
     "weierstrass_divide",
     "weierstrass_prepare",
 ]

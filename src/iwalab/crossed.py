@@ -15,13 +15,11 @@ All three must agree; their agreement is this package's central test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import _polyops as po
 from . import kernels
 from .errors import (
     BudgetExhaustedError,
-    MixedContextError,
     SizeCapExceededError,
     ValidationError,
 )
@@ -64,80 +62,54 @@ class Level:
 
 
 class CrossedModule:
-    """Free Z_p[[Y]]-module of rank d with gamma-action x -> sigma(x) * A."""
+    """Free Z_p[[Y]]-module of rank d with gamma-action x -> sigma(x) * A.
 
-    def __init__(self, kappa: PadicInt, A, kappa_exact=None, exact_entries=None):
-        ctx = kappa.context
+    The module holds the exact integer kappa and the exact integer
+    coefficients of A (ascending in Y); each route takes their residues mod
+    p^N of its own context, and the finiteness certificates use the integers.
+    """
+
+    def __init__(self, ctx: PadicContext, kappa: int, entries):
         p = ctx.p
-        if (kappa.residue - 1) % p != 0:
+        entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
+        if any(not e for row in entries for e in row):
+            raise ValidationError("nonempty", "a series needs at least one coefficient")
+        if (kappa - 1) % p != 0:
             raise ValidationError("kappa-pro-p", "kappa must lie in 1 + pZ_p")
-        d = len(A)
-        if d == 0 or any(len(row) != d for row in A):
+        d = len(entries)
+        if d == 0 or any(len(row) != d for row in entries):
             raise ValidationError("square-action", "A must be a nonempty square matrix")
-        for row in A:
-            for e in row:
-                if e.context != ctx:
-                    raise MixedContextError("action entries in different contexts")
-                if e.variable != "Y":
-                    raise ValidationError("variable", "the action matrix lives in the variable Y")
-                if not e.is_exact:
-                    raise ValidationError(
-                        "exact-action", "action entries must be exact polynomials in Y"
-                    )
         # det(A)(0) = det(A(0)), so the unit check needs only the constant terms mod p
-        if kernels.det_mod([[e.coeffs[0] % p for e in row] for row in A], p, 1) == 0:
+        if kernels.det_mod([[e[0] % p for e in row] for row in entries], p, 1) == 0:
             raise ValidationError(
                 "unit-determinant", "det(A) must be a unit in Z_p[[Y]] (unit constant term)"
             )
-        if kappa_exact is not None and kappa_exact % ctx.modulus != kappa.residue:
-            raise ValidationError("kappa-exact", "exact kappa disagrees with its residue")
         self.context = ctx
         self.d = d
-        self.kappa = kappa
-        self.kappa_exact = kappa_exact
-        self.A = tuple(tuple(row) for row in A)
-        self.exact_entries = exact_entries
+        self.kappa_exact = kappa
+        self.exact_entries = entries
         self._cocycle_cache = {}
         self._akashi_cache = {}
 
     @classmethod
     def from_int_data(cls, ctx: PadicContext, kappa: int, entries) -> "CrossedModule":
-        A = [[PowerSeries.from_ints(ctx, "Y", e) for e in row] for row in entries]
-        raw = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
-        return cls(ctx.make(kappa), A, kappa_exact=kappa, exact_entries=raw)
+        """Module from the integer kappa and A's integer coefficient lists."""
+        return cls(ctx, kappa, entries)
 
     def with_precision(self, N: int) -> "CrossedModule":
-        if self.exact_entries is None or self.kappa_exact is None:
-            raise ValidationError("exactness", "cannot re-embed a non-exact module")
-        return CrossedModule.from_int_data(
-            self.context.with_precision(N), self.kappa_exact, self.exact_entries
-        )
+        return CrossedModule(self.context.with_precision(N), self.kappa_exact, self.exact_entries)
 
     # -- levels ---------------------------------------------------------------
 
-    def kappa_minus_one_valuation(self):
-        """v_p(kappa - 1); None means unbounded (kappa = 1 exactly)."""
-        if self.kappa_exact is not None:
-            return int_valuation(self.kappa_exact - 1, self.context.p)
-        v = self.context.int_valuation(self.kappa.residue - 1)
-        return None if v is AT_LEAST_N else v
-
     def check_level(self, level: Level) -> Level:
-        """Enforce normality: m <= n + v_p(kappa - 1)."""
-        v = self.kappa_minus_one_valuation()
+        """Enforce normality: m <= n + v_p(kappa - 1) (no bound when kappa = 1)."""
+        v = int_valuation(self.kappa_exact - 1, self.context.p)
         if v is not None and level.m > level.n + v:
             raise ValidationError(
                 "level-normality",
                 f"level ({level.n},{level.m}) violates m <= n + v_p(kappa-1) = {level.n + v}",
             )
-        if self.kappa_exact is None and level.m > self.context.N:
-            raise ValidationError(
-                "level-precision", "H-level exceeds what a residue-only kappa can certify"
-            )
         return level
-
-    def _kappa_int(self, exact: bool) -> int:
-        return self.kappa_exact if exact else self.kappa.residue
 
     # -- the staged quotient in group-ring coordinates ---------------------------
     #
@@ -152,11 +124,7 @@ class CrossedModule:
         """Entries of A(h - 1) mod h^(p^m) - 1: length-p^m lists in the h-basis."""
         q = None if exact else self.context.modulus
         pm = self.context.p ** m
-        if exact:
-            ents = self.exact_entries
-        else:
-            ents = [[e.coeffs for e in row] for row in self.A]
-        return [[po.to_group_ring(e, pm, q) for e in row] for row in ents]
+        return [[po.to_group_ring(e, pm, q) for e in row] for row in self.exact_entries]
 
     def sigma_power(self, f: PowerSeries, k: int, m: int) -> PowerSeries:
         """Image of f under sigma^k in the rank-p^m quotient of Z_p[[Y]], in the Y-basis.
@@ -170,7 +138,7 @@ class CrossedModule:
         ctx = self.context
         p, q = ctx.p, ctx.modulus
         pm = p ** m
-        e = pow(self._kappa_int(self.kappa_exact is not None), k, pm)
+        e = pow(self.kappa_exact, k, pm)
         out = _to_y(_sigma_h(po.to_group_ring(f.coeffs, pm, q), e), q)
         return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
 
@@ -188,7 +156,7 @@ class CrossedModule:
         p = self.context.p
         q = None if exact else self.context.modulus
         pm = p ** level.m
-        kbar = self._kappa_int(exact) % pm
+        kbar = self.kappa_exact % pm
         A = self._action_h(level.m, exact)
         A_support = [[[(b, y) for b, y in enumerate(e) if y] for e in row] for row in A]
         C = A
@@ -248,30 +216,25 @@ class CrossedModule:
         C = self._cocycle(level)
         ctx = self.context
         q = ctx.modulus
-        cp = [1]
+        ak = [1]
         for k in range(level.m + 1):
+            # det((1+X) I - B_k) is the characteristic polynomial of B_k - I in X
             block = _cyclotomic_rows(C, ctx.p, k, q)
-            cp = po.pmul(cp, kernels.charpoly_mod(block, q), q)
-        deg = len(cp) - 1
-        ak = [0] * (deg + 1)
-        for k, c in enumerate(cp):
-            if c:
-                for j in range(k + 1):
-                    ak[j] = (ak[j] + c * comb(k, j)) % q
-        out = PowerSeries(ctx, "X", tuple(ak), exact_degree=deg)
+            for i, row in enumerate(block):
+                row[i] = (row[i] - 1) % q
+            ak = po.pmul(ak, kernels.charpoly_mod(block, q), q)
+        out = PowerSeries(ctx, "X", tuple(ak), exact_degree=len(ak) - 1)
         self._akashi_cache[key] = out
         return out
 
     # -- Euler characteristics ----------------------------------------------------
 
-    def _h0_infinite_exact(self, rho: Character, level: Level):
+    def _h0_infinite_exact(self, rho: Character, level: Level) -> bool:
         """Exact-integer verdict on the finiteness of the twisted coinvariants.
 
-        None when the module or character carries no exact data (then nothing
-        may be asserted beyond the working precision).
+        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B,
+        so the coinvariants are infinite whatever the working precision.
         """
-        if self.exact_entries is None or self.kappa_exact is None or rho.u_exact is None:
-            return None
         rows = self._gamma_power_rows(level, exact=True)
         upn = rho.u_exact ** (self.context.p ** level.n)
         mat = [
@@ -281,8 +244,7 @@ class CrossedModule:
         return kernels.bareiss_det(mat) == 0
 
     def _undetermined(self, rho: Character, level: Level) -> EulerResult:
-        verdict = self._h0_infinite_exact(rho, level)
-        if verdict is True:
+        if self._h0_infinite_exact(rho, level):
             return EulerResult(EulerStatus.NOT_FINITE)
         return EulerResult(EulerStatus.INDETERMINATE)
 
@@ -312,9 +274,7 @@ class CrossedModule:
             return self._undetermined(rho, level)
         return EulerResult.from_h0(v)
 
-    def group_ring_oracle(
-        self, rho: Character, level: Level, size_cap: int = RANK_CAP
-    ) -> EulerResult:
+    def group_ring_oracle(self, rho: Character, level: Level) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].
 
         Presents the twisted module over the whole quotient group, rows e_i g^a h^b
@@ -326,13 +286,11 @@ class CrossedModule:
         ctx = self.context
         p = ctx.p
         D = self.d * p ** level.index_exponent
-        if D > size_cap:
-            raise SizeCapExceededError(f"group-ring rank {D} exceeds cap {size_cap}")
+        if D > RANK_CAP:
+            raise SizeCapExceededError(f"group-ring rank {D} exceeds cap {RANK_CAP}")
         mat = self._group_ring_rows(rho, level, exact=False)
         orders = cokernel_kernel_orders(smith_form_raw(mat, ctx))
         if orders.indeterminate:
-            if self.exact_entries is None or self.kappa_exact is None or rho.u_exact is None:
-                return EulerResult(EulerStatus.INDETERMINATE)
             exact_mat = self._group_ring_rows(rho, level, exact=True)
             if kernels.bareiss_det(exact_mat) == 0:
                 return EulerResult(EulerStatus.NOT_FINITE)
@@ -359,7 +317,7 @@ class CrossedModule:
         d = self.d
         D = d * pn * pm
         u = rho.u_exact if exact else rho.u.residue
-        kbar = self._kappa_int(exact) % pm
+        kbar = self.kappa_exact % pm
         uA = [
             [[(c, -u * alpha if q is None else -u * alpha % q) for c, alpha in enumerate(e) if alpha]
              for e in row]

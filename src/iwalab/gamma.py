@@ -10,8 +10,6 @@ is guaranteed by integer-resultant certificates, never by residue vanishing.
 
 from __future__ import annotations
 
-import random
-
 from . import _polyops as po
 from . import exactint
 from .errors import (
@@ -128,7 +126,7 @@ class GammaModule:
     # -- Euler characteristics ------------------------------------------------
 
     def _undetermined(self, rho: Character, pn: int) -> EulerResult:
-        if self.det_int is not None and rho.u_exact is not None:
+        if self.det_int is not None:
             if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, pn):
                 return EulerResult(EulerStatus.NOT_FINITE)
         return EulerResult(EulerStatus.INDETERMINATE)
@@ -174,21 +172,17 @@ class GammaModule:
         return EulerResult.from_h0(w.mu * pn + v)
 
 
-def find_twist(module: GammaModule, n_max: int, budget: int = 25, seed: int | None = None):
+def find_twist(module: GammaModule, n_max: int, budget: int = 25):
     """First u = 1+kp (k >= 1) certifying existence at every level n <= n_max.
 
-    Acceptance is deterministic: candidates are tried ascending, or in the
-    seeded shuffle of 1..budget when `seed` is given (reports stay
-    reproducible either way).  The certificate covers the requested levels
-    only; goodness for all n would need the roots of the characteristic
-    element, which is out of scope here.
+    Candidates are tried in ascending order, so acceptance is deterministic.
+    The certificate covers the requested levels only; goodness for all n
+    would need the roots of the characteristic element, which is out of
+    scope here.
     """
     ctx = module.context
-    ks = list(range(1, budget + 1))
-    if seed is not None:
-        random.Random(seed).shuffle(ks)
     records = []
-    for k in ks:
+    for k in range(1, budget + 1):
         u = 1 + k * ctx.p
         rho = Character.from_int(ctx, u)
         outcomes = []

@@ -116,12 +116,6 @@ class PadicContext:
     def make(self, value: int) -> "PadicInt":
         return PadicInt(self, value % self.modulus)
 
-    def zero(self) -> "PadicInt":
-        return PadicInt(self, 0)
-
-    def one(self) -> "PadicInt":
-        return PadicInt(self, 1)
-
     def with_precision(self, N: int) -> "PadicContext":
         return PadicContext(self.p, N)
 
@@ -201,14 +195,6 @@ class PadicInt:
 
     def __repr__(self):
         return f"PadicInt({self.residue} mod {self.context.p}^{self.context.N})"
-
-
-def valuation(a: PadicInt) -> Valuation:
-    return a.valuation()
-
-
-def unit_inverse(a: PadicInt) -> PadicInt:
-    return a.unit_inverse()
 
 
 @dataclass(frozen=True)

@@ -74,14 +74,6 @@ class PowerSeries:
     def zero(cls, ctx: PadicContext, variable: str) -> "PowerSeries":
         return cls.from_ints(ctx, variable, [0])
 
-    @classmethod
-    def one(cls, ctx: PadicContext, variable: str) -> "PowerSeries":
-        return cls.from_ints(ctx, variable, [1])
-
-    @classmethod
-    def gen(cls, ctx: PadicContext, variable: str) -> "PowerSeries":
-        return cls.from_ints(ctx, variable, [0, 1])
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -173,15 +165,14 @@ class Character:
     """A continuous character of Gamma, pinned down by u = rho(gamma) in 1+pZ_p."""
 
     u: PadicInt
-    u_exact: int | None = None
+    u_exact: int
 
     def __post_init__(self):
         p = self.u.context.p
         if (self.u.residue - 1) % p != 0:
             raise ValidationError("character-image", "rho(gamma) must lie in 1 + pZ_p")
-        if self.u_exact is not None:
-            if self.u_exact % self.u.context.modulus != self.u.residue:
-                raise ValidationError("character-exact", "exact value disagrees with residue")
+        if self.u_exact % self.u.context.modulus != self.u.residue:
+            raise ValidationError("character-exact", "exact value disagrees with residue")
 
     @classmethod
     def from_int(cls, ctx: PadicContext, value: int) -> "Character":
@@ -190,10 +181,6 @@ class Character:
     @classmethod
     def trivial(cls, ctx: PadicContext) -> "Character":
         return cls.from_int(ctx, 1)
-
-    @property
-    def is_exactly_trivial(self) -> bool:
-        return self.u_exact == 1
 
     def value_residue(self, inverse: bool = False) -> int:
         if inverse:
@@ -305,7 +292,7 @@ def _digit_lift_divide(fw, gw, lam, window, p, N, q):
     return [c % q for c in quo], [c % q for c in rpoly]
 
 
-def weierstrass_divide(f: PowerSeries, g: PowerSeries, trunc: int | None = None):
+def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     """Weierstrass division f = q*g + r with deg r < lambda_g.
 
     lambda_g is the index of g's first unit coefficient.  Results satisfy the
@@ -339,15 +326,11 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries, trunc: int | None = None)
         return qs, rs
 
     windows = [w for w in (f.truncation, g.truncation) if w is not None]
-    if trunc is not None:
-        windows.append(trunc + lam)
     window = min(windows) if windows else max(len(f.coeffs), len(g.coeffs), lam + 2)
     if window <= lam:
         raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
     fw = (list(f.coeffs) + [0] * window)[:window]
     gw = (list(g.coeffs) + [0] * window)[:window]
-    if not f.is_exact and len(f.coeffs) < window:
-        raise PrecisionExhaustedError("requested window exceeds the dividend's truncation")
     quo, rem = _digit_lift_divide(fw, gw, lam, window, p, N, q)
     qs = PowerSeries(ctx, f.variable, tuple(quo))
     if lam == 0:
@@ -357,7 +340,7 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries, trunc: int | None = None)
     return qs, rs
 
 
-def weierstrass_prepare(f: PowerSeries, unit_trunc: int | None = None) -> WeierstrassData:
+def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
     """Factor f = p^mu * P * u with P distinguished monic of degree lambda.
 
     The distinguished part and unit live in a context of precision N - mu
@@ -389,11 +372,8 @@ def weierstrass_prepare(f: PowerSeries, unit_trunc: int | None = None) -> Weiers
 
     if len(f1.coeffs) <= lam:
         raise PrecisionExhaustedError("truncation order does not reach the first unit coefficient")
-    t = unit_trunc if unit_trunc is not None else len(f1.coeffs) - lam
-    if t < 1:
-        raise PrecisionExhaustedError("no room for the unit part at this truncation")
     xlam = PowerSeries.from_ints(ctx1, f.variable, [0] * lam + [1])
-    quo, rem = weierstrass_divide(xlam, f1, trunc=t)
+    quo, rem = weierstrass_divide(xlam, f1)
     pcoeffs = [(-c) % ctx1.modulus for c in rem.coeffs[:lam]] + [1]
     dist = PowerSeries(ctx1, f.variable, tuple(pcoeffs), exact_degree=lam)
     inv = po.series_inverse(list(quo.coeffs), ctx1.modulus, len(quo.coeffs))

@@ -1,9 +1,10 @@
-"""The benchmark's bindings into the package still resolve.
+"""The bindings into the package still resolve.
 
 `perfbench/layers.py` wraps the functions named in its TRACED table, and
 `perfbench/run.py` reads `iwalab.KERNEL_IMPL` into its run header.  Removing
 or renaming any of them breaks `run.py --trace 1` without any other test
-failing, so this test reads the table and resolves every name in it.
+failing, so this test reads the table and resolves every name in it.  The
+same holds for the names `iwalab.__all__` exports.
 """
 
 import importlib
@@ -31,6 +32,12 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), (name, modname, attr)
             owner = getattr(owner, part)
         assert callable(owner), (name, modname, attr)
+
+
+def test_every_exported_name_resolves():
+    assert iwalab.__all__
+    for name in iwalab.__all__:
+        assert hasattr(iwalab, name), name
 
 
 def test_kernel_impl_is_exported():

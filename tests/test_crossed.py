@@ -51,6 +51,17 @@ class TestConstruction:
         # det = 1 - Y^2: constant term 1, fine
         crossed(4, [[[1], [0, 1]], [[0, 1], [1]]])
 
+    def test_empty_entry_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            crossed(4, [[[1], []], [[0], [1]]])
+        assert exc.value.invariant == "nonempty"
+
+    def test_holds_the_exact_data(self):
+        X = crossed(31, [[[1, -40]]], PadicContext(3, 2))
+        assert X.kappa_exact == 31
+        assert X.exact_entries == (((1, -40),),)
+        assert X.with_precision(64).exact_entries == X.exact_entries
+
 
 class TestLevels:
     def test_normality_enforced(self):
@@ -356,10 +367,16 @@ class TestEulerRoutes:
         r = X.euler_reduced(U4, Level(2, 2))
         assert r.chi_exponent == 9 * 3  # 9 * v3(4^9 - 1)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # level (4,3) is normal for kappa = 4 and has group-ring rank 3^7 = 2187 > 2000
         X = trivial_module()
+
+        def no_rows(*args):
+            raise AssertionError("group-ring rows built before the rank check")
+
+        monkeypatch.setattr(X, "_group_ring_rows", no_rows)
         with pytest.raises(SizeCapExceededError):
-            X.group_ring_oracle(U4, Level(2, 2), size_cap=10)
+            X.group_ring_oracle(U4, Level(4, 3))
 
     def test_triple_agreement_small_corpus(self):
         rng = random.Random(31)
@@ -431,6 +448,36 @@ class TestEulerRoutes:
                     rm = M.euler_direct(rho, n)
                     assert rx.status is rm.status
                     assert rx.chi_exponent == rm.chi_exponent
+
+
+class TestExactKappa:
+    """The routes read kappa mod p^m from the exact kappa, also below precision m."""
+
+    @pytest.mark.parametrize(
+        "kappa, entries, N, level",
+        [
+            (16, [[[1]]], 2, (2, 3)),
+            (16, [[[1, 1]]], 2, (2, 3)),
+            (16, [[[1, 3]]], 1, (1, 2)),
+            # kappa = 28 is 1 mod 3^3 but not mod 3^4: kappa mod p^N would make sigma trivial
+            (28, [[[1, 3]]], 3, (1, 4)),
+        ],
+    )
+    def test_low_precision_decisions_match_high(self, kappa, entries, N, level):
+        lv = Level(*level)
+        assert lv.m > N
+        lo = crossed(kappa, entries, PadicContext(3, N))
+        hi = crossed(kappa, entries, PadicContext(3, 64))
+        decided = 0
+        for u in (1, 4):
+            for route in ("euler_reduced", "euler_akashi", "group_ring_oracle"):
+                a = getattr(lo, route)(Character.from_int(lo.context, u), lv)
+                if a.status is EulerStatus.INDETERMINATE:
+                    continue
+                decided += 1
+                b = getattr(hi, route)(Character.from_int(hi.context, u), lv)
+                assert (a.status, a.chi_exponent) == (b.status, b.chi_exponent), (route, u)
+        assert decided
 
 
 class TestFindTwistCrossed:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,45 @@ class TestCli:
         code = main(["find-twist", "--input", str(inp), "--out", str(tmp_path / "r.json")])
         assert code == 0
         assert "ACCEPTED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_find_twist_budget_exhausted(self, stanza, tmp_path, capsys):
+        # at N = 1 every exponent >= 1 is indeterminate, so no candidate certifies
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        out = tmp_path / "r.json"
+        argv = ["find-twist", "--input", str(inp), "--precision", "1", "--budget", "3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        task = json.loads(out.read_text())["tasks"][0]
+        assert task["accepted_u"] is None
+        assert len(task["candidates"]) == 3
+        assert not any(c["accepted"] for c in task["candidates"])
+        assert "accepted u = None" in capsys.readouterr().out
+
+    def test_prepare_cli(self, tmp_path, capsys):
+        inp = Path(__file__).resolve().parent.parent / "problems" / "gamma_x_minus_3.json"
+        out = tmp_path / "r.json"
+        assert main(["prepare", "--input", str(inp), "--out", str(out)]) == 0
+        task = json.loads(out.read_text())["tasks"][0]
+        # X - 3 is already distinguished: lambda 1, mu 0, unit 1
+        assert (task["lambda"], task["mu"]) == ("1", "0")
+        assert task["distinguished"] == [str(3**64 - 3), "1"]
+        assert task["unit"] == ["1"] and task["unit_precision"] == "64"
+        assert "lambda = 1  mu = 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "stanza",
+        [dict(MINIMAL_GAMMA, F=[[[]]]), dict(MINIMAL_CROSSED, A=[[[]]])],
+        ids=["gamma", "crossed"],
+    )
+    def test_empty_entry_exit_code(self, stanza, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "nonempty" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCliUsage:
