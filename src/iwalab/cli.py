@@ -49,6 +49,11 @@ def _build_parser():
     return ap
 
 
+def _level_text(lv):
+    """A report level as printed: "n" for gamma, "(n,m)" for crossed."""
+    return f"({lv[0]},{lv[1]})" if isinstance(lv, list) else lv
+
+
 def _print_table(report):
     cmd = report["command"]
     tasks = report["tasks"]
@@ -67,18 +72,16 @@ def _print_table(report):
         return
     if cmd == "akashi":
         for t in tasks:
-            print(f"level ({t['level'][0]},{t['level'][1]})  degree {t['degree']}")
+            print(f"level {_level_text(t['level'])}  degree {t['degree']}")
             print(f"  coefficients: {t['coefficients']}")
         return
     if cmd == "euler":
         hdr = f"{'u':>10} {'level':>8} {'status':>28} {'chi':>6} {'cross':>6} {'agree':>6} {'N':>5}"
         print(hdr)
         for t in tasks:
-            lv = t["level"]
-            lv = f"({lv[0]},{lv[1]})" if isinstance(lv, list) else lv
             cross = t.get("analytic_exponent", t.get("akashi_exponent"))
             print(
-                f"{t['u']:>10} {lv:>8} {t['status']:>28} "
+                f"{t['u']:>10} {_level_text(t['level']):>8} {t['status']:>28} "
                 f"{str(t['chi_exponent']):>6} {str(cross):>6} "
                 f"{str(t['routes_agree']):>6} {t['precision']:>5}"
             )
@@ -89,12 +92,7 @@ def _print_table(report):
             for c in t["candidates"]:
                 stat = "ACCEPTED" if c["accepted"] else "rejected"
                 outs = ", ".join(
-                    (
-                        f"({o['level'][0]},{o['level'][1]})"
-                        if isinstance(o["level"], list)
-                        else str(o["level"])
-                    )
-                    + f":{o['status']}"
+                    f"{_level_text(o['level'])}:{o['status']}"
                     + (f"/chi={o['chi_exponent']}" if o["chi_exponent"] is not None else "")
                     for o in c["outcomes"]
                 )

@@ -14,24 +14,14 @@ All three must agree; their agreement is this package's central test surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _polyops as po
 from . import kernels
-from .errors import (
-    BudgetExhaustedError,
-    SizeCapExceededError,
-    ValidationError,
-)
+from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
 from .padic import AT_LEAST_N, PadicContext, PadicInt, cokernel_kernel_orders, smith_form_raw
-from .results import (
-    CandidateRecord,
-    EulerResult,
-    EulerStatus,
-    LevelOutcome,
-    TwistSearchReport,
-)
+from .results import EulerResult, EulerStatus, search_twists
 from .series import Character, PowerSeries
 
 # Largest matrix rank a route may build: the group-ring presentation has rank
@@ -59,6 +49,9 @@ class Level:
     @property
     def index_exponent(self) -> int:
         return self.n + self.m
+
+    def __iter__(self):
+        return iter((self.n, self.m))
 
 
 class CrossedModule:
@@ -410,38 +403,24 @@ def _cyclotomic_rows(C, p, k, q):
 
 
 def find_twist_crossed(module: CrossedModule, levels, budget: int = 25):
-    """First u = 1+kp (k >= 0, trivial character included) finite at every level.
+    """First u = 1+kp, k = 0, ..., budget - 1 (trivial character included), finite at every level.
 
-    The accepted candidate's certificate carries the per-level exponents of
-    the staged route together with the Akashi-evaluation cross-check.
+    The candidate loop is `results.search_twists` on the staged route.  The
+    accepted candidate's certificate carries the per-level exponents of the
+    staged route together with the Akashi-evaluation cross-check.
     """
-    ctx = module.context
     levels = [module.check_level(lv) for lv in levels]
-    records = []
-    for k in range(0, budget):
-        u = 1 + k * ctx.p
-        rho = Character.from_int(ctx, u)
-        outcomes = []
-        ok = True
-        for lv in levels:
-            res = module.euler_reduced(rho, lv)
-            outcomes.append(LevelOutcome((lv.n, lv.m), res.status, res.chi_exponent))
-            if not res.exists:
-                ok = False
-                break
-        if ok:
-            crossed = []
-            for lv, oc in zip(levels, outcomes):
-                cross = module.euler_akashi(rho, lv)
-                crossed.append(
-                    LevelOutcome(oc.level, oc.status, oc.chi_exponent, cross.chi_exponent)
-                )
-            records.append(CandidateRecord(u, tuple(crossed), True))
-            return rho, TwistSearchReport(u, tuple(records), budget)
-        records.append(CandidateRecord(u, tuple(outcomes), False))
-    report = TwistSearchReport(None, tuple(records), budget)
-    err = BudgetExhaustedError(
-        f"no candidate among 1+kp, k < {budget}, certified every requested level"
+    rho, report = search_twists(
+        module.context,
+        range(budget),
+        [tuple(lv) for lv in levels],
+        lambda rho, nm: module.euler_reduced(rho, Level(*nm)),
+        f"no candidate among 1+kp, k < {budget}, certified every requested level",
     )
-    err.report = report
-    raise err
+    accepted = report.candidates[-1]
+    crossed = tuple(
+        replace(oc, cross_exponent=module.euler_akashi(rho, lv).chi_exponent)
+        for lv, oc in zip(levels, accepted.outcomes)
+    )
+    candidates = report.candidates[:-1] + (replace(accepted, outcomes=crossed),)
+    return rho, replace(report, candidates=candidates)

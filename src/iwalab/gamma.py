@@ -13,20 +13,13 @@ from __future__ import annotations
 from . import _polyops as po
 from . import exactint
 from .errors import (
-    BudgetExhaustedError,
     MixedContextError,
     PrecisionExhaustedError,
     ValidationError,
     ZeroDeterminantError,
 )
 from .padic import AT_LEAST_N, PadicContext, cokernel_kernel_orders, smith_form_raw
-from .results import (
-    CandidateRecord,
-    EulerResult,
-    EulerStatus,
-    LevelOutcome,
-    TwistSearchReport,
-)
+from .results import EulerResult, EulerStatus, search_twists
 from .series import (
     Character,
     PowerSeries,
@@ -173,33 +166,18 @@ class GammaModule:
 
 
 def find_twist(module: GammaModule, n_max: int, budget: int = 25):
-    """First u = 1+kp (k >= 1) certifying existence at every level n <= n_max.
+    """First u = 1+kp, k = 1, ..., budget, certifying existence at every level n <= n_max.
 
-    Candidates are tried in ascending order, so acceptance is deterministic.
+    The candidate loop is `results.search_twists` on the direct route;
+    candidates are tried in ascending order, so acceptance is deterministic.
     The certificate covers the requested levels only; goodness for all n
     would need the roots of the characteristic element, which is out of
     scope here.
     """
-    ctx = module.context
-    records = []
-    for k in range(1, budget + 1):
-        u = 1 + k * ctx.p
-        rho = Character.from_int(ctx, u)
-        outcomes = []
-        ok = True
-        for n in range(n_max + 1):
-            res = module.euler_direct(rho, n)
-            outcomes.append(LevelOutcome(n, res.status, res.chi_exponent))
-            if not res.exists:
-                ok = False
-                break
-        records.append(CandidateRecord(u, tuple(outcomes), ok))
-        if ok:
-            report = TwistSearchReport(u, tuple(records), budget)
-            return rho, report
-    report = TwistSearchReport(None, tuple(records), budget)
-    err = BudgetExhaustedError(
-        f"no candidate among 1+kp, k <= {budget}, certified every level <= {n_max}"
+    return search_twists(
+        module.context,
+        range(1, budget + 1),
+        range(n_max + 1),
+        module.euler_direct,
+        f"no candidate among 1+kp, k <= {budget}, certified every level <= {n_max}",
     )
-    err.report = report
-    raise err

@@ -72,7 +72,11 @@ def _check_rank(d: int, p: int, e: int, what: str):
 
 @dataclass
 class ProblemFile:
-    """Validated problem: the module built at `precision` plus the orchestration keys."""
+    """Validated problem: the module built at `precision` plus the orchestration keys.
+
+    `levels` is nonempty: the gamma `n_levels` (ints) or the crossed `levels`
+    (`Level`s); `n_max` is the gamma twist search's top level, None for crossed.
+    """
 
     kind: str
     p: int
@@ -81,10 +85,9 @@ class ProblemFile:
     budget: int
     characters: list
     module: object
+    levels: list
     schema: int = 1
-    gamma_levels: list | None = None
     n_max: int | None = None
-    crossed_levels: list | None = None
 
     def build_module(self, N: int):
         """Re-embed the exact input data at precision N (for escalation)."""
@@ -160,8 +163,8 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
             budget=budget,
             characters=characters,
             module=module,
+            levels=n_levels,
             schema=schema,
-            gamma_levels=n_levels,
             n_max=n_max,
         )
 
@@ -175,6 +178,8 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
     raw_levels = data.get("levels", [])
     if not isinstance(raw_levels, list):
         raise ParseError("levels: expected a list of [n, m] pairs")
+    if not raw_levels:
+        raise ValidationError("levels-nonempty", "levels must name at least one [n, m] level")
     levels = []
     for lv in raw_levels:
         if not isinstance(lv, list) or len(lv) != 2:
@@ -190,6 +195,6 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
         budget=budget,
         characters=characters,
         module=module,
+        levels=levels,
         schema=schema,
-        crossed_levels=levels,
     )

@@ -1,9 +1,12 @@
-"""Result types shared by the commutative and crossed layers."""
+"""Result types shared by the commutative and crossed layers, and their twist-search loop."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from .errors import BudgetExhaustedError
+from .series import Character
 
 
 class EulerStatus(enum.Enum):
@@ -59,3 +62,30 @@ class TwistSearchReport:
     accepted_u: int | None
     candidates: tuple
     budget: int
+
+
+def search_twists(ctx, ks, levels, route, message):
+    """First u = 1 + kp, k in `ks` ascending, with route(rho, level) finite at every level.
+
+    Each candidate's record stops at its first level that is not `exists`.
+    Returns (rho, report); the report's budget is len(ks).  When no candidate
+    is accepted, raises BudgetExhaustedError(message) carrying the report.
+    """
+    records = []
+    for k in ks:
+        u = 1 + k * ctx.p
+        rho = Character.from_int(ctx, u)
+        outcomes = []
+        ok = True
+        for lv in levels:
+            res = route(rho, lv)
+            outcomes.append(LevelOutcome(lv, res.status, res.chi_exponent))
+            if not res.exists:
+                ok = False
+                break
+        records.append(CandidateRecord(u, tuple(outcomes), ok))
+        if ok:
+            return rho, TwistSearchReport(u, tuple(records), len(ks))
+    err = BudgetExhaustedError(message)
+    err.report = TwistSearchReport(None, tuple(records), len(ks))
+    raise err

@@ -1,9 +1,16 @@
 """Command dispatch, precision-escalation orchestration and report assembly.
 
+Both stanza kinds run one command path.  The route table `_ROUTES` gives each
+kind its primary route, its cross-check route and the report-key prefix of
+the cross-check (gamma: euler_direct / euler_analytic / "analytic"; crossed:
+euler_reduced / euler_akashi / "akashi"), and `_level` writes a level n or
+(n, m) into a report and an escalation tag.
+
 Reports are deterministic: identical inputs and tool version produce identical
 result blocks (fixed enumeration and basis orders); only the timing field may
 differ between runs.  Indeterminate verdicts escalate the working precision by
-doubling, up to the configured cap.
+doubling, up to the configured cap; a command builds the module at each
+precision it reaches once, whatever the number of its tasks.
 """
 
 from __future__ import annotations
@@ -23,29 +30,38 @@ from .series import Character
 
 _DECIDED = (EulerStatus.EXISTS, EulerStatus.NOT_FINITE)
 
+# stanza kind -> (primary route, cross-check route, report-key prefix of the
+# cross-check); `euler` reports the primary verdict against the cross-check and
+# `find-twist` re-verifies its certificate on the primary route
+_ROUTES = {
+    "gamma": ("euler_direct", "euler_analytic", "analytic"),
+    "crossed": ("euler_reduced", "euler_akashi", "akashi"),
+}
+
 
 def _s(x):
     return None if x is None else str(x)
 
 
-class _ModuleCache:
-    """Rebuilds the problem's module lazily per precision level."""
-
-    def __init__(self, problem: ProblemFile):
-        self.problem = problem
-        self._modules = {problem.precision: problem.module}
-
-    def at(self, N: int):
-        if N not in self._modules:
-            self._modules[N] = self.problem.build_module(N)
-        return self._modules[N]
+def _level(lv):
+    """Report value and escalation tag of a gamma level n or a crossed level (n, m)."""
+    if isinstance(lv, int):
+        return str(lv), f"n={lv}"
+    n, m = lv
+    return [str(n), str(m)], f"level=({n},{m})"
 
 
-def _escalating(problem, max_precision, escalations, task_id, compute):
-    """Run compute(N) doubling N while any returned status is indeterminate."""
+def _escalating(problem, modules, max_precision, escalations, task_id, compute):
+    """Run compute(module at N), doubling N while any returned status is indeterminate.
+
+    `modules` maps each precision to the module built there; one command
+    shares it among all its tasks, so each precision is built once.
+    """
     N = problem.precision
     while True:
-        results = compute(N)
+        if N not in modules:
+            modules[N] = problem.build_module(N)
+        results = compute(modules[N])
         undecided = any(r.status is EulerStatus.INDETERMINATE for r in results)
         if not undecided or N * 2 > max_precision:
             return N, results
@@ -88,17 +104,17 @@ def run(problem: ProblemFile | None, command: str, *, max_precision: int = PRECI
     return report, code
 
 
-def _require(problem, kind, command):
+def _require(problem, command, kind=None):
     if problem is None:
         raise ValidationError("command-stanza", f"{command} needs an --input problem file")
-    if problem.kind != kind:
+    if kind is not None and problem.kind != kind:
         raise ValidationError(
             "command-stanza", f"{command} needs a {kind!r} stanza, got {problem.kind!r}"
         )
 
 
 def _cmd_prepare(problem, report, max_precision):
-    _require(problem, "gamma", "prepare")
+    _require(problem, "prepare", "gamma")
     w = problem.module._wdata
     report["tasks"].append(
         {
@@ -113,7 +129,7 @@ def _cmd_prepare(problem, report, max_precision):
 
 
 def _cmd_char(problem, report, max_precision):
-    _require(problem, "gamma", "char")
+    _require(problem, "char", "gamma")
     c = problem.module.characteristic_element()
     lam, mu = problem.module.char_invariants()
     report["tasks"].append(
@@ -127,87 +143,47 @@ def _cmd_char(problem, report, max_precision):
 
 
 def _cmd_euler(problem, report, max_precision):
-    if problem is None or problem.kind not in ("gamma", "crossed"):
-        raise ValidationError("command-stanza", "euler needs a gamma or crossed stanza")
-    cache = _ModuleCache(problem)
+    _require(problem, "euler")
+    primary, cross, prefix = _ROUTES[problem.kind]
+    modules = {problem.precision: problem.module}
     undecided = 0
-    if problem.kind == "gamma":
-        for u in problem.characters:
-            for n in problem.gamma_levels:
-                def compute(N, u=u, n=n):
-                    m = cache.at(N)
-                    rho = Character.from_int(m.context, u)
-                    return m.euler_direct(rho, n), m.euler_analytic(rho, n)
-
-                N, (rd, ra) = _escalating(
-                    problem, max_precision, report["escalations"], f"u={u},n={n}", compute
-                )
-                agree = rd.status is ra.status and rd.chi_exponent == ra.chi_exponent
-                report["tasks"].append(
-                    {
-                        "u": str(u),
-                        "level": str(n),
-                        "status": rd.status.value,
-                        "chi_exponent": _s(rd.chi_exponent),
-                        "h0_exponent": _s(rd.h0_exponent),
-                        "h1_exponent": _s(rd.h1_exponent),
-                        "analytic_status": ra.status.value,
-                        "analytic_exponent": _s(ra.chi_exponent),
-                        "routes_agree": agree,
-                        "precision": str(N),
-                    }
-                )
-                if rd.status not in _DECIDED or ra.status not in _DECIDED:
-                    undecided += 1
-        return 2 if undecided else 0
-
-    levels = problem.crossed_levels or []
-    if not levels:
-        raise ValidationError("command-stanza", "euler on a crossed stanza needs 'levels'")
     for u in problem.characters:
-        for lv in levels:
-            def compute(N, u=u, lv=lv):
-                m = cache.at(N)
-                rho = Character.from_int(m.context, u)
-                return m.euler_reduced(rho, lv), m.euler_akashi(rho, lv)
+        for lv in problem.levels:
+            level, tag = _level(lv)
 
-            N, (rr, ra) = _escalating(
-                problem,
-                max_precision,
-                report["escalations"],
-                f"u={u},level=({lv.n},{lv.m})",
-                compute,
+            def compute(m, u=u, lv=lv):
+                rho = Character.from_int(m.context, u)
+                return getattr(m, primary)(rho, lv), getattr(m, cross)(rho, lv)
+
+            N, (rp, rc) = _escalating(
+                problem, modules, max_precision, report["escalations"], f"u={u},{tag}", compute
             )
-            agree = rr.status is ra.status and rr.chi_exponent == ra.chi_exponent
             report["tasks"].append(
                 {
                     "u": str(u),
-                    "level": [str(lv.n), str(lv.m)],
-                    "status": rr.status.value,
-                    "chi_exponent": _s(rr.chi_exponent),
-                    "h0_exponent": _s(rr.h0_exponent),
-                    "h1_exponent": _s(rr.h1_exponent),
-                    "akashi_status": ra.status.value,
-                    "akashi_exponent": _s(ra.chi_exponent),
-                    "routes_agree": agree,
+                    "level": level,
+                    "status": rp.status.value,
+                    "chi_exponent": _s(rp.chi_exponent),
+                    "h0_exponent": _s(rp.h0_exponent),
+                    "h1_exponent": _s(rp.h1_exponent),
+                    f"{prefix}_status": rc.status.value,
+                    f"{prefix}_exponent": _s(rc.chi_exponent),
+                    "routes_agree": rp.status is rc.status and rp.chi_exponent == rc.chi_exponent,
                     "precision": str(N),
                 }
             )
-            if rr.status not in _DECIDED or ra.status not in _DECIDED:
+            if rp.status not in _DECIDED or rc.status not in _DECIDED:
                 undecided += 1
     return 2 if undecided else 0
 
 
 def _cmd_akashi(problem, report, max_precision):
-    _require(problem, "crossed", "akashi")
-    levels = problem.crossed_levels or []
-    if not levels:
-        raise ValidationError("command-stanza", "akashi needs 'levels'")
-    for lv in levels:
+    _require(problem, "akashi", "crossed")
+    for lv in problem.levels:
         ak = problem.module.akashi_series(lv)
         report["tasks"].append(
             {
-                "level": [str(lv.n), str(lv.m)],
+                "level": _level(lv)[0],
                 "degree": str(ak.exact_degree),
                 "coefficients": [str(c) for c in ak.coeffs],
             }
@@ -216,31 +192,26 @@ def _cmd_akashi(problem, report, max_precision):
 
 
 def _outcome_dicts(outcomes):
-    out = []
-    for oc in outcomes:
-        lv = oc.level
-        out.append(
-            {
-                "level": [str(lv[0]), str(lv[1])] if isinstance(lv, tuple) else str(lv),
-                "status": oc.status.value,
-                "chi_exponent": _s(oc.chi_exponent),
-                "cross_exponent": _s(oc.cross_exponent),
-            }
-        )
-    return out
+    return [
+        {
+            "level": _level(oc.level)[0],
+            "status": oc.status.value,
+            "chi_exponent": _s(oc.chi_exponent),
+            "cross_exponent": _s(oc.cross_exponent),
+        }
+        for oc in outcomes
+    ]
 
 
 def _cmd_find_twist(problem, report, max_precision):
-    if problem is None or problem.kind not in ("gamma", "crossed"):
-        raise ValidationError("command-stanza", "find-twist needs a gamma or crossed stanza")
+    _require(problem, "find-twist")
     try:
         if problem.kind == "gamma":
-            rho, search = find_twist(problem.module, problem.n_max, budget=problem.budget)
+            levels = range(problem.n_max + 1)
+            _, search = find_twist(problem.module, problem.n_max, budget=problem.budget)
         else:
-            levels = problem.crossed_levels or []
-            if not levels:
-                raise ValidationError("command-stanza", "find-twist on crossed needs 'levels'")
-            rho, search = find_twist_crossed(problem.module, levels, budget=problem.budget)
+            levels = problem.levels
+            _, search = find_twist_crossed(problem.module, levels, budget=problem.budget)
         accepted = search.accepted_u
     except BudgetExhaustedError as exc:
         search = exc.report
@@ -254,25 +225,21 @@ def _cmd_find_twist(problem, report, max_precision):
             for c in search.candidates
         ],
     }
-    if problem.kind == "gamma":
+    if problem.n_max is not None:
         task["n_max"] = str(problem.n_max)
 
-    if accepted is not None:
-        n2 = problem.precision * 2
-        if n2 <= max_precision:
-            module2 = problem.build_module(n2)
-            rho2 = Character.from_int(module2.context, accepted)
-            ok = True
-            if problem.kind == "gamma":
-                for oc in search.candidates[-1].outcomes:
-                    r = module2.euler_direct(rho2, oc.level)
-                    ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
-            else:
-                for oc in search.candidates[-1].outcomes:
-                    r = module2.euler_reduced(rho2, Level(*oc.level))
-                    ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
-            task["reverified_at"] = str(n2)
-            task["reverified_ok"] = ok
+    n2 = problem.precision * 2
+    if accepted is not None and n2 <= max_precision:
+        # the accepted certificate again, on the primary route at twice the precision
+        module2 = problem.build_module(n2)
+        rho2 = Character.from_int(module2.context, accepted)
+        route = getattr(module2, _ROUTES[problem.kind][0])
+        ok = True
+        for lv, oc in zip(levels, search.candidates[-1].outcomes):
+            r = route(rho2, lv)
+            ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
+        task["reverified_at"] = str(n2)
+        task["reverified_ok"] = ok
     report["tasks"].append(task)
     return 0 if accepted is not None else 2
 

@@ -6,7 +6,7 @@ import pytest
 from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint
 from iwalab.cli import main
 from iwalab.crossed import PRECISION_CAP, RANK_CAP
-from iwalab.problems import parse_problem
+from iwalab.problems import ProblemFile, parse_problem
 from iwalab.workbench import run
 
 
@@ -114,9 +114,9 @@ class TestParse:
         # 2 * 3^6 = 1458 and 3^6 = 729 stay under 2000; one more factor of p does not
         assert RANK_CAP == 2000
         identity = [[["1"] if i == j else ["0"] for j in range(2)] for i in range(2)]
-        assert parse(dict(MINIMAL_GAMMA, d=2, F=identity, n_levels=[6])).gamma_levels == [6]
+        assert parse(dict(MINIMAL_GAMMA, d=2, F=identity, n_levels=[6])).levels == [6]
         pf = parse(dict(MINIMAL_CROSSED, kappa="1", levels=[[2, 4]]))
-        assert [(lv.n, lv.m) for lv in pf.crossed_levels] == [(2, 4)]
+        assert [(lv.n, lv.m) for lv in pf.levels] == [(2, 4)]
 
     @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
     def test_precision_cap(self, stanza):
@@ -448,3 +448,57 @@ class TestDetIntReuse:
         report, code = run(pf, "find-twist")
         assert code == 0 and report["tasks"][0]["reverified_ok"] is True
         assert len(calls) == 1
+
+
+class TestOneCommandPath:
+    """Both stanza kinds share one command path: one refusal per missing input."""
+
+    @pytest.mark.parametrize(
+        "stanza",
+        [
+            {k: v for k, v in MINIMAL_CROSSED.items() if k != "levels"},
+            dict(MINIMAL_CROSSED, levels=[]),
+        ],
+        ids=["missing", "empty"],
+    )
+    def test_crossed_levels_required_at_parse(self, stanza):
+        with pytest.raises(ValidationError) as exc:
+            parse(stanza)
+        assert exc.value.invariant == "levels-nonempty"
+
+    @pytest.mark.parametrize("command", ["euler", "akashi", "find-twist"])
+    @pytest.mark.parametrize("levels", [None, []], ids=["missing", "empty"])
+    def test_crossed_levels_required_cli(self, command, levels, tmp_path, capsys):
+        stanza = {k: v for k, v in MINIMAL_CROSSED.items() if k != "levels"}
+        if levels is not None:
+            stanza["levels"] = levels
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        out = tmp_path / "r.json"
+        assert main([command, "--input", str(inp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: levels-nonempty") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "char", "euler", "akashi", "find-twist"])
+    def test_stanza_commands_need_a_problem(self, command):
+        with pytest.raises(ValidationError, match="needs an --input problem file") as exc:
+            run(None, command)
+        assert exc.value.invariant == "command-stanza"
+
+    def test_each_precision_built_once(self, monkeypatch, tmp_path, capsys):
+        # four tasks escalate from N = 1; the two u = 4 chains reach N = 8 and N = 32
+        built = []
+        real = ProblemFile.build_module
+
+        def counting(self, N):
+            built.append(N)
+            return real(self, N)
+
+        monkeypatch.setattr(ProblemFile, "build_module", counting)
+        inp = Path(__file__).resolve().parent.parent / "problems" / "crossed_trivial.json"
+        out = tmp_path / "r.json"
+        argv = ["euler", "--input", str(inp), "--precision", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert built == [2, 4, 8, 16, 32]
+        capsys.readouterr()
