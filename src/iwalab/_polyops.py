@@ -178,6 +178,47 @@ def block_circulant(M):
     return rows
 
 
+def split_units(M, p, q):
+    """Split the unit entries off a square matrix M over R = Z/q[h]/(h^n - 1), q a power of p.
+
+    R is local with residue field F_p: an entry is a unit when its coefficient
+    sum is prime to p.  For the row-major first unit a at (i, j), each other
+    row r with column-j entry c becomes a*row_r - c*row_i; row i and column j
+    then split off R/(a) = 0, so the rest (possibly []) has the same cokernel.
+    A row of width w is one element of Z/q[h]/(h^(n w) - 1) with coefficient t
+    of column k at t*w + k: a*row is one `pmul` by a spread to stride w.
+    """
+    n = len(M[0][0]) if M else 0
+    w = len(M)
+    rows = [[c for t in zip(*Mi) for c in t] for Mi in M]
+
+    def spread(e, w):
+        out = [0] * ((n - 1) * w + 1)
+        out[::w] = e
+        return out
+
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(rows) for j in range(w)
+                      if sum(row[j::w]) % p), None)
+        if pivot is None:
+            return [[row[k::w] for k in range(w)] for row in rows]
+        i, j = pivot
+        a = spread(rows[i][j::w], w)
+        rest = []
+        for r, row in enumerate(rows):
+            if r == i:
+                continue
+            c = row[j::w]
+            if any(c):
+                row = cyclic_reduce(
+                    psub(pmul(a, row, None), pmul(spread(c, w), rows[i], None), None), n * w, q
+                )
+            del row[j::w]
+            rest.append(row)
+        rows = rest
+        w -= 1
+
+
 def poly_divmod_unit_lead(f, g, q):
     """Long division f = q*g + r over Z/q for g with unit leading coefficient."""
     dg = len(g) - 1

@@ -20,7 +20,7 @@ from . import _polyops as po
 from . import kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
-from .padic import AT_LEAST_N, PadicContext, PadicInt, cokernel_kernel_orders, smith_form_raw
+from .padic import AT_LEAST_N, PadicContext, cokernel_kernel_orders, smith_form_raw
 from .results import EulerResult, EulerStatus, search_twists
 from .series import Character, PowerSeries
 
@@ -119,22 +119,6 @@ class CrossedModule:
         pm = self.context.p ** m
         return [[po.to_group_ring(e, pm, q) for e in row] for row in self.exact_entries]
 
-    def sigma_power(self, f: PowerSeries, k: int, m: int) -> PowerSeries:
-        """Image of f under sigma^k in the rank-p^m quotient of Z_p[[Y]], in the Y-basis.
-
-        Only kappa^k mod p^m matters since (1+Y)^(p^m) = 1 there.
-        """
-        if f.variable != "Y":
-            raise ValidationError("variable", "sigma acts on the variable Y")
-        if not f.is_exact:
-            raise ValidationError("exact-action", "sigma_power expects exact polynomials")
-        ctx = self.context
-        p, q = ctx.p, ctx.modulus
-        pm = p ** m
-        e = pow(self.kappa_exact, k, pm)
-        out = _to_y(_sigma_h(po.to_group_ring(f.coeffs, pm, q), e), q)
-        return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
-
     def _cocycle(self, level: Level, exact: bool = False):
         """The cocycle product sigma^(p^n - 1)(A) ... sigma(A) A, entries in the h-basis.
 
@@ -167,26 +151,6 @@ class CrossedModule:
         cyclically by r.
         """
         return po.block_circulant(self._cocycle(level, exact))
-
-    def gamma_power_matrix(self, level: Level):
-        """The level matrix in the basis e_i Y^t ordered by (i, t), with PadicInt entries.
-
-        Row (i, r), block j holds the Y-coefficients of Y^r C[i][j] reduced
-        mod omega_m.
-        """
-        C = self._cocycle(level)
-        ctx = self.context
-        q = ctx.modulus
-        pm = len(C[0][0])
-        y_powers = [po.to_group_ring([0] * r + [1], pm, q) for r in range(pm)]
-        rows = []
-        for Ci in C:
-            for yr in y_powers:
-                row = []
-                for c in Ci:
-                    row += _to_y(po.cyclic_reduce(po.pmul(yr, c, None), pm, q), q)
-                rows.append([PadicInt(ctx, v) for v in row])
-        return rows
 
     # -- Akashi series ----------------------------------------------------------
 
@@ -242,16 +206,21 @@ class CrossedModule:
         return EulerResult(EulerStatus.INDETERMINATE)
 
     def euler_reduced(self, rho: Character, level: Level) -> EulerResult:
-        """Coinvariants staged through H: cokernel of u^(p^n) B - I over Z_p."""
-        rows = self._gamma_power_rows(level)
+        """Coinvariants staged through H: cokernel of u^(p^n) B - I over Z_p.
+
+        Works u^(p^n) C - I over the staged quotient, C the cocycle product:
+        unit entries split off (`_polyops.split_units`), Smith takes the rest.
+        """
         ctx = self.context
         q = ctx.modulus
         upn = pow(rho.u.residue, ctx.p ** level.n, q)
-        mat = [
-            [(upn * v - (1 if r == c else 0)) % q for c, v in enumerate(row)]
-            for r, row in enumerate(rows)
-        ]
-        orders = cokernel_kernel_orders(smith_form_raw(mat, ctx))
+        M = [[[upn * v % q for v in e] for e in row] for row in self._cocycle(level)]
+        for i, row in enumerate(M):
+            row[i][0] = (row[i][0] - 1) % q
+        rest = po.split_units(M, ctx.p, q)
+        if not rest:
+            return EulerResult.from_h0(0)
+        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), ctx))
         if orders.indeterminate:
             return self._undetermined(rho, level)
         return EulerResult.from_h0(orders.h0_exponent)
@@ -332,11 +301,6 @@ class CrossedModule:
                         row[k] %= q
                     rows.append(row)
         return rows
-
-
-def _to_y(f, q):
-    """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
-    return po.substitute_linear(f, 1, 1, q, len(f))
 
 
 def _sigma_h(f, e):

@@ -128,8 +128,9 @@ class GammaModule:
         """chi at level n from the twisted presentation over Z_p[h]/(h^(p^n) - 1).
 
         Each entry goes to the group ring of Gamma/Gamma_n (h = 1 + X) with the
-        twist by rho^-1, which sends h to u^-1 h, and the level matrix is its
-        block circulant.  A truncated entry's unknown tail lies in
+        twist by rho^-1, which sends h to u^-1 h.  Unit entries split off over
+        that ring (`_polyops.split_units`), and Smith runs on the block
+        circulant of what is left.  A truncated entry's unknown tail lies in
         (p, X)^window, inside p^floor(window / p^n) in the quotient.
         """
         ctx = self.context
@@ -144,11 +145,13 @@ class GammaModule:
             raise PrecisionExhaustedError("entry truncations cannot see level %d" % n)
         q = p ** neff
         c = rho.value_residue(inverse=True)
-        big = po.block_circulant(
-            [[po.to_group_ring(e.coeffs, pn, q, c) for e in row] for row in self.F]
+        rest = po.split_units(
+            [[po.to_group_ring(e.coeffs, pn, q, c) for e in row] for row in self.F], p, q
         )
+        if not rest:
+            return EulerResult.from_h0(0)
         eff_ctx = ctx if neff == ctx.N else ctx.with_precision(neff)
-        orders = cokernel_kernel_orders(smith_form_raw(big, eff_ctx))
+        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), eff_ctx))
         if orders.indeterminate:
             return self._undetermined(rho, pn)
         return EulerResult.from_h0(orders.h0_exponent)

@@ -7,6 +7,9 @@ every dual-route check keeps two genuinely distinct sides.
 from math import comb
 
 import sympy
+from iwalab import EulerStatus, PadicInt, PowerSeries, twist_series
+from iwalab import _polyops as po
+from iwalab.crossed import _sigma_h
 from sympy import QQ, ZZ, Matrix, Poly, symbols
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
@@ -125,6 +128,47 @@ def group_ring_rows_lex(kappa, entries, u, p, n, m):
     return rows
 
 
+def to_y(f, q):
+    """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
+    return po.substitute_linear(f, 1, 1, q, len(f))
+
+
+def sigma_power(X, f, k, m):
+    """Image of the exact Y-series f under sigma^k in the rank-p^m quotient of Z_p[[Y]].
+
+    The crossed module X works its staged quotient in the h-basis, where
+    sigma^k permutes the basis by kappa^k mod p^m; this is that permutation
+    read back in the Y-basis.
+    """
+    ctx = X.context
+    q = ctx.modulus
+    pm = ctx.p ** m
+    e = pow(X.kappa_exact, k, pm)
+    out = to_y(_sigma_h(po.to_group_ring(f.coeffs, pm, q), e), q)
+    return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
+
+
+def gamma_power_matrix(X, level):
+    """X's level matrix in the basis e_i Y^t ordered by (i, t), with PadicInt entries.
+
+    Row (i, r), block j holds the Y-coefficients of Y^r C[i][j] reduced mod
+    omega_m, C the cocycle product in the h-basis.
+    """
+    C = X._cocycle(level)
+    ctx = X.context
+    q = ctx.modulus
+    pm = len(C[0][0])
+    y_powers = [po.to_group_ring([0] * r + [1], pm, q) for r in range(pm)]
+    rows = []
+    for Ci in C:
+        for yr in y_powers:
+            row = []
+            for c in Ci:
+                row += to_y(po.cyclic_reduce(po.pmul(yr, c, None), pm, q), q)
+            rows.append([PadicInt(ctx, v) for v in row])
+    return rows
+
+
 def omega_fold(f, p, n, q):
     """f mod omega_n = (1+X)^(p^n) - 1 in the X-basis, reduced mod q (length p^n).
 
@@ -147,6 +191,29 @@ def omega_fold(f, p, n, q):
 def omega_mult_rows(f, p, n, q):
     """Rows of right multiplication by f on (Z/q)[X]/omega_n: row k is X^k f mod omega_n."""
     return [omega_fold([0] * k + list(f), p, n, q) for k in range(p**n)]
+
+
+def direct_reference(F, rho, n, exponents=snf_exponents):
+    """euler_direct in the X-basis: twist_series, long division by omega_n, then Smith.
+
+    Returns (status, chi exponent).  `exponents(rows, p, N)` gives the Smith
+    exponents, None for AtLeastN; sympy's SNF by default.  Where sympy's SNF
+    stalls (minutes at rank 75) a caller may pass the package's scalar Smith
+    kernel instead: the X-basis matrix never meets `_polyops.split_units`.
+    """
+    ctx = F[0][0].context
+    p = ctx.p
+    pn = p**n
+    neff = min([ctx.N] + [len(e.coeffs) // pn for row in F for e in row if not e.is_exact])
+    q = p**neff
+    rows = []
+    for Fi in F:
+        blocks = [omega_mult_rows(twist_series(e, rho, "inverse").coeffs, p, n, q) for e in Fi]
+        rows += [sum((b[k] for b in blocks), []) for k in range(pn)]
+    exps = exponents(rows, p, neff)
+    if None in exps:
+        return EulerStatus.INDETERMINATE, None
+    return EulerStatus.EXISTS, sum(exps)
 
 
 def resultant_int(f, g):

@@ -23,7 +23,7 @@ from iwalab import (
 )
 from iwalab.kernels import det_mod, smith_exponents
 
-from oracles import omega_fold, omega_mult_rows, poly_reduce_mod_int, snf_exponents
+from oracles import direct_reference, omega_fold, omega_mult_rows, poly_reduce_mod_int
 
 LEVELS = [(p, n) for p in (3, 5, 7) for n in (0, 1, 2)]
 
@@ -96,21 +96,79 @@ class TestGroupRingBasis:
                 assert det_mod(got, p, N) == det_mod(want, p, N), (u, f)
 
 
-def direct_reference(F, rho, n):
-    """euler_direct in the X-basis: twist_series, long division by omega_n, sympy SNF."""
-    ctx = F[0][0].context
-    p = ctx.p
-    pn = p**n
-    neff = min([ctx.N] + [len(e.coeffs) // pn for row in F for e in row if not e.is_exact])
-    q = p**neff
-    rows = []
-    for Fi in F:
-        blocks = [omega_mult_rows(twist_series(e, rho, "inverse").coeffs, p, n, q) for e in Fi]
-        rows += [sum((b[k] for b in blocks), []) for k in range(pn)]
-    exps = snf_exponents(rows, p, neff)
-    if None in exps:
-        return EulerStatus.INDETERMINATE, None
-    return EulerStatus.EXISTS, sum(exps)
+def ring_element(rng, p, pn, q, unit):
+    """A random element of Z/q[h]/(h^pn - 1): a unit, or one whose coefficient sum is 0 mod p."""
+    e = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(pn)]
+    s = sum(e[1:])
+    e[0] = (-s + (rng.randrange(1, p) if unit else p * rng.randrange(q))) % q
+    return e
+
+
+class TestSplitUnits:
+    """`split_units` keeps the cokernel: Smith of the block circulant loses one 0 per p^n rows."""
+
+    @pytest.mark.parametrize("p,n", LEVELS)
+    @pytest.mark.parametrize("N", [2, 6])
+    def test_smith_of_remainder(self, p, n, N):
+        # N = 2 stands for a truncated level, which the direct route works at
+        # q = p^neff below the context's p^N
+        q = p**N
+        pn = p**n
+        rng = random.Random(1000 * p + 10 * n + N)
+        split = set()
+        for k in range(9):
+            d = rng.randint(1, max(1, min(4, 100 // pn)))
+            share = (0.0, 0.3, 0.8)[k % 3]  # the chance that an entry is a unit
+            M = [[ring_element(rng, p, pn, q, rng.random() < share) for _ in range(d)]
+                 for _ in range(d)]
+            before = [[list(e) for e in row] for row in M]
+            rest = po.split_units(M, p, q)
+            assert M == before
+            assert all(len(row) == len(rest) for row in rest)
+            got = smith_exponents(po.block_circulant(rest), p, N) if rest else []
+            want = smith_exponents(po.block_circulant(M), p, N)
+            assert want == [0] * (pn * (d - len(rest))) + got, M
+            split.add(len(rest) < d)
+        assert split == {True, False}
+
+    def test_no_unit_comes_back_unchanged(self):
+        q = 3**4
+        M = [[[3, 0, 0], [1, q - 1, 0]], [[0, 6, 3], [1, 1, 1]]]
+        assert po.split_units(M, 3, q) == M
+
+    def test_coefficient_sum_zero_is_not_a_pivot(self):
+        # 1 - h has unit coefficients but lies in the maximal ideal (p, h - 1)
+        q = 3**4
+        one_minus_h = [1, q - 1, 0]
+        assert po.split_units([[one_minus_h]], 3, q) == [[one_minus_h]]
+        # so the pivot is the 1 at (0, 1): row 1 becomes
+        # 1*[1 - h^2, 2] - 2*[1 - h, 1] = [-1 + 2h - h^2, 0], again no unit
+        M = [[one_minus_h, [1, 0, 0]], [[1, 0, q - 1], [2, 0, 0]]]
+        assert po.split_units(M, 3, q) == [[[q - 1, 2, q - 1]]]
+
+    def test_unit_one_by_one_leaves_nothing(self):
+        assert po.split_units([[[2, 0, 2]]], 3, 3**4) == []
+
+    def test_pivot_in_a_later_row(self):
+        # row 0 holds no unit; the pivot is the 1 at (1, 1), and row 0 becomes
+        # 1*[3, 3h] - 3h*[3, 1] = [3 - 9h, 0]
+        q = 3**4
+        M = [[[3, 0, 0], [0, 3, 0]], [[3, 0, 0], [1, 0, 0]]]
+        assert po.split_units(M, 3, q) == [[[3, q - 9, 0]]]
+
+    def test_truncated_entries_split_at_the_window(self):
+        # windows of 10 at level 1 work the quotient mod 3^3 < 3^12
+        ctx = PadicContext(3, 12)
+        rho = Character.from_int(ctx, 4)
+        F = [[truncated(ctx, [1, 2, 0, 5], 10), truncated(ctx, [3, 1], 10)],
+             [truncated(ctx, [6, 0, 1], 10), truncated(ctx, [9, 3, 3, 1], 10)]]
+        M = GammaModule(F)
+        q = 3**3
+        c = rho.value_residue(inverse=True)
+        ring = [[po.to_group_ring(e.coeffs, 3, q, c) for e in row] for row in F]
+        assert len(po.split_units(ring, 3, q)) == 1
+        res = M.euler_direct(rho, 1)
+        assert (res.status, res.chi_exponent) == direct_reference(M.F, rho, 1)
 
 
 def truncated(ctx, coeffs, w):

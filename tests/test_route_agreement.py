@@ -1,19 +1,25 @@
 """Route agreement beyond the small corpora.
 
 Crossed modules (three routes): p = 7, kappa = 1 + p^2 at m = n + 2 (group-ring
-rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), and p = 11 at
-group-ring rank <= 121.  Gamma modules (two routes): presentations with
-mu > 0, and p = 11 at n <= 1 (rank <= 33).  Each test asserts the
-wall-time bound RUNTIME_BOUND_S, ten times what the slowest of them takes on
-a 2-core VM (about 1 s), so a slowdown of a route shows here before it shows
-in the suite's total.
+rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11 at
+group-ring rank <= 121, and staged matrices with and without unit entries.
+Gamma modules (two routes and the X-basis reference): presentations with
+mu > 0, p = 11 at n <= 1 (rank <= 33), and d = 3 at direct-route ranks 75 to
+243, with and without unit entries.  Each test asserts the wall-time bound
+RUNTIME_BOUND_S, ten times what the slowest of them takes on a 2-core VM
+(about 1 s), so a slowdown of a route shows here before it shows in the
+suite's total.
 """
 
 import random
 import time
 
-from iwalab import Character, CrossedModule, GammaModule, Level, PadicContext
+from iwalab import Character, CrossedModule, EulerStatus, GammaModule, Level, PadicContext
+from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, random_crossed_module, random_gamma_module
+from iwalab.kernels import smith_exponents
+
+from oracles import direct_reference
 
 RUNTIME_BOUND_S = 10.0
 RANK = 98
@@ -183,4 +189,100 @@ def test_p11_triple_agreement():
     assert {(d, n, m) for d, n, m, _ in seen} == {
         (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0)}
     assert {(1, 1, 1, "exists"), (1, 1, 1, "not-finite-detected")} <= seen
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def kernel_exponents(rows, p, N):
+    """The scalar Smith kernel in `direct_reference`'s encoding (None for AtLeastN)."""
+    return [None if e < 0 else e for e in smith_exponents(rows, p, N)]
+
+
+def test_gamma_d3_at_large_ranks():
+    # d = 3 at p^n = 25, 27, 49 and 81: direct-route ranks 75, 81, 147 and 243.
+    # Dense random entries are mostly units, which split off over the group
+    # ring before Smith; F = X I + p C has none, so its whole level matrix
+    # goes to Smith.  The X-basis reference runs the scalar kernel on the
+    # X-basis matrix (sympy's SNF stalls at these ranks).
+    t0 = time.perf_counter()
+    seen = set()
+    for p, n in ((5, 2), (3, 3), (7, 2), (3, 4)):
+        ctx = PadicContext(p, 64)
+        q = ctx.modulus
+        rng = random.Random(90 + 10 * p + n)
+        for unit_free in (False, True, False, True):
+            entries = [[[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+            if unit_free:
+                entries = [[[p * c for c in e] for e in row] for row in entries]
+                for i in range(3):
+                    entries[i][i][1] += 1
+            M = GammaModule.from_int_matrix(ctx, entries)
+            for u in (1, 1 + p):
+                rho = Character.from_int(ctx, u)
+                c = rho.value_residue(inverse=True)
+                ring = [[po.to_group_ring(e.coeffs, p**n, q, c) for e in row] for row in M.F]
+                split = len(po.split_units(ring, p, q)) < 3
+                assert not (split and unit_free), (p, n, entries, u)
+                rd = M.euler_direct(rho, n)
+                ra = M.euler_analytic(rho, n)
+                assert rd.status is ra.status, (p, n, entries, u)
+                assert rd.chi_exponent == ra.chi_exponent, (p, n, entries, u)
+                want = (EulerStatus.INDETERMINATE, None)
+                if rd.exists:
+                    want = (rd.status, rd.chi_exponent)
+                got = direct_reference(M.F, rho, n, kernel_exponents)
+                assert got == want, (p, n, entries, u)
+                seen.add((p, n, split, rd.status.value))
+    for p, n in ((5, 2), (3, 3), (7, 2), (3, 4)):
+        assert {(p, n, True, "exists"), (p, n, False, "exists")} <= seen, (p, n)
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def unit_swap_crossed(rng, ctx, kappa):
+    """A = P + p R + Y S with P the 2x2 swap, so the cocycle C is P^(p^n) = P mod (p, Y).
+
+    u^(p^n) C - I is then P - I mod the maximal ideal: all four entries are
+    units, and the split leaves one 1x1 entry, (-1)(-1) - 1 = 0 mod (p, Y).
+    """
+    p = ctx.p
+
+    def entry(i, j):
+        tail = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+        return [(i != j) + p * rng.randint(-2, 2)] + tail
+
+    entries = [[entry(i, j) for j in range(2)] for i in range(2)]
+    return CrossedModule.from_int_data(ctx, kappa, entries)
+
+
+def staged_split(X, rho, lv):
+    """Size of what `split_units` leaves of u^(p^n) C - I, as euler_reduced builds it."""
+    q = X.context.modulus
+    upn = pow(rho.u.residue, X.context.p ** lv.n, q)
+    M = [[[upn * v % q for v in e] for e in row] for row in X._cocycle(lv)]
+    for i, row in enumerate(M):
+        row[i][0] = (row[i][0] - 1) % q
+    return len(po.split_units(M, X.context.p, q))
+
+
+def test_crossed_with_and_without_unit_entries():
+    # the swap modules split off one of two rows; the d = 1 action with
+    # A(0) = 2 makes u^(p^n) C - 1 = 1 mod (p, Y), which splits off whole;
+    # near-identity modules split off nothing
+    t0 = time.perf_counter()
+    seen = set()
+    for p in (3, 5):
+        ctx = PadicContext(p, 64)
+        rng = random.Random(120 + p)
+        modules = [("swap", unit_swap_crossed(rng, ctx, 1 + p)) for _ in range(2)]
+        modules += [("near-identity", near_identity_crossed(rng, ctx, 2, 1 + p)) for _ in range(2)]
+        unit = CrossedModule.from_int_data(ctx, 1 + p, [[[2, rng.randint(1, 4)]]])
+        modules.append(("unit", unit))
+        for kind, X in modules:
+            for lv in admissible_levels(X, 2, 2, rank_cap=RANK):
+                for u in (1, 1 + p, 1 + p * p):
+                    rest = staged_split(X, Character.from_int(ctx, u), lv)
+                    assert rest == {"swap": 1, "near-identity": 2, "unit": 0}[kind], (kind, lv, u)
+                statuses = assert_routes_agree(X, lv, (1, 1 + p, 1 + p * p))
+                seen |= {(p, kind, s) for s in statuses}
+    for p in (3, 5):
+        assert {(p, kind, "exists") for kind in ("swap", "near-identity", "unit")} <= seen
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
