@@ -125,9 +125,6 @@ def main(argv=None) -> int:
                 if value is not None
             }
             problem = parse_problem(text, overrides)
-        elif args.command != "selftest":
-            print("error: --input is required for this command", file=sys.stderr)
-            return 1
         report, code = run(
             problem,
             args.command,

@@ -60,6 +60,8 @@ class CrossedModule:
     The module holds the exact integer kappa and the exact integer
     coefficients of A (ascending in Y); each route takes their residues mod
     p^N of its own context, and the finiteness certificates use the integers.
+    The cocycle of a level is an exact integer product, so re-embeddings at
+    other precisions share its cache.
     """
 
     def __init__(self, ctx: PadicContext, kappa: int, entries):
@@ -90,7 +92,9 @@ class CrossedModule:
         return cls(ctx, kappa, entries)
 
     def with_precision(self, N: int) -> "CrossedModule":
-        return CrossedModule(self.context.with_precision(N), self.kappa_exact, self.exact_entries)
+        out = CrossedModule(self.context.with_precision(N), self.kappa_exact, self.exact_entries)
+        out._cocycle_cache = self._cocycle_cache
+        return out
 
     # -- levels ---------------------------------------------------------------
 
@@ -113,44 +117,33 @@ class CrossedModule:
     # unitriangular over Z, so characteristic polynomials, determinants and
     # Smith exponents of the level matrix are those of its Y-basis form.
 
-    def _action_h(self, m: int, exact: bool):
-        """Entries of A(h - 1) mod h^(p^m) - 1: length-p^m lists in the h-basis."""
-        q = None if exact else self.context.modulus
+    def _action_h(self, m: int):
+        """Entries of A(h - 1) mod h^(p^m) - 1 over Z: length-p^m lists in the h-basis."""
         pm = self.context.p ** m
-        return [[po.to_group_ring(e, pm, q) for e in row] for row in self.exact_entries]
+        return [[po.to_group_ring(e, pm, None) for e in row] for row in self.exact_entries]
 
-    def _cocycle(self, level: Level, exact: bool = False):
-        """The cocycle product sigma^(p^n - 1)(A) ... sigma(A) A, entries in the h-basis.
+    def _cocycle(self, level: Level):
+        """The cocycle product sigma^(p^n - 1)(A) ... sigma(A) A over Z, entries in the h-basis.
 
         sigma^(p^n) itself is trivial on the staged quotient by the level's
-        normality, so this product is the gamma-lift's p^n-th power.
+        normality, so this product is the gamma-lift's p^n-th power.  It does
+        not depend on N: every route reduces its own residues mod p^N.
         """
         self.check_level(level)
-        key = (level.n, level.m, exact)
+        key = (level.n, level.m)
         hit = self._cocycle_cache.get(key)
         if hit is not None:
             return hit
         p = self.context.p
-        q = None if exact else self.context.modulus
         pm = p ** level.m
         kbar = self.kappa_exact % pm
-        A = self._action_h(level.m, exact)
+        A = self._action_h(level.m)
         A_support = [[[(b, y) for b, y in enumerate(e) if y] for e in row] for row in A]
         C = A
         for _ in range(p ** level.n - 1):
-            C = _cyclic_matmul([[_sigma_h(e, kbar) for e in row] for row in C], A_support, q)
+            C = _cyclic_matmul([[_sigma_h(e, kbar) for e in row] for row in C], A_support)
         self._cocycle_cache[key] = C
         return C
-
-    def _gamma_power_rows(self, level: Level, exact: bool = False):
-        """Matrix of the gamma-lift's p^n-th power on the staged quotient.
-
-        Returns the (d*p^m)-square matrix of right multiplication by the
-        cocycle product C in the basis e_i h^t ordered by (i, t): block (i, j)
-        is the circulant of C[i][j], its row r being C[i][j] shifted
-        cyclically by r.
-        """
-        return po.block_circulant(self._cocycle(level, exact))
 
     # -- Akashi series ----------------------------------------------------------
 
@@ -189,10 +182,11 @@ class CrossedModule:
     def _h0_infinite_exact(self, rho: Character, level: Level) -> bool:
         """Exact-integer verdict on the finiteness of the twisted coinvariants.
 
-        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B,
-        so the coinvariants are infinite whatever the working precision.
+        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B
+        (the block circulant of the cocycle product), so the coinvariants are
+        infinite whatever the working precision.
         """
-        rows = self._gamma_power_rows(level, exact=True)
+        rows = po.block_circulant(self._cocycle(level))
         upn = rho.u_exact ** (self.context.p ** level.n)
         mat = [
             [upn * v - (1 if r == c else 0) for c, v in enumerate(row)]
@@ -283,7 +277,7 @@ class CrossedModule:
         uA = [
             [[(c, -u * alpha if q is None else -u * alpha % q) for c, alpha in enumerate(e) if alpha]
              for e in row]
-            for row in self._action_h(level.m, exact)
+            for row in self._action_h(level.m)
         ]
         rows = []
         for a in range(pn):
@@ -312,8 +306,8 @@ def _sigma_h(f, e):
     return out
 
 
-def _cyclic_matmul(S, A_support, q):
-    """Product S A of square matrices over Z[h]/(h^(p^m) - 1) in the h-basis, mod q (None: exact).
+def _cyclic_matmul(S, A_support):
+    """Product S A of square matrices over Z[h]/(h^(p^m) - 1) in the h-basis, over Z.
 
     `A_support` lists each entry of the right factor by its nonzero
     (index, coefficient) pairs: the action matrix is sparse in this basis.
@@ -331,7 +325,7 @@ def _cyclic_matmul(S, A_support, q):
                     if x:
                         for b, y in g:
                             acc[a + b] += x * y
-            row.append(po.cyclic_reduce(acc, pm, q))
+            row.append(po.cyclic_reduce(acc, pm, None))
         out.append(row)
     return out
 

@@ -1,10 +1,10 @@
 """Finitely generated torsion modules over Z_p[[X]] via square presentations.
 
-A module is the cokernel of right multiplication by a d x d matrix F over the
-series ring (row-vector convention).  Finite-level Euler characteristics come
-by two independent routes: reducing the twisted presentation modulo the level
-polynomial (direct), and evaluating the twisted characteristic element through
-the multiplication-map determinant (analytic).  Exactness of NotFinite verdicts
+A module is the cokernel of right multiplication by a d x d matrix F of integer
+polynomials on the series ring (row-vector convention).  Finite-level Euler
+characteristics come by two independent routes: reducing the twisted
+presentation modulo the level polynomial (direct), and evaluating the twisted
+characteristic element through the multiplication-map determinant (analytic).  Exactness of NotFinite verdicts
 is guaranteed by integer-resultant certificates, never by residue vanishing.
 """
 
@@ -53,34 +53,30 @@ def series_matrix_det(entries) -> PowerSeries:
 
 
 class GammaModule:
-    """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0)."""
+    """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0).
 
-    def __init__(self, F, exact_entries=None, _det_int=None):
-        d = len(F)
-        if d == 0 or any(len(row) != d for row in F):
+    The module holds F's exact integer polynomial entries (ascending in X)
+    and det F over Z[X]; each route takes their residues mod p^N of the
+    module's context, and the finiteness certificates use the integers.
+    """
+
+    def __init__(self, ctx: PadicContext, entries, _det_int=None):
+        entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
+        d = len(entries)
+        if d == 0 or any(len(row) != d for row in entries):
             raise ValidationError("square-presentation", "F must be a nonempty square matrix")
-        ctx = F[0][0].context
-        for row in F:
-            for e in row:
-                if e.context != ctx:
-                    raise MixedContextError("presentation entries in different contexts")
-                if e.variable != "X":
-                    raise ValidationError("variable", "Gamma presentations live in the variable X")
-        self.d = d
-        self.F = tuple(tuple(row) for row in F)
+        if any(not e for row in entries for e in row):
+            raise ValidationError("nonempty", "a series needs at least one coefficient")
         self.context = ctx
-        self.exact_entries = exact_entries
-        if exact_entries is not None:
-            # det F over Z[X] does not depend on N: a re-embedding passes it on as _det_int
-            if _det_int is None:
-                _det_int = exactint.poly_mat_det([[list(e) for e in row] for row in exact_entries])
-            self.det_int = _det_int
-            self.det = PowerSeries.from_ints(ctx, "X", self.det_int)
-        else:
-            self.det_int = None
-            self.det = series_matrix_det(self.F)
+        self.d = d
+        self.exact_entries = entries
+        # det F over Z[X] does not depend on N: a re-embedding passes it on as _det_int
+        if _det_int is None:
+            _det_int = exactint.poly_mat_det([[list(e) for e in row] for row in entries])
+        self.det_int = _det_int
+        self.det = PowerSeries.from_ints(ctx, "X", _det_int)
         if self.det.is_zero_to_precision():
-            if self.det_int is not None and self.det_int != [0]:
+            if _det_int != [0]:
                 raise PrecisionExhaustedError(
                     "det F is nonzero but vanishes mod p^N; raise the precision"
                 )
@@ -88,19 +84,13 @@ class GammaModule:
         self._wdata = weierstrass_prepare(self.det)
 
     @classmethod
-    def from_int_matrix(cls, ctx: PadicContext, entries, _det_int=None) -> "GammaModule":
+    def from_int_matrix(cls, ctx: PadicContext, entries) -> "GammaModule":
         """Presentation with exact integer polynomial entries (ascending lists)."""
-        F = [[PowerSeries.from_ints(ctx, "X", e) for e in row] for row in entries]
-        raw = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
-        return cls(F, exact_entries=raw, _det_int=_det_int)
+        return cls(ctx, entries)
 
     def with_precision(self, N: int) -> "GammaModule":
         """Re-embed the exact integer data at a different precision."""
-        if self.exact_entries is None:
-            raise ValidationError("exactness", "cannot re-embed a non-exact presentation")
-        return GammaModule.from_int_matrix(
-            self.context.with_precision(N), self.exact_entries, _det_int=self.det_int
-        )
+        return GammaModule(self.context.with_precision(N), self.exact_entries, self.det_int)
 
     # -- characteristic element ---------------------------------------------
 
@@ -119,9 +109,8 @@ class GammaModule:
     # -- Euler characteristics ------------------------------------------------
 
     def _undetermined(self, rho: Character, pn: int) -> EulerResult:
-        if self.det_int is not None:
-            if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, pn):
-                return EulerResult(EulerStatus.NOT_FINITE)
+        if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, pn):
+            return EulerResult(EulerStatus.NOT_FINITE)
         return EulerResult(EulerStatus.INDETERMINATE)
 
     def euler_direct(self, rho: Character, n: int) -> EulerResult:
@@ -130,28 +119,19 @@ class GammaModule:
         Each entry goes to the group ring of Gamma/Gamma_n (h = 1 + X) with the
         twist by rho^-1, which sends h to u^-1 h.  Unit entries split off over
         that ring (`_polyops.split_units`), and Smith runs on the block
-        circulant of what is left.  A truncated entry's unknown tail lies in
-        (p, X)^window, inside p^floor(window / p^n) in the quotient.
+        circulant of what is left.
         """
         ctx = self.context
         p = ctx.p
         pn = p ** n
-        neff = ctx.N
-        for row in self.F:
-            for e in row:
-                if not e.is_exact:
-                    neff = min(neff, len(e.coeffs) // pn)
-        if neff < 1:
-            raise PrecisionExhaustedError("entry truncations cannot see level %d" % n)
-        q = p ** neff
+        q = ctx.modulus
         c = rho.value_residue(inverse=True)
         rest = po.split_units(
-            [[po.to_group_ring(e.coeffs, pn, q, c) for e in row] for row in self.F], p, q
+            [[po.to_group_ring(e, pn, q, c) for e in row] for row in self.exact_entries], p, q
         )
         if not rest:
             return EulerResult.from_h0(0)
-        eff_ctx = ctx if neff == ctx.N else ctx.with_precision(neff)
-        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), eff_ctx))
+        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), ctx))
         if orders.indeterminate:
             return self._undetermined(rho, pn)
         return EulerResult.from_h0(orders.h0_exponent)

@@ -148,6 +148,34 @@ def sigma_power(X, f, k, m):
     return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
 
 
+def cocycle_residues(X, level):
+    """sigma^(p^n - 1)(A) ... sigma(A) A mod p^N in the h-basis, multiplied from the left.
+
+    Dense products of residues: each factor sigma^k(A) permutes the h-basis
+    of A(h - 1) by kappa^k mod p^m, and every product is reduced mod p^N.
+    """
+    q = X.context.modulus
+    pm = X.context.p ** level.m
+    A = [[po.to_group_ring(e, pm, q) for e in row] for row in X.exact_entries]
+    d = len(A)
+    C = A
+    for k in range(1, X.context.p ** level.n):
+        e = pow(X.kappa_exact, k, pm)
+        S = [[_sigma_h(a, e) for a in row] for row in A]
+        C = [
+            [
+                po.cyclic_reduce(
+                    [sum(v) for v in zip(*(po.pmul(S[i][t], C[t][j], None) for t in range(d)))],
+                    pm,
+                    q,
+                )
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+    return C
+
+
 def gamma_power_matrix(X, level):
     """X's level matrix in the basis e_i Y^t ordered by (i, t), with PadicInt entries.
 
@@ -193,24 +221,30 @@ def omega_mult_rows(f, p, n, q):
     return [omega_fold([0] * k + list(f), p, n, q) for k in range(p**n)]
 
 
-def direct_reference(F, rho, n, exponents=snf_exponents):
+def direct_reference(M, rho, n, exponents=snf_exponents):
     """euler_direct in the X-basis: twist_series, long division by omega_n, then Smith.
 
-    Returns (status, chi exponent).  `exponents(rows, p, N)` gives the Smith
-    exponents, None for AtLeastN; sympy's SNF by default.  Where sympy's SNF
-    stalls (minutes at rank 75) a caller may pass the package's scalar Smith
-    kernel instead: the X-basis matrix never meets `_polyops.split_units`.
+    The gamma module M's integer entries become exact PowerSeries, and
+    twist_series moves each one.  Returns (status, chi exponent).
+    `exponents(rows, p, N)` gives the Smith exponents, None for AtLeastN;
+    sympy's SNF by default.  Where sympy's SNF stalls (minutes at rank 75) a
+    caller may pass the package's scalar Smith kernel instead: the X-basis
+    matrix never meets `_polyops.split_units`.
     """
-    ctx = F[0][0].context
+    ctx = M.context
     p = ctx.p
     pn = p**n
-    neff = min([ctx.N] + [len(e.coeffs) // pn for row in F for e in row if not e.is_exact])
-    q = p**neff
+    q = ctx.modulus
     rows = []
-    for Fi in F:
-        blocks = [omega_mult_rows(twist_series(e, rho, "inverse").coeffs, p, n, q) for e in Fi]
+    for Fi in M.exact_entries:
+        blocks = [
+            omega_mult_rows(
+                twist_series(PowerSeries.from_ints(ctx, "X", e), rho, "inverse").coeffs, p, n, q
+            )
+            for e in Fi
+        ]
         rows += [sum((b[k] for b in blocks), []) for k in range(pn)]
-    exps = exponents(rows, p, neff)
+    exps = exponents(rows, p, ctx.N)
     if None in exps:
         return EulerStatus.INDETERMINATE, None
     return EulerStatus.EXISTS, sum(exps)

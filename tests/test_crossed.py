@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,14 @@ from iwalab import (
     ValidationError,
     find_twist_crossed,
 )
+from iwalab import _polyops as po
+from iwalab import crossed as crossed_layer
 from iwalab import kernels
-from iwalab.corpus import admissible_levels, random_crossed_module
+from iwalab.cli import main
+from iwalab.corpus import admissible_levels, crossed_corpus, random_crossed_module
 
 from oracles import (
+    cocycle_residues,
     det_int,
     gamma_power_matrix,
     group_ring_rows_lex,
@@ -135,7 +140,7 @@ class TestGammaPowerMatrix:
     def test_trivial_action_gives_identity(self):
         X = trivial_module()
         for lv in (Level(0, 0), Level(1, 1), Level(2, 1)):
-            rows = X._gamma_power_rows(lv)
+            rows = po.block_circulant(X._cocycle(lv))
             n = len(rows)
             assert all(rows[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
@@ -143,14 +148,14 @@ class TestGammaPowerMatrix:
         # oracle: exponent 16+4+1 = 21 = 0 mod 3, so the cocycle is (1+Y)^0 = 1
         assert (16 + 4 + 1) % 3 == 0
         X = crossed(4, [[[1, 1]]])
-        rows = X._gamma_power_rows(Level(1, 1))
+        rows = po.block_circulant(X._cocycle(Level(1, 1)))
         assert all(rows[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3))
 
     def test_one_plus_y_level_one_two(self):
         # oracle: 21 mod 9 = 3, so the cocycle is h^3 with h = 1+Y; in the
         # basis 1, h, ..., h^8 of Z_3[h]/(h^9 - 1) B is the cyclic shift by 3
         X = crossed(4, [[[1, 1]]])
-        rows = X._gamma_power_rows(Level(1, 2))
+        rows = po.block_circulant(X._cocycle(Level(1, 2)))
         assert rows == [[1 if c == (r + 3) % 9 else 0 for c in range(9)] for r in range(9)]
 
     def test_one_plus_y_level_one_two_y_basis(self):
@@ -173,6 +178,41 @@ class TestGammaPowerMatrix:
         X = trivial_module()
         B = gamma_power_matrix(X, Level(0, 1))
         assert B[0][0].residue == 1
+
+
+class TestCocycle:
+    """The cocycle product is exact over Z, one per level, shared across precisions."""
+
+    def test_reduction_matches_residue_products(self):
+        for p in (3, 5):
+            for X in crossed_corpus(70 + p, 4, p, N=16):
+                q = X.context.modulus
+                for lv in admissible_levels(X, 2, 2, rank_cap=54):
+                    got = [[[v % q for v in e] for e in row] for row in X._cocycle(lv)]
+                    assert got == cocycle_residues(X, lv), (X.exact_entries, lv)
+
+    def test_re_embedding_shares_the_cocycle(self):
+        X = crossed(4, [[[1, 1], [3]], [[0, 2], [1, 0, 1]]])
+        for lv in (Level(1, 1), Level(2, 1)):
+            assert X.with_precision(2 * CTX.N)._cocycle(lv) is X._cocycle(lv)
+
+    def test_escalation_builds_each_cocycle_once(self, monkeypatch, tmp_path, capsys):
+        # --precision 1 escalates through N = 1, 2, ..., 32; each of the two
+        # levels (1,1) and (1,2) takes p^n - 1 = 2 products, once
+        calls = []
+        inner = crossed_layer._cyclic_matmul
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(crossed_layer, "_cyclic_matmul", counted)
+        problem = Path(__file__).resolve().parents[1] / "problems" / "crossed_trivial.json"
+        code = main(["euler", "--precision", "1", "--input", str(problem),
+                     "--out", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 4
 
 
 class TestAkashiSeries:
@@ -217,7 +257,7 @@ class TestAkashiSeries:
             # kappa = 1 + p^2 reaches m = n + 2
             X = crossed(rng.choice([X.kappa_exact, 1 + p * p]), X.exact_entries, ctx)
             for lv in admissible_levels(X, 2, 3, rank_cap=54):
-                cp = charpoly_mod(X._gamma_power_rows(lv), q)
+                cp = charpoly_mod(po.block_circulant(X._cocycle(lv)), q)
                 assert list(X.akashi_series(lv).coeffs) == substitute_linear(cp, 1, 1, q, len(cp))
                 seen.add(lv.m)
         assert max(seen) >= 2

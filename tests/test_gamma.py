@@ -52,6 +52,19 @@ class TestConstruction:
             gamma([[[1], []], [[0], [1]]])
         assert exc.value.invariant == "nonempty"
 
+    @pytest.mark.parametrize(
+        "entries,invariant",
+        [
+            ([[[1], [0]]], "square-presentation"),
+            ([[[1], [0]], [[1]]], "square-presentation"),
+            ([], "square-presentation"),
+        ],
+    )
+    def test_constructor_refuses_malformed_entries(self, entries, invariant):
+        with pytest.raises(ValidationError) as exc:
+            GammaModule(CTX, entries)
+        assert exc.value.invariant == invariant
+
 
 def _random_poly_matrix(rng, d, deg=3, bound=9):
     return [
@@ -263,15 +276,13 @@ class TestRouteAgreement:
             u1, u2 = 4, 7
             r1 = Character.from_int(CTX, u1)
             r12 = Character.from_int(CTX, u1 * u2)
-            twisted = GammaModule(
-                [[twist_series(e, r1, "inverse") for e in row] for row in M.F]
-            )
+            twisted = twisted_module(M, r1)
             r2 = Character.from_int(CTX, u2)
             for n in range(2):
                 a = M.euler_direct(r12, n)
                 b = twisted.euler_direct(r2, n)
                 assert a.status is b.status or (
-                    # twisted module lacks exact data, so NotFinite degrades
+                    # the twisted residues lift to other integers, so NotFinite degrades
                     a.status is EulerStatus.NOT_FINITE
                     and b.status is EulerStatus.INDETERMINATE
                 )
@@ -285,9 +296,7 @@ class TestRouteAgreement:
         for _ in range(8):
             M = random_gamma_module(rng, CTX, d_max=2)
             rho = Character.from_int(CTX, 1 + 3 * rng.randint(1, 9))
-            twisted = GammaModule(
-                [[twist_series(e, rho, "inverse") for e in row] for row in M.F]
-            )
+            twisted = twisted_module(M, rho)
             w1 = weierstrass_prepare(twisted.det)
             w2 = weierstrass_prepare(twist_series(M.characteristic_element(), rho, "inverse"))
             assert (w1.lam, w1.mu) == (w2.lam, w2.mu)
@@ -296,6 +305,15 @@ class TestRouteAgreement:
 
 def _ints(module):
     return module.exact_entries
+
+
+def twisted_module(M, rho):
+    """M twisted by rho^-1: its entries' twisted residues mod p^N, read as integers."""
+    ctx = M.context
+    return GammaModule.from_int_matrix(ctx, [
+        [twist_series(PowerSeries.from_ints(ctx, "X", e), rho, "inverse").coeffs for e in row]
+        for row in M.exact_entries
+    ])
 
 
 class TestFindTwist:

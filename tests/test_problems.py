@@ -261,7 +261,9 @@ class TestCli:
 
     def test_missing_input(self, capsys):
         assert main(["euler"]) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: command-stanza")
+        assert "Traceback" not in err
 
     def test_precision_override(self, tmp_path, capsys):
         inp = tmp_path / "prob.json"

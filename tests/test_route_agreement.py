@@ -219,7 +219,7 @@ def test_gamma_d3_at_large_ranks():
             for u in (1, 1 + p):
                 rho = Character.from_int(ctx, u)
                 c = rho.value_residue(inverse=True)
-                ring = [[po.to_group_ring(e.coeffs, p**n, q, c) for e in row] for row in M.F]
+                ring = [[po.to_group_ring(e, p**n, q, c) for e in row] for row in M.exact_entries]
                 split = len(po.split_units(ring, p, q)) < 3
                 assert not (split and unit_free), (p, n, entries, u)
                 rd = M.euler_direct(rho, n)
@@ -229,7 +229,7 @@ def test_gamma_d3_at_large_ranks():
                 want = (EulerStatus.INDETERMINATE, None)
                 if rd.exists:
                     want = (rd.status, rd.chi_exponent)
-                got = direct_reference(M.F, rho, n, kernel_exponents)
+                got = direct_reference(M, rho, n, kernel_exponents)
                 assert got == want, (p, n, entries, u)
                 seen.add((p, n, split, rd.status.value))
     for p, n in ((5, 2), (3, 3), (7, 2), (3, 4)):
