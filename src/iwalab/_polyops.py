@@ -162,6 +162,32 @@ def circulant(c):
     return [c[n - r:] + c[:n - r] for r in range(n)]
 
 
+def xpow_mod(e, g, q):
+    """X^e mod g over Z/q by binary powering; g has a unit leading coefficient and degree >= 1."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = poly_divmod_unit_lead(pmul(r, r, q), g, q)[1]
+        if bit == "1":
+            r = poly_divmod_unit_lead([0] + r, g, q)[1]
+    return r
+
+
+def mult_rows(f, g, q):
+    """Rows of right multiplication by f on Z/q[X]/(g): row i is X^i * f mod g, padded to deg g.
+
+    g has a unit leading coefficient, so the quotient is free on 1, X, ..., X^(deg g - 1).
+    """
+    dg = len(g) - 1
+    rows = []
+    row = f
+    for _ in range(dg):
+        row = poly_divmod_unit_lead(row, g, q)[1]
+        row += [0] * (dg - len(row))
+        rows.append(row)
+        row = [0] + row
+    return rows
+
+
 def block_circulant(M):
     """Rows of right multiplication by the matrix M over Z[h]/(h^n - 1) on row vectors.
 

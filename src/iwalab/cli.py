@@ -142,8 +142,7 @@ def main(argv=None) -> int:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
             print(f"error: cannot write the report to {out_path}: {exc}", file=sys.stderr)
             return 1

@@ -1,9 +1,14 @@
 """Exact integer certificates behind the NotFinite decisions.
 
 Anything asserting that a cokernel is genuinely infinite (rather than merely
-large at the working precision) runs here, on true integers: Sylvester
-resultants and fraction-free determinants.  Kept separate from, and far
-smaller than, the modular kernels so tests can treat those as independent.
+large at the working precision) works on true integers.  The gamma
+certificate here is a handful of exact remainders of the twisted
+characteristic polynomial by the cyclotomic Phi_(p^k), k <= n, with phi(p^k)
+at most its degree, so its cost does not grow with the level p^n.  The
+presentation determinant is a fraction-free elimination over Z[X].
+`sylvester_resultant` stays as the public reference for the gamma
+certificate; no route calls it.  Kept separate from, and far smaller than,
+the modular kernels so tests can treat those as independent.
 """
 
 from __future__ import annotations
@@ -100,13 +105,42 @@ def twisted_char_poly(c, u: int):
     return po.trim_int(acc)
 
 
-def gamma_h0_is_infinite(det_poly, u: int, pn: int) -> bool:
-    """Does the twisted presentation share a root with omega at this level?
+def cyclotomic_divides(f, p, k) -> bool:
+    """Does Phi_(p^k)(T) divide the integer polynomial f (ascending) over Z?
+
+    Phi_1 = T - 1 divides f exactly when f(1) = 0.  For k >= 1,
+    Phi_(p^k)(T) = Phi_p(T^m), m = p^(k-1), divides T^(p^k) - 1, so f may be
+    folded mod T^(p^k) - 1 first.  Z[T] is free over Z[T^m] on 1, ..., T^(m-1)
+    and Phi_p(T^m) lies in Z[T^m], so the folded f is divisible exactly when
+    each of its m strands c_b, c_(b+m), ..., c_(b+(p-1)m), a polynomial of
+    degree < p in T^m, is a multiple of Phi_p: all p coefficients equal.
+    """
+    if k == 0:
+        return sum(f) == 0
+    m = p ** (k - 1)
+    v = po.cyclic_reduce(f, p * m, None)
+    return all(v[b::m].count(v[b]) == p for b in range(m))
+
+
+def gamma_h0_is_infinite(det_poly, u: int, p: int, n: int) -> bool:
+    """Does the twisted presentation share a root with omega at level n?
 
     True exactly when the determinant of the rho-twisted multiplication map
-    on the rank-pn quotient vanishes as a genuine p-adic number, i.e. the
-    exact polynomial det has a root u^{-1}*zeta - 1 with zeta^pn = 1.
+    on the rank-p^n quotient vanishes as a genuine p-adic number, i.e. the
+    exact polynomial det has a root u^{-1}*zeta - 1 with zeta^(p^n) = 1:
+    Res(T^(p^n) - 1, P_u) = 0 for P_u = `twisted_char_poly(det, u)`.  The
+    p^n-th roots of unity are the roots of the monic irreducible Phi_(p^k),
+    k <= n, so this asks whether one of them divides P_u over Z; one of
+    degree phi(p^k) > deg P_u cannot.  The cost is set by deg P_u, not by p^n.
     """
     cs = twisted_char_poly(det_poly, u)
-    tpn = [-1] + [0] * (pn - 1) + [1]
-    return sylvester_resultant(tpn, cs) == 0
+    if cs == [0]:
+        return True
+    phi = 1
+    for k in range(n + 1):
+        if phi > len(cs) - 1:
+            break
+        if cyclotomic_divides(cs, p, k):
+            return True
+        phi = (p - 1) * p ** k
+    return False

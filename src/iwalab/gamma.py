@@ -3,15 +3,16 @@
 A module is the cokernel of right multiplication by a d x d matrix F of integer
 polynomials on the series ring (row-vector convention).  Finite-level Euler
 characteristics come by two independent routes: reducing the twisted
-presentation modulo the level polynomial (direct), and evaluating the twisted
-characteristic element through the multiplication-map determinant (analytic).  Exactness of NotFinite verdicts
-is guaranteed by integer-resultant certificates, never by residue vanishing.
+presentation modulo the level polynomial (direct), and the level resultant of
+the twisted characteristic element, taken modulo its distinguished part
+(analytic).  Exactness of NotFinite verdicts is guaranteed by exact
+cyclotomic remainders over Z, never by residue vanishing.
 """
 
 from __future__ import annotations
 
 from . import _polyops as po
-from . import exactint
+from . import exactint, kernels
 from .errors import (
     MixedContextError,
     PrecisionExhaustedError,
@@ -20,13 +21,7 @@ from .errors import (
 )
 from .padic import AT_LEAST_N, PadicContext, cokernel_kernel_orders, smith_form_raw
 from .results import EulerResult, EulerStatus, search_twists
-from .series import (
-    Character,
-    PowerSeries,
-    det_mult_mod_omega,
-    twist_series,
-    weierstrass_prepare,
-)
+from .series import Character, PowerSeries, weierstrass_prepare
 
 
 def series_matrix_det(entries) -> PowerSeries:
@@ -108,8 +103,8 @@ class GammaModule:
 
     # -- Euler characteristics ------------------------------------------------
 
-    def _undetermined(self, rho: Character, pn: int) -> EulerResult:
-        if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, pn):
+    def _undetermined(self, rho: Character, n: int) -> EulerResult:
+        if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, self.context.p, n):
             return EulerResult(EulerStatus.NOT_FINITE)
         return EulerResult(EulerStatus.INDETERMINATE)
 
@@ -133,18 +128,34 @@ class GammaModule:
             return EulerResult.from_h0(0)
         orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), ctx))
         if orders.indeterminate:
-            return self._undetermined(rho, pn)
+            return self._undetermined(rho, n)
         return EulerResult.from_h0(orders.h0_exponent)
 
     def euler_analytic(self, rho: Character, n: int) -> EulerResult:
-        """chi at level n by evaluating the twisted characteristic element."""
-        pn = self.context.p ** n
+        """chi at level n from the twisted distinguished polynomial, at its size lambda.
+
+        chi = mu*p^n + v_p Res(h^(p^n) - 1, g) with g(h) = P(c*h - 1), c = u^-1
+        and P the distinguished part, worked mod p^(N - mu).  g's leading
+        coefficient c^lambda is a unit, so Z/p^(N-mu)[h]/(g) is free of rank
+        lambda, and Res(h^(p^n) - 1, g) is, up to sign and a unit, the
+        determinant of multiplication by h^(p^n) - 1 on it (an identity over
+        any commutative ring).  h^(p^n) mod g comes by binary powering, so
+        the level costs a lambda x lambda determinant, none at lambda = 0.
+        """
+        p = self.context.p
+        pn = p ** n
         w = self._wdata
-        p_rho = twist_series(w.distinguished, rho, "inverse")
-        det = det_mult_mod_omega(p_rho, n)
-        v = det.valuation()
+        if not w.lam:
+            return EulerResult.from_h0(w.mu * pn)
+        ctx1 = w.distinguished.context
+        q1 = ctx1.modulus
+        c = pow(rho.u_exact, -1, q1)
+        g = po.substitute_linear(w.distinguished.coeffs, -1, c, q1, w.lam + 1)
+        r = po.xpow_mod(pn, g, q1)
+        r[0] = (r[0] - 1) % q1
+        v = ctx1.int_valuation(kernels.det_mod(po.mult_rows(r, g, q1), p, ctx1.N))
         if v is AT_LEAST_N:
-            return self._undetermined(rho, pn)
+            return self._undetermined(rho, n)
         return EulerResult.from_h0(w.mu * pn + v)
 
 
@@ -153,9 +164,11 @@ def find_twist(module: GammaModule, n_max: int, budget: int = 25):
 
     The candidate loop is `results.search_twists` on the direct route;
     candidates are tried in ascending order, so acceptance is deterministic.
-    The certificate covers the requested levels only; goodness for all n
-    would need the roots of the characteristic element, which is out of
-    scope here.
+    The certificate covers the requested levels only.  Every level at once
+    is in reach with integers alone: level n is not finite exactly when some
+    Phi_(p^k), k <= n with phi(p^k) <= deg det F, divides the twisted
+    characteristic polynomial (`exactint.gamma_h0_is_infinite`), so finitely
+    many exact remainders decide all n; the search does not report that yet.
     """
     return search_twists(
         module.context,

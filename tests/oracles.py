@@ -257,6 +257,15 @@ def resultant_int(f, g):
     return int(sympy.resultant(pf, pg))
 
 
+def shares_factor_int(f, g):
+    """Do the integer polynomials f and g (ascending) have a nonconstant common factor?
+
+    sympy's gcd over Z: Res(f, g) = 0 exactly when it does, and the gcd stays
+    cheap at degrees where the resultant's pseudo-remainders blow up.
+    """
+    return sympy.gcd(Poly(list(reversed(f)), _T), Poly(list(reversed(g)), _T)).degree() > 0
+
+
 def charpoly_desc(rows):
     """Integer charpoly of a matrix, descending coefficients, via sympy."""
     return [int(c) for c in Matrix(rows).charpoly().all_coeffs()]

@@ -1,0 +1,243 @@
+"""The gamma level quantities at the size of the characteristic polynomial.
+
+`GammaModule.euler_analytic` takes the lambda x lambda determinant of
+multiplication by h^(p^n) - 1 modulo the twisted distinguished polynomial,
+and `exactint.gamma_h0_is_infinite` asks whether a cyclotomic Phi_(p^k),
+k <= n, divides the twisted characteristic polynomial P_u.  Both are checked
+against references whose size is the level p^n: the circulant determinant
+`det_mult_mod_omega`, the Sylvester determinant `sylvester_resultant`, and
+sympy's integer resultant `oracles.resultant_int`.
+"""
+
+import json
+import time
+
+import pytest
+
+from iwalab import (
+    AT_LEAST_N,
+    Character,
+    EulerStatus,
+    GammaModule,
+    PadicContext,
+    det_mult_mod_omega,
+    twist_series,
+    weierstrass_prepare,
+)
+from iwalab import _polyops as po
+from iwalab.cli import main
+from iwalab.corpus import gamma_corpus
+from iwalab.exactint import (
+    cyclotomic_divides,
+    gamma_h0_is_infinite,
+    sylvester_resultant,
+    twisted_char_poly,
+)
+
+from oracles import int_valuation, resultant_int, shares_factor_int
+
+N = 24
+
+
+def level_poly(p, n):
+    """T^(p^n) - 1, ascending."""
+    return [-1] + [0] * (p**n - 1) + [1]
+
+
+def cyclotomic(p, k):
+    """Phi_(p^k)(T), ascending: T - 1 at k = 0, else Phi_p(T^(p^(k-1)))."""
+    if k == 0:
+        return [-1, 1]
+    m = p ** (k - 1)
+    out = [0] * ((p - 1) * m + 1)
+    out[::m] = [1] * p
+    return out
+
+
+def compose_twist(f, u):
+    """f(u(1+X)) as an exact integer polynomial in X."""
+    return po.substitute_linear(f, u, u, None)
+
+
+def characters(p):
+    return (1, 1 + p, 1 + p * p)
+
+
+def exact_exponent(M, u, n):
+    """v_p Res(T^(p^n) - 1, P_u) over Z: chi at level n, or None when not finite.
+
+    The roots of P_u are u(1 + x) for the roots x of det F, so the resultant
+    is prod_zeta u^D det F(u^-1 zeta - 1), of valuation mu p^n plus that of
+    the analytic determinant.  For a linear P_u = aT + e the product over the
+    p^n-th roots of unity is e^(p^n) - (-a)^(p^n); otherwise sympy's resultant.
+    """
+    p = M.context.p
+    cs = twisted_char_poly(M.det_int, u)
+    if len(cs) == 2:
+        e, a = cs
+        return int_valuation(e ** p**n - (-a) ** p**n, p)
+    return int_valuation(resultant_int(level_poly(p, n), cs), p)
+
+
+def circulant_exponent(M, rho, n):
+    """The analytic route at the size of the level: a p^n x p^n circulant determinant."""
+    w = weierstrass_prepare(M.det)
+    v = det_mult_mod_omega(twist_series(w.distinguished, rho, "inverse"), n).valuation()
+    return None if v is AT_LEAST_N else w.mu * M.context.p**n + v
+
+
+def check_analytic(M, u, n, circulant=True):
+    ctx = M.context
+    p = ctx.p
+    rho = Character.from_int(ctx, u)
+    got = M.euler_analytic(rho, n)
+    want = exact_exponent(M, u, n)
+    _, mu = M.char_invariants()
+    if want is None:
+        assert got.status is EulerStatus.NOT_FINITE, (M.det_int, u, n)
+    elif want - mu * p**n < ctx.N - mu:
+        assert got.exists and got.chi_exponent == want, (M.det_int, u, n, got, want)
+    else:
+        assert got.status is EulerStatus.INDETERMINATE, (M.det_int, u, n, got, want)
+    if circulant:
+        ref = circulant_exponent(M, rho, n)
+        assert (got.chi_exponent if got.exists else None) == ref, (M.det_int, u, n)
+    return got
+
+
+def planted(p):
+    """Presentations with the structure a random corpus misses at large p.
+
+    lambda = 0 with and without mu; lambda = p + 1, above p^0 and p^1 (and
+    at p = 3 a lambda of 10, above p^2); mu > 0 with lambda > 0; a root
+    p^3 or p^(N-2) away from a twisted root of unity, so that the exponent
+    3 + n or N - 2 + n crosses N; and Phi_p(u(1+X)), not finite at u from
+    level 1 on.
+    """
+    mats = [
+        [[[1, p]]],
+        [[[p * p, p**3, p * p]]],
+        [[[p] + [0] * p + [1]]],
+        [[[-p * p, p]]],
+        [[[-p, 1], [0]], [[0], [p, p]]],
+        [[[1, 1], [p]], [[-p, 2], [3, 0, 1]]],
+    ]
+    if p == 3:
+        mats.append([[[3] + [0] * 9 + [1]]])
+    for u in characters(p)[1:]:
+        mats += [[[[u - 1 - p**e, u]]] for e in (3, N - 2)]
+        mats.append([[compose_twist(cyclotomic(p, 1), u)]])
+    return [GammaModule.from_int_matrix(PadicContext(p, N), m) for m in mats]
+
+
+class TestAnalyticAtSizeLambda:
+    @pytest.mark.parametrize("p,n_max,count", [(3, 3, 8), (5, 2, 6)])
+    def test_corpus_matches_circulant_and_resultant(self, p, n_max, count):
+        for M in gamma_corpus(1, count, p, N=N):
+            for u in characters(p):
+                for n in range(n_max + 1):
+                    check_analytic(M, u, n)
+
+    def test_corpus_level_three_at_p5(self):
+        for M in gamma_corpus(2, 4, 5, N=N):
+            for u in characters(5):
+                check_analytic(M, u, 3, circulant=False)
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 13])
+    def test_planted_structure(self, p):
+        """Levels to 3; at p >= 11 level 3 (rank 1331, 2197) only for linear det F,
+        where the exact resultant has a closed form."""
+        seen = set()
+        for M in planted(p):
+            lam, mu = M.char_invariants()
+            n_max = 3 if p < 11 or len(M.det_int) == 2 else 2
+            for u in characters(p):
+                for n in range(n_max + 1):
+                    got = check_analytic(M, u, n, circulant=p**n <= 27)
+                    seen.add((lam == 0, lam >= p**n, mu > 0, got.status))
+        assert (True, False, False, EulerStatus.EXISTS) in seen
+        assert (False, True, False, EulerStatus.EXISTS) in seen
+        assert any(mu and status is EulerStatus.EXISTS for _, _, mu, status in seen)
+        assert any(s is EulerStatus.NOT_FINITE for *_, s in seen)
+        assert any(s is EulerStatus.INDETERMINATE for *_, s in seen)
+
+    def test_lambda_zero_is_mu_times_level(self):
+        M = GammaModule.from_int_matrix(PadicContext(5, N), [[[25, 125, 25]]])
+        assert M.char_invariants() == (0, 2)
+        for n in range(4):
+            assert M.euler_analytic(Character.from_int(M.context, 6), n).chi_exponent == 2 * 5**n
+
+    def test_level_below_lambda(self):
+        # X^4 + 3: lambda = 4 > p^1; Res(h^3 - 1, (h - 1)^4 + 3) has valuation 3
+        M = GammaModule.from_int_matrix(PadicContext(3, N), [[[3, 0, 0, 0, 1]]])
+        assert M.euler_analytic(Character.from_int(M.context, 1), 1).chi_exponent == 3
+
+
+class TestCyclotomicCertificate:
+    @pytest.mark.parametrize("p", [3, 5, 11, 13])
+    def test_cyclotomic_divides_matches_sympy(self, p):
+        g = [2, -1, 0, 3]
+        for k in range(3):
+            phi = cyclotomic(p, k)
+            assert cyclotomic_divides(po.pmul(phi, g, None), p, k)
+            for i in (0, len(phi) - 1, len(phi) + 1):
+                near = po.pmul(phi, g, None)
+                near[i] += p
+                assert not cyclotomic_divides(near, p, k), (p, k, i)
+            for j in range(3):
+                other = cyclotomic(p, j)
+                want = resultant_int(other, po.pmul(phi, g, None)) == 0
+                assert cyclotomic_divides(po.pmul(phi, g, None), p, j) == want
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 13])
+    def test_planted_cyclotomic_factor(self, p):
+        """c(X) = Phi_(p^k)(u(1+X)) * g(X) is not finite exactly from level k on."""
+        g = [1 + p, -2, 1]
+        for u in characters(p):
+            for k in range(3):
+                c = po.pmul(compose_twist(cyclotomic(p, k), u), g, None)
+                for n in range(4):
+                    got = gamma_h0_is_infinite(c, u, p, n)
+                    assert got == (n >= k), (p, u, k, n)
+                    self._agrees_with_level_resultant(c, u, p, n, got)
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 13])
+    def test_near_misses_are_finite(self, p):
+        for u in characters(p):
+            for k in range(3):
+                phi_u = compose_twist(cyclotomic(p, k), u)
+                near = [phi_u[0] + p**3] + phi_u[1:]
+                other_u = u + p**4
+                for c, uu in ((near, u), (phi_u, other_u)):
+                    for n in range(4):
+                        assert not gamma_h0_is_infinite(c, uu, p, n), (p, u, k, n)
+                        self._agrees_with_level_resultant(c, uu, p, n, False)
+
+    def test_constant_determinant_is_finite(self):
+        assert not gamma_h0_is_infinite([9], 4, 3, 3)
+        assert sylvester_resultant(level_poly(3, 3), [9]) != 0
+
+    @staticmethod
+    def _agrees_with_level_resultant(c, u, p, n, got):
+        cs = twisted_char_poly(c, u)
+        if p**n + len(cs) <= 60:
+            assert (sylvester_resultant(level_poly(p, n), cs) == 0) == got
+        else:
+            assert shares_factor_int(level_poly(p, n), cs) == got
+
+
+class TestCertificateThroughTheCli:
+    def test_x_at_rank_729_is_not_finite_in_seconds(self, tmp_path):
+        problem = {"kind": "gamma", "p": "3", "d": 1, "F": [[["0", "1"]]],
+                   "characters": ["1"], "n_levels": [6]}
+        inp = tmp_path / "x.json"
+        inp.write_text(json.dumps(problem))
+        out = tmp_path / "x.report.json"
+        t0 = time.perf_counter()
+        code = main(["euler", "--input", str(inp), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["status"] == "not-finite-detected"
+        assert task["analytic_status"] == "not-finite-detected"
+        assert elapsed < 5.0, elapsed
