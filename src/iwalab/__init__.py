@@ -32,7 +32,6 @@ from .padic import (
     PadicContext,
     PadicInt,
     cokernel_kernel_orders,
-    smith_form,
 )
 from .series import (
     Character,
@@ -91,7 +90,6 @@ __all__ = [
     "lambda_mu",
     "omega",
     "series_matrix_det",
-    "smith_form",
     "twist_series",
     "weierstrass_divide",
     "weierstrass_prepare",

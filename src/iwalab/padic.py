@@ -219,34 +219,8 @@ class ElementaryDivisors:
         return sum(e for e in self.exponents if e is not AT_LEAST_N)
 
 
-def _extract_rows(mat: Sequence[Sequence[PadicInt]]):
-    ctx = None
-    rows = []
-    for r in mat:
-        row = []
-        for a in r:
-            if ctx is None:
-                ctx = a.context
-            elif a.context != ctx:
-                raise MixedContextError("matrix entries live in different contexts")
-            row.append(a.residue)
-        rows.append(row)
-    if ctx is None:
-        raise ValidationError("nonempty", "matrix must have at least one entry")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValidationError("rectangular", "rows have differing lengths")
-    return rows, ctx
-
-
-def smith_form(mat: Sequence[Sequence[PadicInt]]) -> ElementaryDivisors:
-    """Elementary divisors over Z/p^N by minimal-valuation pivoting."""
-    rows, ctx = _extract_rows(mat)
-    return smith_form_raw(rows, ctx)
-
-
 def smith_form_raw(rows: Sequence[Sequence[int]], ctx: PadicContext) -> ElementaryDivisors:
-    """Same as smith_form on plain residue rows (the fast path)."""
+    """Elementary divisors over Z/p^N of residue rows by minimal-valuation pivoting."""
     exps = kernels.smith_exponents(rows, ctx.p, ctx.N)
     return ElementaryDivisors(
         exponents=tuple(AT_LEAST_N if e < 0 else e for e in exps),

@@ -223,7 +223,7 @@ def _fp_bezout(a, b, p):
 
 
 def _hensel_prepare_poly(f1, lam, p, N, q):
-    """Exact-polynomial Weierstrass preparation by quadratic Hensel lifting.
+    """Weierstrass preparation of a polynomial by quadratic Hensel lifting.
 
     f1 has its first unit coefficient at index lam; lifts the mod-p splitting
     f1 = X^lam * (unit cofactor) to f1 = P * U mod p^N with P monic of degree
@@ -232,8 +232,7 @@ def _hensel_prepare_poly(f1, lam, p, N, q):
     the lift takes about log2 N passes (von zur Gathen & Gerhard, Modern
     Computer Algebra, Algorithm 15.10).  Only the monic P is ever divided by,
     so f1's leading coefficient may be divisible by p.  Returns (P, U) as
-    residue lists; this is the genuine distinguished part, with no window
-    truncation anywhere.
+    residue lists.
     """
     if lam == 0:
         return [1], [c % q for c in f1]
@@ -256,48 +255,16 @@ def _hensel_prepare_poly(f1, lam, p, N, q):
     return P, U
 
 
-def _digit_lift_divide(fw, gw, lam, window, p, N, q):
-    """Solve f = q*g + r on a coefficient window by p-digit lifting.
-
-    Valid because g's sub-lambda coefficients all vanish mod p; each round
-    fixes one more p-adic digit of (q, r).  Early exit once the residual is
-    exactly zero mod p^N.
-    """
-    qlen = window - lam
-    ghi_bar = [c % p for c in gw[lam:]]
-    inv_hi = po.series_inverse(ghi_bar, p, qlen)
-    quo = [0] * qlen
-    rpoly = [0] * lam
-    rem = list(fw)
-    pt = 1
-    for _ in range(N):
-        if not any(rem):
-            break
-        dig = [(c // pt) % p for c in rem]
-        rdig = dig[:lam]
-        qdig = po.pmul(dig[lam:], inv_hi, p, trunc=qlen)
-        for j in range(qlen):
-            if qdig[j]:
-                quo[j] += pt * qdig[j]
-        for j in range(lam):
-            if rdig[j]:
-                rpoly[j] += pt * rdig[j]
-        s = po.pmul(qdig, gw, q, trunc=window)
-        s += [0] * (window - len(s))
-        for j in range(lam):
-            s[j] = (s[j] + rdig[j]) % q
-        for j in range(window):
-            rem[j] = (rem[j] - pt * s[j]) % q
-        pt *= p
-    return [c % q for c in quo], [c % q for c in rpoly]
-
-
 def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     """Weierstrass division f = q*g + r with deg r < lambda_g.
 
-    lambda_g is the index of g's first unit coefficient.  Results satisfy the
-    identity on the common coefficient window (and exactly, when both inputs
-    are exact polynomials and g's unit coefficient is its leading one).
+    lambda_g is the index of g's first unit coefficient.  g's window is
+    factored g = P*U by the Hensel lift of `weierstrass_prepare`, f's window
+    is divided by the monic P, and q = quo * U^-1.  The identity holds on the
+    common coefficient window, and r is exactly f mod P whenever both inputs
+    are exact polynomials.  q is exact too when g's unit coefficient is its
+    leading one (then U is a constant); otherwise it is a window of
+    window - lambda_g coefficients.
     """
     f._check(g)
     ctx = f.context
@@ -305,79 +272,49 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     lam = _first_unit_index(g.coeffs, p)
     if lam is None:
         raise DivisorDivisibleByPError("every coefficient of the divisor is divisible by p")
-
-    if g.is_exact and lam == g.exact_degree:
-        # unit leading coefficient: plain long division, column by column
-        if f.is_exact:
-            quo, rem = po.poly_divmod_unit_lead(list(f.coeffs), list(g.coeffs), q)
-            dq = max(len(f.coeffs) - 1 - lam, 0)
-            qs = PowerSeries(ctx, f.variable, tuple(quo[:dq + 1]), exact_degree=dq)
-            rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
-            return qs, rs
-        window = len(f.coeffs)
-        if window <= lam:
-            raise PrecisionExhaustedError(
-                f"truncation {window} cannot see past lambda_g = {lam}"
-            )
-        quo, rem = po.poly_divmod_unit_lead(list(f.coeffs), list(g.coeffs), q)
-        quo = (quo + [0])[:window - lam]
-        qs = PowerSeries(ctx, f.variable, tuple(quo))
-        rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
-        return qs, rs
-
     windows = [w for w in (f.truncation, g.truncation) if w is not None]
-    window = min(windows) if windows else max(len(f.coeffs), len(g.coeffs), lam + 2)
-    if window <= lam:
-        raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
-    fw = (list(f.coeffs) + [0] * window)[:window]
-    gw = (list(g.coeffs) + [0] * window)[:window]
-    quo, rem = _digit_lift_divide(fw, gw, lam, window, p, N, q)
-    qs = PowerSeries(ctx, f.variable, tuple(quo))
-    if lam == 0:
-        rs = PowerSeries.zero(ctx, f.variable)
+    if windows:
+        window = min(windows)
+    elif lam == g.exact_degree:
+        window = None
     else:
-        rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=lam - 1)
-    return qs, rs
+        window = max(len(f.coeffs), len(g.coeffs), lam + 2)
+    fw, gw = list(f.coeffs), list(g.coeffs)
+    if window is not None:
+        if window <= lam:
+            raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
+        fw = (fw + [0] * window)[:window]
+        gw = (gw + [0] * window)[:window]
+    P, U = _hensel_prepare_poly(gw, lam, p, N, q)
+    quo, rem = po.poly_divmod_unit_lead(fw, P, q)
+    rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
+    if window is None:
+        quo = po.pscale(quo, pow(U[0], -1, q), q)
+        return PowerSeries(ctx, f.variable, tuple(quo), exact_degree=len(quo) - 1), rs
+    qlen = window - lam
+    quo = po.pmul(quo, po.series_inverse(U, q, qlen), q, trunc=qlen)
+    return PowerSeries.truncated(ctx, f.variable, quo, trunc=qlen), rs
 
 
 def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
     """Factor f = p^mu * P * u with P distinguished monic of degree lambda.
 
-    The distinguished part and unit live in a context of precision N - mu
-    (dividing by p^mu costs mu certified digits).
+    f / p^mu is factored by the quadratic Hensel lift; a truncated series is
+    prepared as the polynomial of its window, so P * u equals that polynomial
+    and u is a window of len - lambda coefficients.  The distinguished part
+    and unit live in a context of precision N - mu (dividing by p^mu costs mu
+    certified digits).
     """
+    lam, mu = lambda_mu(f)
     ctx = f.context
-    p = ctx.p
-    if f.is_zero_to_precision():
-        raise ZeroToPrecisionError("every coefficient is 0 mod p^N")
-    vals = [ctx.int_valuation(c) for c in f.coeffs]
-    mu = min(v for v in vals if v is not AT_LEAST_N)
-    if mu:
-        ctx1 = ctx.with_precision(ctx.N - mu)
-        pm = p ** mu
-        f1 = PowerSeries(
-            ctx1, f.variable, tuple((c // pm) for c in f.coeffs), exact_degree=f.exact_degree
-        )
-    else:
-        ctx1 = ctx
-        f1 = f
-    lam = _first_unit_index(f1.coeffs, p)
-
-    if f1.is_exact:
-        # Hensel factorization: exact, window-free, gives the true P mod p^(N-mu)
-        P, U = _hensel_prepare_poly(list(f1.coeffs), lam, p, ctx1.N, ctx1.modulus)
-        dist = PowerSeries(ctx1, f.variable, tuple(P), exact_degree=lam)
+    ctx1 = ctx.with_precision(ctx.N - mu) if mu else ctx
+    pm = ctx.p ** mu
+    P, U = _hensel_prepare_poly([c // pm for c in f.coeffs], lam, ctx.p, ctx1.N, ctx1.modulus)
+    dist = PowerSeries(ctx1, f.variable, tuple(P), exact_degree=lam)
+    if f.is_exact:
         unit = PowerSeries(ctx1, f.variable, tuple(U), exact_degree=len(U) - 1)
-        return WeierstrassData(mu=mu, distinguished=dist, unit=unit)
-
-    if len(f1.coeffs) <= lam:
-        raise PrecisionExhaustedError("truncation order does not reach the first unit coefficient")
-    xlam = PowerSeries.from_ints(ctx1, f.variable, [0] * lam + [1])
-    quo, rem = weierstrass_divide(xlam, f1)
-    pcoeffs = [(-c) % ctx1.modulus for c in rem.coeffs[:lam]] + [1]
-    dist = PowerSeries(ctx1, f.variable, tuple(pcoeffs), exact_degree=lam)
-    inv = po.series_inverse(list(quo.coeffs), ctx1.modulus, len(quo.coeffs))
-    unit = PowerSeries(ctx1, f.variable, tuple(inv))
+    else:
+        unit = PowerSeries.truncated(ctx1, f.variable, U, trunc=len(f.coeffs) - lam)
     return WeierstrassData(mu=mu, distinguished=dist, unit=unit)
 
 
@@ -405,14 +342,10 @@ def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
         raise ValidationError("twist-direction", f"unknown direction {direction!r}")
     q = f.context.modulus
     c = rho.value_residue(inverse=(direction == "inverse"))
-    e = (c - 1) % q
-    if f.is_exact:
-        out = po.substitute_linear(list(f.coeffs), e, c, q, f.exact_degree + 1)
-        return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
     w = len(f.coeffs)
-    out = po.substitute_linear(list(f.coeffs), e, c, q, w)
+    out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q, w)
     out += [0] * (w - len(out))
-    return PowerSeries(f.context, "X", tuple(out))
+    return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
 
 
 def evaluate_character(f: PowerSeries, rho: Character, direction: str) -> PadicInt:

@@ -1,11 +1,11 @@
 """Route agreement beyond the small corpora.
 
 Crossed modules (three routes): p = 7, kappa = 1 + p^2 at m = n + 2 (group-ring
-rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11 at
-group-ring rank <= 121, and staged matrices with and without unit entries.
+rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11 and 13
+at group-ring rank <= p^2, and staged matrices with and without unit entries.
 Gamma modules (two routes and the X-basis reference): presentations with
-mu > 0, p = 11 at n <= 1 (rank <= 33), and d = 3 at direct-route ranks 75 to
-243, with and without unit entries.  Each test asserts the wall-time bound
+mu > 0, p = 11 and 13 at n <= 1 (rank <= 3p), and d = 3 at direct-route ranks
+75 to 243, with and without unit entries.  Each test asserts the wall-time bound
 RUNTIME_BOUND_S, ten times what the slowest of them takes on a 2-core VM
 (about 1 s), so a slowdown of a route shows here before it shows in the
 suite's total.
@@ -13,6 +13,8 @@ suite's total.
 
 import random
 import time
+
+import pytest
 
 from iwalab import Character, CrossedModule, EulerStatus, GammaModule, Level, PadicContext
 from iwalab import _polyops as po
@@ -150,10 +152,10 @@ def near_identity_crossed(rng, ctx, d, kappa, r0=None):
     return CrossedModule.from_int_data(ctx, kappa, entries)
 
 
-def test_p11_gamma_direct_vs_analytic():
-    # d <= 3 at n <= 1: direct-route ranks d * 11^n <= 33
+@pytest.mark.parametrize("p", [11, 13])
+def test_large_prime_gamma_direct_vs_analytic(p):
+    # d <= 3 at n <= 1: direct-route ranks d * p^n <= 3p
     t0 = time.perf_counter()
-    p = 11
     ctx = PadicContext(p, 64)
     rng = random.Random(111)
     seen = set()
@@ -172,10 +174,10 @@ def test_p11_gamma_direct_vs_analytic():
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
 
 
-def test_p11_triple_agreement():
-    # group-ring ranks d * 11^(n+m) <= 121: (1,1) and (2,0) at d = 1, (0,1) and (1,0) at d = 2
+@pytest.mark.parametrize("p", [11, 13])
+def test_large_prime_triple_agreement(p):
+    # group-ring ranks d * p^(n+m) <= p^2: (1,1) and (2,0) at d = 1, (0,1) and (1,0) at d = 2
     t0 = time.perf_counter()
-    p = 11
     ctx = PadicContext(p, 64)
     rng = random.Random(112)
     seen = set()
@@ -183,7 +185,7 @@ def test_p11_triple_agreement():
     modules += [near_identity_crossed(rng, ctx, 1 + k % 2, (1 + p, 1 + 2 * p)[k // 2])
                 for k in range(4)]
     for X in modules:
-        for lv in admissible_levels(X, 2, 2, rank_cap=121):
+        for lv in admissible_levels(X, 2, 2, rank_cap=p * p):
             statuses = assert_routes_agree(X, lv, (1, 1 + p, 1 + p * p))
             seen |= {(X.d, lv.n, lv.m, s) for s in statuses}
     assert {(d, n, m) for d, n, m, _ in seen} == {

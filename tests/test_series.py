@@ -24,7 +24,7 @@ from iwalab import (
 
 from iwalab import series
 from iwalab.workbench import PRECISION_CAP
-from oracles import hensel_prepare_one_digit, int_valuation, resultant_int
+from oracles import hensel_prepare_one_digit, int_valuation, poly_reduce_mod_int, resultant_int
 
 CTX = PadicContext(3, 16)
 
@@ -111,6 +111,35 @@ class TestWeierstrassDivide:
             fj = f.coeffs[j] if j < len(f.coeffs) else 0
             assert prod.coeffs[j] == fj
 
+    @staticmethod
+    def check_remainder_against_oracle(f, g, p, N):
+        ctx = PadicContext(p, N)
+        fs, gs = PowerSeries.from_ints(ctx, "X", f), PowerSeries.from_ints(ctx, "X", g)
+        lam = next(i for i, c in enumerate(gs.coeffs) if c % p)
+        P, _ = hensel_prepare_one_digit(list(gs.coeffs), lam, p, N)
+        want = [c % ctx.modulus for c in poly_reduce_mod_int(list(fs.coeffs), P)]
+        want += [0] * (lam - len(want))
+        _, r = weierstrass_divide(fs, gs)
+        assert r.coeffs == tuple(want), (f, g, p, N)
+        return r
+
+    def test_remainder_example_p7(self):
+        f = [24, 324, 199, -314, 133, -88, 321, -290, -183, -228, 37, 137]
+        r = self.check_remainder_against_oracle(f, [7, 21, 1, -9, -3], 7, 16)
+        assert r.coeffs == (1854028793438, 21043474486820)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N", [2, 16, 40])
+    def test_remainder_is_f_mod_distinguished_part(self, p, N):
+        # g's unit coefficient is not its leading one, so g = P * U with U of degree >= 1
+        rng = random.Random(100 * p + N)
+        for _ in range(8):
+            lam = rng.randint(1, 3)
+            deg = lam + rng.randint(1, 3)
+            g = rand_prepare_input(rng, p, 3, deg, lam, lead_div_p=rng.random() < 0.5)
+            f = [rng.randint(-p**4, p**4) for _ in range(rng.randint(1, 12))]
+            self.check_remainder_against_oracle(f, g, p, N)
+
 
 class TestWeierstrassPrepare:
     def test_already_distinguished(self):
@@ -155,6 +184,28 @@ class TestWeierstrassPrepare:
         window = len(prod.coeffs)
         for j in range(min(window, len(f.coeffs))):
             assert recon[j] == f.coeffs[j], (j, w.mu, w.lam)
+
+    @given(st.integers(min_value=0, max_value=10**4))
+    def test_truncated_is_prepare_of_window_polynomial(self, seed):
+        rng = random.Random(seed)
+        p = rng.choice([3, 5, 7])
+        ctx = PadicContext(p, rng.choice([2, 16, 40]))
+        window = rng.randint(1, 12)
+        ints = [p**rng.randint(0, 2) * rng.randint(-p**3, p**3) for _ in range(window)]
+        f = PowerSeries.truncated(ctx, "X", [v % ctx.modulus for v in ints], trunc=window)
+        if f.is_zero_to_precision():
+            return
+        w = weierstrass_prepare(f)
+        we = weierstrass_prepare(PowerSeries.from_ints(ctx, "X", f.coeffs))
+        assert (w.mu, w.lam) == (we.mu, we.lam)
+        assert w.distinguished == we.distinguished
+        assert w.unit.truncation == window - w.lam
+        assert w.unit.coeffs == (we.unit.coeffs + (0,) * window)[:window - w.lam]
+        q1 = w.distinguished.context.modulus
+        f1 = [c // p**w.mu for c in f.coeffs]
+        prod = series.po.pmul(list(w.distinguished.coeffs), list(w.unit.coeffs), q1)
+        assert (prod + [0] * window)[:window] == f1
+        assert not any(prod[window:])
 
 
 def rand_prepare_input(rng, p, N, deg, lam, lead_div_p=False):
@@ -225,9 +276,17 @@ class TestExactPrepareAtEscalationPrecision:
         rng = random.Random(5)
         for deg in range(3, 11):
             f = rand_prepare_input(rng, 3, 40, deg, rng.randint(1, deg))
-            calls = 0
-            weierstrass_prepare(PowerSeries.from_ints(ctx, "X", f))
-            assert 0 < calls <= bound, (deg, calls)
+            g = rand_prepare_input(rng, 3, 40, deg, rng.randint(1, deg - 1), lead_div_p=True)
+            exact = PowerSeries.from_ints(ctx, "X", f)
+            window = PowerSeries.truncated(ctx, "X", exact.coeffs, trunc=deg + 3)
+            for run in (
+                lambda: weierstrass_prepare(exact),
+                lambda: weierstrass_prepare(window),
+                lambda: weierstrass_divide(exact, PowerSeries.from_ints(ctx, "X", g)),
+            ):
+                calls = 0
+                run()
+                assert 0 < calls <= bound, (deg, calls)
 
 
 class TestLambdaMu:
