@@ -147,13 +147,12 @@ def cyclic_reduce(coeffs, order, q):
     return [c % q for c in out]
 
 
-def to_group_ring(coeffs, order, q, twist=1):
+def to_group_ring(coeffs, order, q):
     """f(X) as an element of Z[h]/(h^order - 1), h = 1 + X, in the basis 1, h, ...
 
-    Substitutes X = twist*h - 1, then folds indices mod order.  twist = c
-    scales h^b to c^b h^b before the fold: it is the twist X -> c(1+X) - 1.
+    Substitutes X = h - 1, then folds indices mod order.
     """
-    return cyclic_reduce(substitute_linear(coeffs, -1, twist, q), order, q)
+    return cyclic_reduce(substitute_linear(coeffs, -1, 1, q), order, q)
 
 
 def circulant(c):

@@ -20,7 +20,7 @@ from . import _polyops as po
 from . import kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
-from .padic import AT_LEAST_N, PadicContext, cokernel_kernel_orders, smith_form_raw
+from .padic import AT_LEAST_N, PadicContext, group_ring_h0
 from .results import EulerResult, EulerStatus, search_twists
 from .series import Character, PowerSeries
 
@@ -57,14 +57,15 @@ class Level:
 class CrossedModule:
     """Free Z_p[[Y]]-module of rank d with gamma-action x -> sigma(x) * A.
 
-    The module holds the exact integer kappa and the exact integer
-    coefficients of A (ascending in Y); each route takes their residues mod
-    p^N of its own context, and the finiteness certificates use the integers.
-    The cocycle of a level is an exact integer product, so re-embeddings at
-    other precisions share its cache.
+    The module holds the exact integer kappa, the exact integer coefficients
+    of A (ascending in Y) and the same entries A(h - 1) in the basis of
+    h = 1 + Y; each route takes their residues per precision, and the
+    finiteness certificates use the integers.  The cocycle of a level is an
+    exact integer product, so re-embeddings at other precisions share its
+    cache.
     """
 
-    def __init__(self, ctx: PadicContext, kappa: int, entries):
+    def __init__(self, ctx: PadicContext, kappa: int, entries, _entries_h=None):
         p = ctx.p
         entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
         if any(not e for row in entries for e in row):
@@ -83,6 +84,12 @@ class CrossedModule:
         self.d = d
         self.kappa_exact = kappa
         self.exact_entries = entries
+        if _entries_h is None:
+            _entries_h = tuple(
+                tuple(tuple(po.substitute_linear(e, -1, 1, None, len(e))) for e in row)
+                for row in entries
+            )
+        self._entries_h = _entries_h
         self._cocycle_cache = {}
         self._akashi_cache = {}
 
@@ -92,7 +99,9 @@ class CrossedModule:
         return cls(ctx, kappa, entries)
 
     def with_precision(self, N: int) -> "CrossedModule":
-        out = CrossedModule(self.context.with_precision(N), self.kappa_exact, self.exact_entries)
+        out = CrossedModule(
+            self.context.with_precision(N), self.kappa_exact, self.exact_entries, self._entries_h
+        )
         out._cocycle_cache = self._cocycle_cache
         return out
 
@@ -120,7 +129,7 @@ class CrossedModule:
     def _action_h(self, m: int):
         """Entries of A(h - 1) mod h^(p^m) - 1 over Z: length-p^m lists in the h-basis."""
         pm = self.context.p ** m
-        return [[po.to_group_ring(e, pm, None) for e in row] for row in self.exact_entries]
+        return [[po.cyclic_reduce(e, pm, None) for e in row] for row in self._entries_h]
 
     def _cocycle(self, level: Level):
         """The cocycle product sigma^(p^n - 1)(A) ... sigma(A) A over Z, entries in the h-basis.
@@ -202,22 +211,26 @@ class CrossedModule:
     def euler_reduced(self, rho: Character, level: Level) -> EulerResult:
         """Coinvariants staged through H: cokernel of u^(p^n) B - I over Z_p.
 
-        Works u^(p^n) C - I over the staged quotient, C the cocycle product:
-        unit entries split off (`_polyops.split_units`), Smith takes the rest.
+        Works u^(p^n) C - I over the staged quotient, C the exact cocycle
+        product, through `padic.group_ring_h0`: unit entries split off, Smith
+        takes the rest, at the word precision first and at p^N only when some
+        divisor reaches it.
         """
-        ctx = self.context
-        q = ctx.modulus
-        upn = pow(rho.u.residue, ctx.p ** level.n, q)
-        M = [[[upn * v % q for v in e] for e in row] for row in self._cocycle(level)]
-        for i, row in enumerate(M):
-            row[i][0] = (row[i][0] - 1) % q
-        rest = po.split_units(M, ctx.p, q)
-        if not rest:
-            return EulerResult.from_h0(0)
-        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), ctx))
-        if orders.indeterminate:
+        p = self.context.p
+        pn = p ** level.n
+        C = self._cocycle(level)
+
+        def build(q):
+            upn = pow(rho.u.residue, pn, q)
+            M = [[[upn * v % q for v in e] for e in row] for row in C]
+            for i, row in enumerate(M):
+                row[i][0] = (row[i][0] - 1) % q
+            return M
+
+        h0 = group_ring_h0(build, p, self.context.N)
+        if h0 is None:
             return self._undetermined(rho, level)
-        return EulerResult.from_h0(orders.h0_exponent)
+        return EulerResult.from_h0(h0)
 
     def euler_akashi(self, rho: Character, level: Level) -> EulerResult:
         """Evaluate the Akashi polynomial at the twist: X = u^(-p^n) - 1."""
@@ -236,25 +249,26 @@ class CrossedModule:
         Presents the twisted module over the whole quotient group, rows e_i g^a h^b
         and columns permuted so that g's unit lies on the diagonal (see
         `_group_ring_rows`), and takes one cokernel; independent of the staged
-        reduction and of the Akashi evaluation.
+        reduction and of the Akashi evaluation.  The rows are built and
+        eliminated at each of `kernels.precisions(p, N)` in turn, until no
+        divisor reaches the precision; the NotFinite certificate is the
+        Bareiss determinant of the exact rows.
         """
         self.check_level(level)
-        ctx = self.context
-        p = ctx.p
+        p = self.context.p
         D = self.d * p ** level.index_exponent
         if D > RANK_CAP:
             raise SizeCapExceededError(f"group-ring rank {D} exceeds cap {RANK_CAP}")
-        mat = self._group_ring_rows(rho, level, exact=False)
-        orders = cokernel_kernel_orders(smith_form_raw(mat, ctx))
-        if orders.indeterminate:
-            exact_mat = self._group_ring_rows(rho, level, exact=True)
-            if kernels.bareiss_det(exact_mat) == 0:
-                return EulerResult(EulerStatus.NOT_FINITE)
-            return EulerResult(EulerStatus.INDETERMINATE)
-        return EulerResult.from_h0(orders.h0_exponent)
+        for P in kernels.precisions(p, self.context.N):
+            exps = kernels.smith_exponents(self._group_ring_rows(rho, level, p ** P), p, P)
+            if -1 not in exps:
+                return EulerResult.from_h0(sum(exps))
+        if kernels.bareiss_det(self._group_ring_rows(rho, level)) == 0:
+            return EulerResult(EulerStatus.NOT_FINITE)
+        return EulerResult(EulerStatus.INDETERMINATE)
 
-    def _group_ring_rows(self, rho: Character, level: Level, exact: bool):
-        """Right multiplication by (g I - u A) on Z_p[G/U]^d.
+    def _group_ring_rows(self, rho: Character, level: Level, q=None):
+        """Right multiplication by (g I - u A) on Z_p[G/U]^d, mod q (over Z when q is None).
 
         G/U = <g, h | g^(p^n), h^(p^m), g h g^-1 = h^kappa>; Y maps to h - 1.
         Row e_i g^a h^b sits at index (a*d + i)*p^m + b.  Column e_j g^a h^b
@@ -266,13 +280,12 @@ class CrossedModule:
         elimination then walks the unit diagonal of blocks 0 .. p^n - 2 and
         fills in only the last block column.
         """
-        ctx = self.context
-        q = None if exact else ctx.modulus
-        pn = ctx.p ** level.n
-        pm = ctx.p ** level.m
+        p = self.context.p
+        pn = p ** level.n
+        pm = p ** level.m
         d = self.d
         D = d * pn * pm
-        u = rho.u_exact if exact else rho.u.residue
+        u = rho.u_exact
         kbar = self.kappa_exact % pm
         uA = [
             [[(c, -u * alpha if q is None else -u * alpha % q) for c, alpha in enumerate(e) if alpha]

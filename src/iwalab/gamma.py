@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
     ZeroDeterminantError,
 )
-from .padic import AT_LEAST_N, PadicContext, cokernel_kernel_orders, smith_form_raw
+from .padic import PadicContext, group_ring_h0
 from .results import EulerResult, EulerStatus, search_twists
 from .series import Character, PowerSeries, weierstrass_prepare
 
@@ -50,12 +50,13 @@ def series_matrix_det(entries) -> PowerSeries:
 class GammaModule:
     """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0).
 
-    The module holds F's exact integer polynomial entries (ascending in X)
-    and det F over Z[X]; each route takes their residues mod p^N of the
-    module's context, and the finiteness certificates use the integers.
+    The module holds F's exact integer polynomial entries (ascending in X),
+    the same entries F(h - 1) in the basis of h = 1 + X, and det F over
+    Z[X]; each route takes their residues per precision, and the finiteness
+    certificates use the integers.
     """
 
-    def __init__(self, ctx: PadicContext, entries, _det_int=None):
+    def __init__(self, ctx: PadicContext, entries, _det_int=None, _entries_h=None):
         entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
         d = len(entries)
         if d == 0 or any(len(row) != d for row in entries):
@@ -65,7 +66,13 @@ class GammaModule:
         self.context = ctx
         self.d = d
         self.exact_entries = entries
-        # det F over Z[X] does not depend on N: a re-embedding passes it on as _det_int
+        # F(h - 1) and det F over Z[X] do not depend on N: a re-embedding passes them on
+        if _entries_h is None:
+            _entries_h = tuple(
+                tuple(tuple(po.substitute_linear(e, -1, 1, None, len(e))) for e in row)
+                for row in entries
+            )
+        self._entries_h = _entries_h
         if _det_int is None:
             _det_int = exactint.poly_mat_det([[list(e) for e in row] for row in entries])
         self.det_int = _det_int
@@ -85,7 +92,9 @@ class GammaModule:
 
     def with_precision(self, N: int) -> "GammaModule":
         """Re-embed the exact integer data at a different precision."""
-        return GammaModule(self.context.with_precision(N), self.exact_entries, self.det_int)
+        return GammaModule(
+            self.context.with_precision(N), self.exact_entries, self.det_int, self._entries_h
+        )
 
     # -- characteristic element ---------------------------------------------
 
@@ -111,52 +120,55 @@ class GammaModule:
     def euler_direct(self, rho: Character, n: int) -> EulerResult:
         """chi at level n from the twisted presentation over Z_p[h]/(h^(p^n) - 1).
 
-        Each entry goes to the group ring of Gamma/Gamma_n (h = 1 + X) with the
-        twist by rho^-1, which sends h to u^-1 h.  Unit entries split off over
-        that ring (`_polyops.split_units`), and Smith runs on the block
-        circulant of what is left.
+        The twist by rho^-1 sends h to c*h, c = u^-1, so coefficient b of an
+        entry F(h - 1) is scaled by c^b and the indices then fold mod p^n.
+        `padic.group_ring_h0` works the result at the word precision first,
+        and again at p^N only when some divisor reaches it.
         """
-        ctx = self.context
-        p = ctx.p
+        p = self.context.p
         pn = p ** n
-        q = ctx.modulus
-        c = rho.value_residue(inverse=True)
-        rest = po.split_units(
-            [[po.to_group_ring(e, pn, q, c) for e in row] for row in self.exact_entries], p, q
-        )
-        if not rest:
-            return EulerResult.from_h0(0)
-        orders = cokernel_kernel_orders(smith_form_raw(po.block_circulant(rest), ctx))
-        if orders.indeterminate:
+        u = rho.u.residue
+        width = max(len(e) for row in self._entries_h for e in row)
+
+        def build(q):
+            c = pow(u, -1, q)
+            cb = [pow(c, b, q) for b in range(width)]
+            return [[po.cyclic_reduce([a * x for a, x in zip(e, cb)], pn, q) for e in row]
+                    for row in self._entries_h]
+
+        h0 = group_ring_h0(build, p, self.context.N)
+        if h0 is None:
             return self._undetermined(rho, n)
-        return EulerResult.from_h0(orders.h0_exponent)
+        return EulerResult.from_h0(h0)
 
     def euler_analytic(self, rho: Character, n: int) -> EulerResult:
         """chi at level n from the twisted distinguished polynomial, at its size lambda.
 
         chi = mu*p^n + v_p Res(h^(p^n) - 1, g) with g(h) = P(c*h - 1), c = u^-1
-        and P the distinguished part, worked mod p^(N - mu).  g's leading
-        coefficient c^lambda is a unit, so Z/p^(N-mu)[h]/(g) is free of rank
+        and P the distinguished part, known mod p^(N - mu).  g's leading
+        coefficient c^lambda is a unit, so Z/p^e[h]/(g) is free of rank
         lambda, and Res(h^(p^n) - 1, g) is, up to sign and a unit, the
         determinant of multiplication by h^(p^n) - 1 on it (an identity over
         any commutative ring).  h^(p^n) mod g comes by binary powering, so
         the level costs a lambda x lambda determinant, none at lambda = 0.
+        The precision e runs over `kernels.precisions(p, N - mu)`: a
+        determinant nonzero mod p^e gives its valuation exactly.
         """
         p = self.context.p
         pn = p ** n
         w = self._wdata
         if not w.lam:
             return EulerResult.from_h0(w.mu * pn)
-        ctx1 = w.distinguished.context
-        q1 = ctx1.modulus
-        c = pow(rho.u_exact, -1, q1)
-        g = po.substitute_linear(w.distinguished.coeffs, -1, c, q1, w.lam + 1)
-        r = po.xpow_mod(pn, g, q1)
-        r[0] = (r[0] - 1) % q1
-        v = ctx1.int_valuation(kernels.det_mod(po.mult_rows(r, g, q1), p, ctx1.N))
-        if v is AT_LEAST_N:
-            return self._undetermined(rho, n)
-        return EulerResult.from_h0(w.mu * pn + v)
+        for e in kernels.precisions(p, w.distinguished.context.N):
+            q = p ** e
+            c = pow(rho.u_exact, -1, q)
+            g = po.substitute_linear(w.distinguished.coeffs, -1, c, q, w.lam + 1)
+            r = po.xpow_mod(pn, g, q)
+            r[0] = (r[0] - 1) % q
+            det = kernels.det_mod(po.mult_rows(r, g, q), p, e)
+            if det:
+                return EulerResult.from_h0(w.mu * pn + exactint.int_valuation(det, p))
+        return self._undetermined(rho, n)
 
 
 def find_twist(module: GammaModule, n_max: int, budget: int = 25):

@@ -11,10 +11,14 @@ Conventions:
   * valuation exponents >= N are encoded as -1 ("at least N");
   * pivot search is row-major first-unit, so outputs are deterministic.
 
-Elimination runs on one-digit residues first: `smith_exponents` works mod p^k
-for the largest k with p^k below CPython's int digit base, where every
-residue is a single machine digit, and goes to the full p^N only when some
-divisor reaches p^k.
+The word precision k is the largest k with p^k below CPython's int digit
+base, where every residue is a single machine digit.  `precisions(p, N)`
+lists the precisions a computation tries in turn: k first when k < N, then
+N.  The exponents of a matrix mod p^k are min(e, k) of its exponents, so a
+result none of whose divisors reaches p^k is exact at every N >= k.  The Euler
+routes run their whole pipeline over that list, and `smith_exponents` does the
+same for a caller that hands it residues mod p^N; a kernel called at
+precision k or below makes one pass.
 
 `smith_exponents` and `det_mod` share the pivot search, the global
 p-extraction and the elimination step; each keeps only its own bookkeeping
@@ -40,20 +44,26 @@ def word_precision(p, N):
     return k
 
 
+def precisions(p, N):
+    """The precisions to try in turn: (k, N) for the word precision 0 < k < N, else (N,)."""
+    k = word_precision(p, N)
+    return (k, N) if 0 < k < N else (N,)
+
+
 def smith_exponents(rows, p, N):
     """Elementary-divisor exponents of `rows` over Z/p^N, ascending, -1 = AtLeastN.
 
-    The exponents of A mod p^k are min(e, k) of those of A, so when none
-    reaches k at the word precision k they are exact at every N >= k; only
-    otherwise is the elimination repeated at the full precision.
+    Eliminates at each of `precisions(p, N)` and returns the first result
+    with no divisor at its precision, or the one at N; the rows are residues
+    mod p^N, so only the earlier passes reduce them.
     """
-    k = word_precision(p, N)
-    if 0 < k < N:
-        q = p ** k
-        out = _smith([[v % q for v in r] for r in rows], p, k)
+    for P in precisions(p, N):
+        if P == N:
+            return _smith([list(r) for r in rows], p, N)
+        q = p ** P
+        out = _smith([[v % q for v in r] for r in rows], p, P)
         if -1 not in out:
             return out
-    return _smith([list(r) for r in rows], p, N)
 
 
 def _smith(m, p, N):

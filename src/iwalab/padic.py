@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import MixedContextError, NotAUnitError, NotSquareError, ValidationError
+from . import _polyops as po
 from . import kernels
 
 
@@ -258,3 +259,24 @@ def cokernel_kernel_orders(divisors: ElementaryDivisors) -> HomologyOrders:
     if divisors.has_at_least_n:
         return HomologyOrders(None, None)
     return HomologyOrders(divisors.finite_sum, 0)
+
+
+def group_ring_h0(build, p: int, N: int) -> int | None:
+    """h0 exponent of the cokernel of a square matrix over Z/p^N[h]/(h^n - 1); None if undetermined.
+
+    `build(q)` returns the matrix mod q, each entry a length-n list in the
+    h-basis.  At each of `kernels.precisions(p, N)`, q = p^P: the unit
+    entries split off over the group ring (`_polyops.split_units`), and
+    Smith takes the block circulant of what is left.  The exponents mod p^P
+    are min(e, P), so the first result with no divisor at P is exact; None
+    means some divisor reached p^N.
+    """
+    for P in kernels.precisions(p, N):
+        q = p ** P
+        rest = po.split_units(build(q), p, q)
+        if not rest:
+            return 0
+        exps = kernels.smith_exponents(po.block_circulant(rest), p, P)
+        if -1 not in exps:
+            return sum(exps)
+    return None

@@ -262,9 +262,10 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     factored g = P*U by the Hensel lift of `weierstrass_prepare`, f's window
     is divided by the monic P, and q = quo * U^-1.  The identity holds on the
     common coefficient window, and r is exactly f mod P whenever both inputs
-    are exact polynomials.  q is exact too when g's unit coefficient is its
-    leading one (then U is a constant); otherwise it is a window of
-    window - lambda_g coefficients.
+    are exact polynomials.  When g is exact and its unit coefficient is its
+    leading one, U is that constant and the division is one long division
+    by g, with q exact; otherwise q is a window of window - lambda_g
+    coefficients.
     """
     f._check(g)
     ctx = f.context
@@ -280,17 +281,17 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     else:
         window = max(len(f.coeffs), len(g.coeffs), lam + 2)
     fw, gw = list(f.coeffs), list(g.coeffs)
-    if window is not None:
-        if window <= lam:
-            raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
-        fw = (fw + [0] * window)[:window]
-        gw = (gw + [0] * window)[:window]
+    if window is None:
+        quo, rem = po.poly_divmod_unit_lead(fw, gw, q)
+        rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
+        return PowerSeries(ctx, f.variable, tuple(quo), exact_degree=len(quo) - 1), rs
+    if window <= lam:
+        raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
+    fw = (fw + [0] * window)[:window]
+    gw = (gw + [0] * window)[:window]
     P, U = _hensel_prepare_poly(gw, lam, p, N, q)
     quo, rem = po.poly_divmod_unit_lead(fw, P, q)
     rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
-    if window is None:
-        quo = po.pscale(quo, pow(U[0], -1, q), q)
-        return PowerSeries(ctx, f.variable, tuple(quo), exact_degree=len(quo) - 1), rs
     qlen = window - lam
     quo = po.pmul(quo, po.series_inverse(U, q, qlen), q, trunc=qlen)
     return PowerSeries.truncated(ctx, f.variable, quo, trunc=qlen), rs

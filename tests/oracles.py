@@ -128,6 +128,14 @@ def group_ring_rows_lex(kappa, entries, u, p, n, m):
     return rows
 
 
+def twisted_group_ring(f, order, q, c):
+    """f(c*h - 1) folded mod h^order - 1: the twisted entry X -> c(1+X) - 1 in the h-basis.
+
+    Substitutes before folding, since c^order is not 1 in general.
+    """
+    return po.cyclic_reduce(po.substitute_linear(f, -1, c, q), order, q)
+
+
 def to_y(f, q):
     """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
     return po.substitute_linear(f, 1, 1, q, len(f))

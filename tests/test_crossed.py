@@ -320,7 +320,7 @@ class TestGroupRingRows:
         for X, lv, u in group_ring_cases(lambda X: admissible_levels(X, 2, 1, rank_cap=54)):
             if lv.n == 0:
                 continue
-            rows = X._group_ring_rows(Character.from_int(X.context, u), lv, exact=True)
+            rows = X._group_ring_rows(Character.from_int(X.context, u), lv)
             pn, size = X.context.p ** lv.n, X.d * X.context.p ** lv.m
             for r, row in enumerate(rows):
                 for c, v in enumerate(row):
@@ -338,7 +338,7 @@ class TestGroupRingRows:
         for X, lv, u in group_ring_cases(lambda X: admissible_levels(X, 1, 1)):
             p, d, kappa = X.context.p, X.d, X.kappa_exact
             pn, pm = p**lv.n, p**lv.m
-            new = X._group_ring_rows(Character.from_int(X.context, u), lv, exact=True)
+            new = X._group_ring_rows(Character.from_int(X.context, u), lv)
             old = group_ring_rows_lex(kappa, X.exact_entries, u, p, lv.n, lv.m)
             row_at = [(a * d + i) * pm + b for i in range(d) for a in range(pn) for b in range(pm)]
             col_at = [((a - 1) % pn * d + j) * pm + b * kappa % pm

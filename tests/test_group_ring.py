@@ -20,7 +20,7 @@ from iwalab import (
 )
 from iwalab.kernels import det_mod, smith_exponents
 
-from oracles import omega_fold, omega_mult_rows, poly_reduce_mod_int
+from oracles import omega_fold, omega_mult_rows, poly_reduce_mod_int, twisted_group_ring
 
 LEVELS = [(p, n) for p in (3, 5, 7) for n in (0, 1, 2)]
 
@@ -86,7 +86,7 @@ class TestGroupRingBasis:
             rho = Character.from_int(ctx, u)
             c = rho.value_residue(inverse=True)
             for f in sample_polys(rng, p, pn):
-                got = po.circulant(po.to_group_ring(f, pn, q, c))
+                got = po.circulant(twisted_group_ring(f, pn, q, c))
                 tw = twist_series(PowerSeries.from_ints(ctx, "X", f), rho, "inverse")
                 want = omega_mult_rows(tw.coeffs, p, n, q)
                 assert smith_exponents(got, p, N) == smith_exponents(want, p, N), (u, f)
@@ -159,5 +159,5 @@ class TestSplitUnits:
         F = [[[1, 2, 0, 5], [3, 1]], [[6, 0, 1], [9, 3, 3, 1]]]
         q = 3**3
         c = rho.value_residue(inverse=True)
-        ring = [[po.to_group_ring(e, 3, q, c) for e in row] for row in F]
+        ring = [[twisted_group_ring(e, 3, q, c) for e in row] for row in F]
         assert len(po.split_units(ring, 3, q)) == 1

@@ -1,6 +1,7 @@
 """The kernels must agree with external integer oracles."""
 
 import random
+import sys
 
 import pytest
 
@@ -134,7 +135,7 @@ class TestStructuredInputs:
 
         ctx = PadicContext(p, 64)
         module = CrossedModule.from_int_data(ctx, kappa, entries)
-        rows = module._group_ring_rows(Character.from_int(ctx, u), Level(*level), exact=True)
+        rows = module._group_ring_rows(Character.from_int(ctx, u), Level(*level))
         assert len(rows) >= 50
         det = det_int(rows)
         check_kernels(rows, p, index_snf_exponents(rows, p, 64), det)
@@ -149,6 +150,33 @@ class TestStructuredInputs:
                     for _ in range(nr)]
             N = rng.choice([1, 3, 6])
             assert index_snf_exponents(rows, p, N) == snf_exponents(rows, p, N)
+
+
+class TestPrecisions:
+    """The word precision k comes first when k < N; otherwise N alone is tried."""
+
+    @pytest.mark.parametrize("p, k30", [(3, 18), (5, 12), (7, 10)])
+    def test_word_precision_then_full(self, p, k30):
+        k = kernels.word_precision(p, 10**6)
+        assert p**k < 1 << sys.int_info.bits_per_digit <= p ** (k + 1)
+        if sys.int_info.bits_per_digit == 30:
+            assert k == k30
+        for N in (k + 1, 64, 1024):
+            assert kernels.precisions(p, N) == (k, N)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_one_pass_at_or_below_word_precision(self, p):
+        k = kernels.word_precision(p, 10**6)
+        for N in (1, 2, k - 1, k):
+            assert kernels.precisions(p, N) == (N,)
+
+    def test_large_prime_has_no_word_pass(self):
+        # p itself is not below the digit base: every residue spans several digits
+        base = 1 << sys.int_info.bits_per_digit
+        for p in (base + 3, 2**61 - 1):
+            assert kernels.word_precision(p, 64) == 0
+            assert kernels.precisions(p, 1) == (1,)
+            assert kernels.precisions(p, 64) == (64,)
 
 
 class CountingRow(list):
@@ -183,7 +211,7 @@ def test_group_ring_elimination_stays_sparse():
     entries = [[[1, 1], [0, 2]], [[3], [1, 0, 1]]]
     module = CrossedModule.from_int_data(ctx, 4, entries)
     for u in (1, 4):
-        new = module._group_ring_rows(Character.from_int(ctx, u), Level(2, 2), exact=True)
+        new = module._group_ring_rows(Character.from_int(ctx, u), Level(2, 2))
         old = group_ring_rows_lex(4, entries, u, p, 2, 2)
         writes = []
         for rows in (new, old):

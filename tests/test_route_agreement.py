@@ -21,7 +21,7 @@ from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, random_crossed_module, random_gamma_module
 from iwalab.kernels import smith_exponents
 
-from oracles import direct_reference
+from oracles import direct_reference, twisted_group_ring
 
 RUNTIME_BOUND_S = 10.0
 RANK = 98
@@ -221,7 +221,7 @@ def test_gamma_d3_at_large_ranks():
             for u in (1, 1 + p):
                 rho = Character.from_int(ctx, u)
                 c = rho.value_residue(inverse=True)
-                ring = [[po.to_group_ring(e, p**n, q, c) for e in row] for row in M.exact_entries]
+                ring = [[twisted_group_ring(e, p**n, q, c) for e in row] for row in M.exact_entries]
                 split = len(po.split_units(ring, p, q)) < 3
                 assert not (split and unit_free), (p, n, entries, u)
                 rd = M.euler_direct(rho, n)

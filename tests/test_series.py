@@ -123,6 +123,34 @@ class TestWeierstrassDivide:
         assert r.coeffs == tuple(want), (f, g, p, N)
         return r
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_unit_leading_coefficient_is_one_long_division(self, p, monkeypatch):
+        # g's unit coefficient leads, so g = lead * P with P = g / lead
+        # distinguished: the division runs no lift, only one long division by g
+        def no_lift(*args):
+            raise AssertionError("Hensel lift run for a divisor whose unit coefficient leads")
+
+        monkeypatch.setattr(series, "_hensel_prepare_poly", no_lift)
+        rng = random.Random(p)
+        for N in (2, 64, 1024):
+            ctx = PadicContext(p, N)
+            q = ctx.modulus
+            for _ in range(4):
+                lam = rng.randint(1, 4)
+                g = rand_prepare_input(rng, p, 3, lam, lam)
+                f = [rng.randint(-p**4, p**4) for _ in range(rng.randint(1, 12))]
+                fs, gs = PowerSeries.from_ints(ctx, "X", f), PowerSeries.from_ints(ctx, "X", g)
+                quo, rem = weierstrass_divide(fs, gs)
+                want_q, want_r = series.po.poly_divmod_unit_lead(list(fs.coeffs), list(gs.coeffs), q)
+                assert quo.is_exact and quo.coeffs == tuple(want_q), (f, g, N)
+                assert rem.coeffs == tuple(want_r + [0] * (lam - len(want_r))), (f, g, N)
+                # the oracle's lift finds the same factorization P * lead
+                P, _ = hensel_prepare_one_digit(list(gs.coeffs), lam, p, N)
+                lead = gs.coeffs[lam]
+                assert [c * lead % q for c in P] == list(gs.coeffs), (g, N)
+                assert P[-1] == 1 and all(c % p == 0 for c in P[:-1]), (g, N)
+                self.check_remainder_against_oracle(f, g, p, N)
+
     def test_remainder_example_p7(self):
         f = [24, 324, 199, -314, 133, -88, 321, -290, -183, -228, 37, 137]
         r = self.check_remainder_against_oracle(f, [7, 21, 1, -9, -3], 7, 16)
