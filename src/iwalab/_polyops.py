@@ -57,31 +57,6 @@ def pmul(a, b, q, trunc=None):
     return [v % q for v in out]
 
 
-def pdiv_exact(a, b):
-    """a / b over Z[X] when b divides a exactly; b trimmed and nonzero.
-
-    Long division from the top: every quotient coefficient is an exact
-    integer quotient by the leading coefficient of b.
-    """
-    a = trim_int(a)
-    if len(b) == 1:
-        c = b[0]
-        return a if c == 1 else [x // c for x in a]
-    db = len(b) - 1
-    if len(a) <= db:
-        return [0]
-    lead = b[-1]
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(quo) - 1, -1, -1):
-        t = rem[i + db] // lead
-        if t:
-            quo[i] = t
-            for j in range(db):
-                rem[i + j] -= t * b[j]
-    return quo
-
-
 def pscale(a, c, q):
     if q is None:
         return [x * c for x in a]

@@ -5,10 +5,11 @@ large at the working precision) works on true integers.  The gamma
 certificate here is a handful of exact remainders of the twisted
 characteristic polynomial by the cyclotomic Phi_(p^k), k <= n, with phi(p^k)
 at most its degree, so its cost does not grow with the level p^n.  The
-presentation determinant is a fraction-free elimination over Z[X].
-`sylvester_resultant` stays as the public reference for the gamma
-certificate; no route calls it.  Kept separate from, and far smaller than,
-the modular kernels so tests can treat those as independent.
+presentation determinant over Z[X] packs its entries into integers
+(Kronecker substitution) and takes the one exact integer determinant,
+`kernels.bareiss_det`, as does `sylvester_resultant`, the public reference
+for the gamma certificate that no route calls.  Neither uses the modular
+kernels, so tests can check those against these exact integers.
 """
 
 from __future__ import annotations
@@ -52,41 +53,31 @@ def sylvester_resultant(f, g) -> int:
 def poly_mat_det(entries):
     """Determinant over Z[X] of a matrix of integer polynomials (ascending lists).
 
-    Fraction-free (Bareiss) elimination: step k replaces each trailing entry
-    by (pivot * a_ij - a_ik * a_kj) / previous pivot, a division that is
-    exact in Z[X] because the result is a minor of the input.  A zero pivot
-    is swapped for the first nonzero entry below it.  The package's only
-    polynomial-matrix determinant; series determinants reduce it mod p^N.
+    Kronecker substitution: no coefficient of det F exceeds
+    B = prod_i sum_j |F_ij|_1, since |det F|_1 is at most the sum over
+    permutations s of prod_i |F_i,s(i)|_1, each a term of B.  With
+    b = B.bit_length() + 1 every coefficient lies strictly inside
+    (-2^(b-1), 2^(b-1)), so evaluating the entries at X = 2^b, taking the one
+    integer determinant `bareiss_det` and reading its signed base-2^b digits
+    recovers det F.  The package's only polynomial-matrix determinant;
+    series determinants reduce it mod p^N.
     Returns the trimmed ascending coefficient list ([0] when singular).
     """
-    n = len(entries)
-    if n == 0:
-        return [1]
-    m = [[po.trim_int(e) for e in row] for row in entries]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not any(m[k][k]):
-            for i in range(k + 1, n):
-                if any(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return [0]
-        pkk = m[k][k]
-        prow = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            mik = row[k]
-            for j in range(k + 1, n):
-                t = po.pmul(pkk, row[j], None)
-                if any(mik):
-                    t = po.psub(t, po.pmul(mik, prow[j], None), None)
-                row[j] = po.pdiv_exact(t, prev)
-        prev = pkk
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else [-c for c in det]
+    bound = 1
+    for row in entries:
+        bound *= sum(abs(c) for e in row for c in e)
+    b = bound.bit_length() + 1
+    full = 1 << b
+    det = bareiss_det([[po.poly_eval(e, full, None) for e in row] for row in entries])
+    half = full >> 1
+    out = []
+    while det:
+        c = det & (full - 1)
+        if c >= half:
+            c -= full
+        out.append(c)
+        det = (det - c) >> b
+    return out or [0]
 
 
 def twisted_char_poly(c, u: int):

@@ -41,7 +41,7 @@ def series_matrix_det(entries) -> PowerSeries:
                 raise MixedContextError("determinant entries in different contexts or variables")
     windows = [e.truncation for row in entries for e in row if not e.is_exact]
     w = min(windows) if windows else None
-    det = exactint.poly_mat_det([[list(e.coeffs[:w]) for e in row] for row in entries])
+    det = exactint.poly_mat_det([[e.coeffs[:w] for e in row] for row in entries])
     if w is None:
         return PowerSeries.from_ints(ctx, var, det)
     return PowerSeries.truncated(ctx, var, det, trunc=w)
@@ -74,7 +74,7 @@ class GammaModule:
             )
         self._entries_h = _entries_h
         if _det_int is None:
-            _det_int = exactint.poly_mat_det([[list(e) for e in row] for row in entries])
+            _det_int = exactint.poly_mat_det(entries)
         self.det_int = _det_int
         self.det = PowerSeries.from_ints(ctx, "X", _det_int)
         if self.det.is_zero_to_precision():

@@ -2,12 +2,14 @@
 
 These are the hot inner loops of the package: elementary-divisor elimination,
 determinants, and division-free characteristic polynomials for matrices whose
-entries are residues modulo p^N, plus the exact integer determinant
-behind the NotFinite certificates.
+entries are residues modulo p^N, plus `bareiss_det`, the exact determinant of
+any integer matrix: the crossed NotFinite certificates, the Sylvester
+resultant and every presentation determinant over Z[X] (packed into
+integers) run on it.
 
 Conventions:
-  * matrices are lists of lists of nonnegative ints already reduced mod p^N;
-    no kernel modifies its input;
+  * the modular kernels take lists of lists of nonnegative ints already
+    reduced mod p^N; no kernel modifies its input;
   * valuation exponents >= N are encoded as -1 ("at least N");
   * pivot search is row-major first-unit, so outputs are deterministic.
 

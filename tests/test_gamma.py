@@ -73,6 +73,39 @@ def _random_poly_matrix(rng, d, deg=3, bound=9):
     ]
 
 
+def _x_identity_plus_constant(rng, d):
+    c = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    return [[[c[i][j]] + ([1] if i == j else []) for j in range(d)] for i in range(d)]
+
+
+def _signed_powers_of_three(rng, d, deg, top):
+    """A d x d matrix whose coefficients are +-3^j, j <= top, or 0."""
+    return [
+        [[rng.choice((-1, 0, 1)) * 3 ** rng.randint(0, top) for _ in range(rng.randint(1, deg + 1))]
+         for _ in range(d)]
+        for _ in range(d)
+    ]
+
+
+def _zero_row_among_powers_of_three(rng):
+    m = [[[rng.choice((-1, 1)) * 3**150, 3**150] for _ in range(4)] for _ in range(4)]
+    m[2] = [[0] for _ in range(4)]
+    return m
+
+
+def _bound_tight_diagonals():
+    """Diagonals of +-(2^k - 1), signs alternating.
+
+    |det F| = (2^k - 1)^d is the bound prod_i sum_j |F_ij|_1 itself, so for
+    large k it lies just below 2^(kd), the half-range of the signed digits.
+    """
+    return [
+        [[[(-1) ** i * (2**k - 1)] if i == j else [0] for j in range(d)] for i in range(d)]
+        for k in (1, 2, 7, 31, 64)
+        for d in (1, 2, 3, 5)
+    ]
+
+
 class TestPresentationDeterminant:
     def test_random_matrices_match_oracle(self):
         rng = random.Random(41)
@@ -107,13 +140,33 @@ class TestPresentationDeterminant:
         assert poly_mat_det([[[0, 0]]]) == [0]
 
     def test_x_identity_plus_constant_at_d10(self):
-        rng = random.Random(43)
         d = 10
-        c = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-        m = [[[c[i][j]] + ([1] if i == j else []) for j in range(d)] for i in range(d)]
+        m = _x_identity_plus_constant(random.Random(43), d)
         det = poly_mat_det(m)
         assert det == poly_det_int(m)
         assert len(det) == d + 1 and det[-1] == 1
+
+    # name -> (matrices built from a seeded rng, the determinant fixed by construction or None)
+    INPUTS = {
+        "empty": (lambda rng: [[]], [1]),
+        "zero-row-among-3^150": (lambda rng: [_zero_row_among_powers_of_three(rng)], [0]),
+        "bound-tight-diagonal": (lambda rng: _bound_tight_diagonals(), None),
+        "d2-degree-80": (lambda rng: [_random_poly_matrix(rng, 2, deg=80) for _ in range(3)], None),
+        "d16-x-identity-plus-constant": (lambda rng: [_x_identity_plus_constant(rng, 16)], None),
+        "powers-of-three-sweep": (
+            lambda rng: [_signed_powers_of_three(rng, rng.randint(1, 5), 3, 150) for _ in range(40)],
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_inputs_match_oracle(self, name):
+        build, want = self.INPUTS[name]
+        for m in build(random.Random(45)):
+            det = poly_mat_det(m)
+            assert det == poly_det_int(m)
+            if want is not None:
+                assert det == want
 
     def test_series_determinant_is_reduction_mod_p_n(self):
         rng = random.Random(44)

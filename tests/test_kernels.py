@@ -223,6 +223,23 @@ def test_group_ring_elimination_stays_sparse():
         assert writes[0] <= bound < writes[1], writes
 
 
+def _packed_presentation():
+    """A 6 x 6 integer-polynomial matrix evaluated at X = 2^b, b past its det's coefficient bound.
+
+    This is the Kronecker packing of a presentation determinant: with degree-6
+    entries and coefficients up to 3^100 the packed entries run to about 6,000 bits.
+    """
+    rng = random.Random(11)
+    d, deg = 6, 6
+    m = [[[rng.choice((-1, 1)) * rng.randint(1, 3**100) for _ in range(deg + 1)] for _ in range(d)]
+         for _ in range(d)]
+    bound = 1
+    for row in m:
+        bound *= sum(abs(c) for e in row for c in e)
+    b = bound.bit_length() + 1
+    return [[sum(c << (b * k) for k, c in enumerate(e)) for e in row] for row in m]
+
+
 class TestBareiss:
     """Fraction-free elimination skips a row whose multiplier is 0 under an unchanged pivot."""
 
@@ -237,6 +254,7 @@ class TestBareiss:
         "zero-column": [[1, 0, 2], [3, 0, 1], [4, 0, 5]],
         "repeated-row-zero-multipliers": [[1, 0, 0], [0, 2, 3], [0, 2, 3]],
         "singular-after-skips": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 4], [0, 0, 1, 2]],
+        "packed-d6-presentation": _packed_presentation(),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
