@@ -57,18 +57,8 @@ def pmul(a, b, q, trunc=None):
     return [v % q for v in out]
 
 
-def pscale(a, c, q):
-    if q is None:
-        return [x * c for x in a]
-    return [(x * c) % q for x in a]
-
-
 def poly_eval(coeffs, x, q):
     acc = 0
-    if q is None:
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
     for c in reversed(coeffs):
         acc = (acc * x + c) % q
     return acc
@@ -222,15 +212,16 @@ def split_units(M, p, q):
 def poly_divmod_unit_lead(f, g, q):
     """Long division f = q*g + r over Z/q for g with unit leading coefficient."""
     dg = len(g) - 1
-    rem = [c % q for c in f]
-    if len(rem) - 1 < dg:
-        return [0], rem
+    if len(f) - 1 < dg:
+        return [0], [c % q for c in f]
+    rem = list(f)
     inv = pow(g[-1], -1, q)
+    low = g[:dg]
     quo = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1 - dg, -1, -1):
         t = (rem[i + dg] * inv) % q
         if t:
             quo[i] = t
-            for j, gc in enumerate(g):
-                rem[i + j] = (rem[i + j] - t * gc) % q
-    return quo, rem[:dg] if dg else [0]
+            for j, gc in enumerate(low):
+                rem[i + j] -= t * gc
+    return quo, [c % q for c in rem[:dg]] if dg else [0]

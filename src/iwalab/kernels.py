@@ -18,9 +18,9 @@ base, where every residue is a single machine digit.  `precisions(p, N)`
 lists the precisions a computation tries in turn: k first when k < N, then
 N.  The exponents of a matrix mod p^k are min(e, k) of its exponents, so a
 result none of whose divisors reaches p^k is exact at every N >= k.  The Euler
-routes run their whole pipeline over that list, and `smith_exponents` does the
-same for a caller that hands it residues mod p^N; a kernel called at
-precision k or below makes one pass.
+routes run their whole pipeline over that list, and `padic.smith_form_raw`
+does the same for a caller that hands it residues mod p^N; every kernel makes
+one pass at the precision it is given.
 
 `smith_exponents` and `det_mod` share the pivot search, the global
 p-extraction and the elimination step; each keeps only its own bookkeeping
@@ -55,17 +55,9 @@ def precisions(p, N):
 def smith_exponents(rows, p, N):
     """Elementary-divisor exponents of `rows` over Z/p^N, ascending, -1 = AtLeastN.
 
-    Eliminates at each of `precisions(p, N)` and returns the first result
-    with no divisor at its precision, or the one at N; the rows are residues
-    mod p^N, so only the earlier passes reduce them.
+    One elimination at N, on a copy of the residue rows.
     """
-    for P in precisions(p, N):
-        if P == N:
-            return _smith([list(r) for r in rows], p, N)
-        q = p ** P
-        out = _smith([[v % q for v in r] for r in rows], p, P)
-        if -1 not in out:
-            return out
+    return _smith([list(r) for r in rows], p, N)
 
 
 def _smith(m, p, N):

@@ -221,8 +221,17 @@ class ElementaryDivisors:
 
 
 def smith_form_raw(rows: Sequence[Sequence[int]], ctx: PadicContext) -> ElementaryDivisors:
-    """Elementary divisors over Z/p^N of residue rows by minimal-valuation pivoting."""
-    exps = kernels.smith_exponents(rows, ctx.p, ctx.N)
+    """Elementary divisors over Z/p^N of residue rows by minimal-valuation pivoting.
+
+    Eliminates at each of `kernels.precisions(p, N)` in turn and keeps the
+    first result with no divisor at its precision, or the one at N.
+    """
+    p, N = ctx.p, ctx.N
+    for P in kernels.precisions(p, N):
+        q = p ** P
+        exps = kernels.smith_exponents([[v % q for v in r] for r in rows] if P < N else rows, p, P)
+        if -1 not in exps:
+            break
     return ElementaryDivisors(
         exponents=tuple(AT_LEAST_N if e < 0 else e for e in exps),
         row_count=len(rows),

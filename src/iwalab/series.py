@@ -208,58 +208,50 @@ def _first_unit_index(coeffs, p):
     return None
 
 
-def _fp_bezout(a, b, p):
-    """(s, t) with s*a + t*b = 1 in F_p[X], for coprime a, b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = po.poly_divmod_unit_lead(r0, r1, p)
-        r0, r1 = r1, po.trim_int(r)
-        s0, s1 = s1, po.trim_int(po.psub(s0, po.pmul(q, s1, p), p))
-        t0, t1 = t1, po.trim_int(po.psub(t0, po.pmul(q, t1, p), p))
-    c = pow(r0[0], -1, p)
-    return po.pscale(s0, c, p), po.pscale(t0, c, p)
+def _mul_mod(a, b, P, m):
+    """a * b mod the monic P over Z/m."""
+    return po.poly_divmod_unit_lead(po.pmul(a, b, None), P, m)[1]
 
 
 def _hensel_prepare_poly(f1, lam, p, N, q):
-    """Weierstrass preparation of a polynomial by quadratic Hensel lifting.
+    """Weierstrass preparation of a polynomial by Newton iteration mod P.
 
     f1 has its first unit coefficient at index lam; lifts the mod-p splitting
     f1 = X^lam * (unit cofactor) to f1 = P * U mod p^N with P monic of degree
-    lam congruent to X^lam mod p.  The Bezout pair s*P + t*U = 1 is lifted
-    with (P, U), and each pass doubles the p-adic precision, capped at N, so
-    the lift takes about log2 N passes (von zur Gathen & Gerhard, Modern
-    Computer Algebra, Algorithm 15.10).  Only the monic P is ever divided by,
-    so f1's leading coefficient may be divisible by p.  Returns (P, U) as
-    residue lists.
+    lam congruent to X^lam mod p.  Only P and t = U^-1 mod P are lifted, both
+    in Z/p^k[X]/(P), from X^lam and the inverse of the cofactor mod
+    (p, X^lam).  Each pass doubles k, capped at N: P += r * t with
+    r = f1 mod P, then t += t * (1 - U * t) with U = f1 div P, every product
+    reduced mod the monic P (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 9 and 15.4).  One division of f1 by P, taken at the next
+    pass's modulus, gives a pass's U and the next pass's r; the last gives
+    the returned U.  A pass costs O(deg f1 * lam + lam^2), and the lift takes
+    about log2 N passes; at lam = 1 it is Newton's method on the root of f1
+    in pZ_p.  Only the monic P is divided by, so f1's leading coefficient may
+    be divisible by p.  Returns (P, U) as residue lists.
     """
     if lam == 0:
         return [1], [c % q for c in f1]
     P = [0] * lam + [1]
-    U = po.trim_int([c % p for c in f1[lam:]])
-    s, t = _fp_bezout(P, U, p)
+    t = po.series_inverse([c % p for c in f1[lam:]], p, lam)
     k = 1
+    U, r = po.poly_divmod_unit_lead(f1, P, p ** min(2, N))
     while k < N:
         k = min(2 * k, N)
         m = p ** k
-        e = po.psub(f1, po.pmul(P, U, m), m)
-        quo, r = po.poly_divmod_unit_lead(po.pmul(t, e, m), P, m)
-        P = po.padd(P, r, m)
-        U = po.trim_int(po.padd(U, po.padd(po.pmul(s, e, m), po.pmul(quo, U, m), m), m))
+        P = po.padd(P, _mul_mod(r, t, P, m), m)
+        U, r = po.poly_divmod_unit_lead(f1, P, p ** min(2 * k, N))
         if k < N:
-            b = po.psub(po.padd(po.pmul(s, P, m), po.pmul(t, U, m), m), [1], m)
-            c, d = po.poly_divmod_unit_lead(po.pmul(t, b, m), P, m)
-            t = po.trim_int(po.psub(t, d, m))
-            s = po.trim_int(po.psub(s, po.padd(po.pmul(s, b, m), po.pmul(c, U, m), m), m))
-    return P, U
+            e = po.psub([1], _mul_mod(U, t, P, m), m)
+            t = po.padd(t, _mul_mod(t, e, P, m), m)
+    return P, po.trim_int(U)
 
 
 def weierstrass_divide(f: PowerSeries, g: PowerSeries):
     """Weierstrass division f = q*g + r with deg r < lambda_g.
 
     lambda_g is the index of g's first unit coefficient.  g's window is
-    factored g = P*U by the Hensel lift of `weierstrass_prepare`, f's window
+    factored g = P*U by the Newton lift of `weierstrass_prepare`, f's window
     is divided by the monic P, and q = quo * U^-1.  The identity holds on the
     common coefficient window, and r is exactly f mod P whenever both inputs
     are exact polynomials.  When g is exact and its unit coefficient is its
@@ -300,11 +292,11 @@ def weierstrass_divide(f: PowerSeries, g: PowerSeries):
 def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
     """Factor f = p^mu * P * u with P distinguished monic of degree lambda.
 
-    f / p^mu is factored by the quadratic Hensel lift; a truncated series is
-    prepared as the polynomial of its window, so P * u equals that polynomial
-    and u is a window of len - lambda coefficients.  The distinguished part
-    and unit live in a context of precision N - mu (dividing by p^mu costs mu
-    certified digits).
+    f / p^mu is factored by Newton iteration mod P (`_hensel_prepare_poly`),
+    at the size of lambda; a truncated series is prepared as the polynomial
+    of its window, so P * u equals that polynomial and u is a window of
+    len - lambda coefficients.  The distinguished part and unit live in a
+    context of precision N - mu (dividing by p^mu costs mu certified digits).
     """
     lam, mu = lambda_mu(f)
     ctx = f.context

@@ -152,6 +152,13 @@ class TestPresentationDeterminant:
         "zero-row-among-3^150": (lambda rng: [_zero_row_among_powers_of_three(rng)], [0]),
         "bound-tight-diagonal": (lambda rng: _bound_tight_diagonals(), None),
         "d2-degree-80": (lambda rng: [_random_poly_matrix(rng, 2, deg=80) for _ in range(3)], None),
+        "d1-degree-300": (
+            lambda rng: [
+                [[[rng.randint(-9, 9) for _ in range(300)] + [-1]]],
+                _signed_powers_of_three(rng, 1, 300, 100),
+            ],
+            None,
+        ),
         "d16-x-identity-plus-constant": (lambda rng: [_x_identity_plus_constant(rng, 16)], None),
         "powers-of-three-sweep": (
             lambda rng: [_signed_powers_of_three(rng, rng.randint(1, 5), 3, 150) for _ in range(40)],

@@ -13,6 +13,7 @@ from iwalab import Character, CrossedModule, GammaModule, Level, PadicContext, k
 from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, crossed_corpus, gamma_corpus
 from iwalab.exactint import int_valuation
+from iwalab.padic import smith_form_raw
 
 from oracles import direct_reference
 
@@ -136,3 +137,29 @@ def test_small_exponents_never_leave_the_word_precision(precisions_used):
                 results.append((X.euler_reduced(rho, lv), X.group_ring_oracle(rho, lv)))
         assert all(a.exists and a.chi_exponent == b.chi_exponent < k for a, b in results)
         assert len(precisions_used) >= 5 and set(precisions_used) == {k}, (p, precisions_used)
+
+
+def test_last_precision_eliminates_once(monkeypatch):
+    # a divisor past p^k = 3^18 sends each route from k to N = 64: the pass at
+    # N is one elimination, not the word precision tried again inside the kernel
+    passes = []
+    smith = kernels._smith
+
+    def recorded(m, p, N):
+        passes.append(N)
+        return smith(m, p, N)
+
+    monkeypatch.setattr(kernels, "_smith", recorded)
+    ctx = PadicContext(3, 64)
+    rho = Character.trivial(ctx)
+    M = GammaModule.from_int_matrix(ctx, [[[2 * 3**20, 1], [0]], [[0], [1, 1]]])
+    X = CrossedModule.from_int_data(ctx, 4, [[[1 + 2 * 3**20, 1]]])
+    for call in (lambda: M.euler_direct(rho, 1), lambda: X.group_ring_oracle(rho, Level(1, 1))):
+        passes.clear()
+        assert call().exists
+        assert passes == [18, 64], passes
+    # smith_form_raw keeps its own word-first pass for rows handed to it mod p^N
+    for rows, want in (([[2 * 3**20, 0], [0, 1]], [18, 64]), ([[3, 0], [0, 1]], [18])):
+        passes.clear()
+        smith_form_raw(rows, ctx)
+        assert passes == want, passes

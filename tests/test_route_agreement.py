@@ -19,7 +19,7 @@ import pytest
 from iwalab import Character, CrossedModule, EulerStatus, GammaModule, Level, PadicContext
 from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, random_crossed_module, random_gamma_module
-from iwalab.kernels import smith_exponents
+from iwalab.padic import AT_LEAST_N, smith_form_raw
 
 from oracles import direct_reference, twisted_group_ring
 
@@ -195,8 +195,9 @@ def test_large_prime_triple_agreement(p):
 
 
 def kernel_exponents(rows, p, N):
-    """The scalar Smith kernel in `direct_reference`'s encoding (None for AtLeastN)."""
-    return [None if e < 0 else e for e in smith_exponents(rows, p, N)]
+    """The scalar Smith kernel, word precision first, in `direct_reference`'s encoding (None for AtLeastN)."""
+    exps = smith_form_raw(rows, PadicContext(p, N)).exponents
+    return [None if e is AT_LEAST_N else e for e in exps]
 
 
 def test_gamma_d3_at_large_ranks():
