@@ -59,6 +59,10 @@ def pmul(a, b, q, trunc=None):
 
 def poly_eval(coeffs, x, q):
     acc = 0
+    if q is None:
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
     for c in reversed(coeffs):
         acc = (acc * x + c) % q
     return acc

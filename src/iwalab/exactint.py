@@ -55,37 +55,29 @@ def poly_mat_det(entries):
 
     Kronecker substitution: no coefficient of det F exceeds
     B = prod_i sum_j |F_ij|_1, since |det F|_1 is at most the sum over
-    permutations s of prod_i |F_i,s(i)|_1, each a term of B.  With b the
-    bits of B plus a sign bit, rounded up to whole bytes, every coefficient
-    lies strictly inside (-2^(b-1), 2^(b-1)), so evaluating the entries at
-    X = 2^b, taking the one integer determinant `bareiss_det` and reading its
-    signed base-2^b digits recovers det F.  Adding 2^(b-1) to every digit
-    makes them all nonnegative, so they are read off the bytes of one
-    integer in a single pass, linear in the degree of det F; the top one read
-    is the leading coefficient.  The package's only polynomial-matrix
-    determinant; series determinants reduce it mod p^N.
+    permutations s of prod_i |F_i,s(i)|_1, each a term of B.  With
+    b = B.bit_length() + 1 every coefficient lies strictly inside
+    (-2^(b-1), 2^(b-1)), so evaluating the entries at X = 2^b, taking the one
+    integer determinant `bareiss_det` and reading its signed base-2^b digits
+    recovers det F.  The package's only polynomial-matrix determinant;
+    series determinants reduce it mod p^N.
     Returns the trimmed ascending coefficient list ([0] when singular).
     """
     bound = 1
     for row in entries:
         bound *= sum(abs(c) for e in row for c in e)
-    nb = (bound.bit_length() + 8) // 8
-    b = 8 * nb
-    det = bareiss_det([[_pack(e, b) for e in row] for row in entries])
-    n = det.bit_length() // b + 1
-    halves = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    raw = (det + halves).to_bytes(n * nb, "little")
-    half = 1 << (b - 1)
-    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
-
-
-def _pack(e, b):
-    """e at X = 2^b by Horner with shifts: quadratic in len(e), but on short
-    entries several times faster than joining the coefficients' bytes."""
-    acc = 0
-    for c in reversed(e):
-        acc = (acc << b) + c
-    return acc
+    b = bound.bit_length() + 1
+    full = 1 << b
+    det = bareiss_det([[po.poly_eval(e, full, None) for e in row] for row in entries])
+    half = full >> 1
+    out = []
+    while det:
+        c = det & (full - 1)
+        if c >= half:
+            c -= full
+        out.append(c)
+        det = (det - c) >> b
+    return out or [0]
 
 
 def twisted_char_poly(c, u: int):

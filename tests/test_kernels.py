@@ -85,7 +85,7 @@ def structured_inputs(p, rng):
     """Sparse and degenerate integer matrices, square and rectangular."""
     yield cyclic(40, 1 + p)  # det 1 - (1+p)^40, valuation 1 + v_p(40)
     yield cyclic(30, p)  # unit determinant
-    yield cyclic(10, 1 + p**20)  # a divisor past the word precision: the p^N rerun
+    yield cyclic(10, 1 + p**20)  # a divisor beyond p^k, k the word precision
     yield cyclic(12, -1)  # I + P at even n: singular
     one = [[rng.choice([0, 0, p, p * p, 1]) for _ in range(9)] for _ in range(9)]
     one[0] = [0] * 9
@@ -103,8 +103,9 @@ def structured_inputs(p, rng):
 def check_kernels(rows, p, exponents, det):
     """smith_exponents and det_mod on `rows` mod p^N against the oracles' answers.
 
-    N runs over the word precision (one elimination only) and beyond it (40, 64);
-    `exponents` are the oracle's at N = 64, `det` is None for a rectangular input.
+    N runs over the word precision k and beyond it (40, 64), one elimination at
+    each, which must report the divisors beyond p^k; `exponents` are the
+    oracle's at N = 64, `det` is None for a rectangular input.
     """
     for N in (kernels.word_precision(p, 64), 40, 64):
         q = p**N

@@ -256,16 +256,21 @@ class TestExactPrepareAtEscalationPrecision:
         f1 = [c // p**w.mu for c in g.coeffs]
         P, U = hensel_prepare_one_digit(f1, w.lam, p, w.distinguished.context.N)
         assert w.distinguished.coeffs == tuple(P)
-        assert w.unit.coeffs == tuple(U)
+        if w.lam:
+            assert w.unit.coeffs == tuple(U)
+        else:  # the unit is f1 itself, trailing zeros mod p^N kept
+            assert w.unit.coeffs == tuple(f1) and series.po.trim_int(f1) == U
+        q1 = w.distinguished.context.modulus
+        assert series.po.trim_int(series.po.pmul(P, U, q1)) == series.po.trim_int(f1)
         return w
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("N", [1, 2, 3, 64, 100, 256])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("N", [1, 2, 3, 18, 64, 100, 256, 1024])
     def test_matches_one_digit_lift(self, p, N):
         rng = random.Random(1000 * p + N)
-        for case in range(6):
+        for case in range(7):
             deg = rng.randint(1, 9)
-            lam = deg if case == 0 else rng.randint(1, deg)
+            lam = deg if case == 0 else 0 if case == 6 else rng.randint(1, deg)
             f = rand_prepare_input(rng, p, N, deg, lam, lead_div_p=case % 2 == 1)
             w = self.check_against_oracle(f, p, N)
             assert (w.mu, w.lam) == (0, lam)
@@ -273,7 +278,7 @@ class TestExactPrepareAtEscalationPrecision:
     @pytest.mark.parametrize("p, N", [(3, 64), (5, 100), (7, 256)])
     def test_matches_one_digit_lift_with_mu(self, p, N):
         rng = random.Random(p * N)
-        for mu in (1, 3):
+        for mu in (0, 1, 2, 3):
             f = [p**mu * c for c in rand_prepare_input(rng, p, N - mu, 5, 2, lead_div_p=True)]
             w = self.check_against_oracle(f, p, N)
             assert (w.mu, w.lam, w.distinguished.context.N) == (mu, 2, N - mu)
@@ -315,77 +320,6 @@ class TestExactPrepareAtEscalationPrecision:
                 calls = 0
                 run()
                 assert 0 < calls <= bound, (deg, calls)
-
-
-def same_poly(a, b):
-    return series.po.trim_int(list(a)) == series.po.trim_int(list(b))
-
-
-class TestNewtonLift:
-    """`_hensel_prepare_poly`, Newton iteration mod P, against the one-digit lift of the oracle."""
-
-    @staticmethod
-    def check_lift(f1, lam, p, N, P, U):
-        """(P, U) is the oracle's factorization of the residues f1 and P * U = f1 mod p^N."""
-        q = p**N
-        want_P, want_U = hensel_prepare_one_digit(f1, lam, p, N)
-        assert P == want_P and same_poly(U, want_U), (f1, lam, p, N)
-        assert len(P) == lam + 1 and P[-1] == 1 and all(c % p == 0 for c in P[:-1])
-        assert same_poly(series.po.pmul(P, U, q), f1), (f1, lam, p, N)
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
-    def test_seeded_sweep(self, p):
-        # lambda = deg (the unit coefficient leads), lambda = 0, and random
-        # lambda in between; every other input has a lead divisible by p
-        rng = random.Random(2000 + p)
-        for N in (1, 2, 3, 18, 64, 1024):
-            q = p**N
-            for case in range(12 if N < 1024 else 3):
-                deg = rng.randint(1, 12)
-                lam = (deg, 0)[case] if case < 2 else rng.randint(0, deg)
-                f1 = rand_prepare_input(rng, p, N, deg, lam, lead_div_p=case % 2 == 1)
-                f1 = [c % q for c in f1]
-                P, U = series._hensel_prepare_poly(f1, lam, p, N, q)
-                self.check_lift(f1, lam, p, N, P, U)
-
-    @pytest.mark.parametrize("p, N", [(3, 64), (5, 18), (7, 1024), (11, 3)])
-    def test_truncated_windows(self, p, N):
-        rng = random.Random(3000 + p)
-        ctx = PadicContext(p, N)
-        for case in range(6):
-            window = rng.randint(2, 12)
-            lam = rng.randint(0, window - 1)
-            mu = case % 3
-            f = rand_prepare_input(rng, p, N, window - 1, lam, lead_div_p=case % 2 == 1)
-            f = PowerSeries.truncated(ctx, "X", [p**mu * c % ctx.modulus for c in f], trunc=window)
-            w = weierstrass_prepare(f)
-            assert (w.mu, w.lam, w.distinguished.context.N) == (mu, lam, N - mu)
-            assert w.unit.truncation == window - lam
-            f1 = [c // p**mu for c in f.coeffs]
-            self.check_lift(f1, lam, p, N - mu, list(w.distinguished.coeffs), list(w.unit.coeffs))
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11])
-    def test_divide_by_non_unit_lead_divisor(self, p, monkeypatch):
-        lifts = []
-        lift = series._hensel_prepare_poly
-
-        def recorded(f1, lam, p, N, q):
-            out = lift(f1, lam, p, N, q)
-            lifts.append((list(f1), lam, N, out))
-            return out
-
-        monkeypatch.setattr(series, "_hensel_prepare_poly", recorded)
-        rng = random.Random(4000 + p)
-        for N in (2, 18, 64):
-            for _ in range(4):
-                lam = rng.randint(1, 4)
-                g = rand_prepare_input(rng, p, N, lam + rng.randint(1, 4), lam, lead_div_p=True)
-                f = [rng.randint(-p**N, p**N) for _ in range(rng.randint(1, 14))]
-                lifts.clear()
-                TestWeierstrassDivide.check_remainder_against_oracle(f, g, p, N)
-                [(g1, lam1, N1, (P, U))] = lifts
-                assert (lam1, N1) == (lam, N)
-                self.check_lift(g1, lam, p, N, P, U)
 
 
 class TestLambdaMu:
