@@ -1,7 +1,7 @@
 """Euler characteristics and Akashi series over Iwasawa algebras.
 
-Exact p-adic linear algebra at a fixed working precision p^N, power series
-over Z_p with Weierstrass theory and character twists, finite-level Euler
+Exact p-adic linear algebra at a fixed working precision p^N, polynomials in
+Z_p[[X]] with Weierstrass preparation and character twists, finite-level Euler
 characteristics of torsion modules over Z_p[[X]] and of crossed-product
 modules of false-Tate type, and searches for twisting characters that make
 every requested level finite.
@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BudgetExhaustedError,
-    DivisorDivisibleByPError,
     IwalabError,
     MixedContextError,
     NotAUnitError,
@@ -19,7 +18,6 @@ from .errors import (
     ParseError,
     PrecisionExhaustedError,
     SizeCapExceededError,
-    TailUncertifiedError,
     UsageError,
     ValidationError,
     ZeroDeterminantError,
@@ -35,7 +33,6 @@ from .padic import (
 )
 from .series import (
     Character,
-    DEFAULT_TRUNCATION,
     PowerSeries,
     WeierstrassData,
     det_mult_mod_omega,
@@ -43,7 +40,6 @@ from .series import (
     lambda_mu,
     omega,
     twist_series,
-    weierstrass_divide,
     weierstrass_prepare,
 )
 from .results import EulerResult, EulerStatus, TwistSearchReport
@@ -56,8 +52,6 @@ __all__ = [
     "BudgetExhaustedError",
     "Character",
     "CrossedModule",
-    "DEFAULT_TRUNCATION",
-    "DivisorDivisibleByPError",
     "ElementaryDivisors",
     "EulerResult",
     "EulerStatus",
@@ -75,7 +69,6 @@ __all__ = [
     "PowerSeries",
     "PrecisionExhaustedError",
     "SizeCapExceededError",
-    "TailUncertifiedError",
     "TwistSearchReport",
     "UsageError",
     "ValidationError",
@@ -91,6 +84,5 @@ __all__ = [
     "omega",
     "series_matrix_det",
     "twist_series",
-    "weierstrass_divide",
     "weierstrass_prepare",
 ]

@@ -40,18 +40,14 @@ def psub(a, b, q):
     return [v % q for v in out]
 
 
-def pmul(a, b, q, trunc=None):
-    """Product, optionally truncated to `trunc` coefficients."""
+def pmul(a, b, q):
     n = len(a) + len(b) - 1
-    if trunc is not None and trunc < n:
-        n = trunc
     out = [0] * n
     for i, x in enumerate(a):
         if not x:
             continue
-        top = min(len(b), n - i)
-        for j in range(top):
-            out[i + j] += x * b[j]
+        for k, y in enumerate(b, i):
+            out[k] += x * y
     if q is None:
         return out
     return [v % q for v in out]
@@ -114,6 +110,13 @@ def cyclic_reduce(coeffs, order, q):
     if q is None:
         return out
     return [c % q for c in out]
+
+
+def h_basis(entries):
+    """A matrix of integer polynomials in X, each entry rewritten as f(h - 1) in h = 1 + X."""
+    return tuple(
+        tuple(tuple(substitute_linear(e, -1, 1, None, len(e))) for e in row) for row in entries
+    )
 
 
 def to_group_ring(coeffs, order, q):

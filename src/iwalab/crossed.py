@@ -84,12 +84,7 @@ class CrossedModule:
         self.d = d
         self.kappa_exact = kappa
         self.exact_entries = entries
-        if _entries_h is None:
-            _entries_h = tuple(
-                tuple(tuple(po.substitute_linear(e, -1, 1, None, len(e))) for e in row)
-                for row in entries
-            )
-        self._entries_h = _entries_h
+        self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
         self._cocycle_cache = {}
         self._akashi_cache = {}
 

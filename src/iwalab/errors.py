@@ -21,16 +21,8 @@ class ZeroToPrecisionError(IwalabError):
     """Every coefficient vanishes modulo p^N; the value is indistinguishable from 0."""
 
 
-class DivisorDivisibleByPError(IwalabError):
-    """Weierstrass division by a series all of whose coefficients are divisible by p."""
-
-
 class PrecisionExhaustedError(IwalabError):
-    """The truncation order or p-adic precision is too small to certify the result."""
-
-
-class TailUncertifiedError(IwalabError):
-    """Discarded series tail could disturb digits below p^N at the evaluation point."""
+    """The p-adic precision is too small to certify the result."""
 
 
 class ZeroDeterminantError(IwalabError):

@@ -29,9 +29,7 @@ def series_matrix_det(entries) -> PowerSeries:
 
     The entries' residues are lifted to integer polynomials, their
     determinant is taken over Z[X] by `exactint.poly_mat_det`, and the result
-    is reduced mod p^N.  When any entry is truncated, only the coefficients
-    below the smallest such window are known: the entries are cut to that
-    window and the result is truncated to it.
+    is reduced mod p^N.
     """
     ctx = entries[0][0].context
     var = entries[0][0].variable
@@ -39,12 +37,8 @@ def series_matrix_det(entries) -> PowerSeries:
         for e in row:
             if e.context != ctx or e.variable != var:
                 raise MixedContextError("determinant entries in different contexts or variables")
-    windows = [e.truncation for row in entries for e in row if not e.is_exact]
-    w = min(windows) if windows else None
-    det = exactint.poly_mat_det([[e.coeffs[:w] for e in row] for row in entries])
-    if w is None:
-        return PowerSeries.from_ints(ctx, var, det)
-    return PowerSeries.truncated(ctx, var, det, trunc=w)
+    det = exactint.poly_mat_det([[e.coeffs for e in row] for row in entries])
+    return PowerSeries.from_ints(ctx, var, det)
 
 
 class GammaModule:
@@ -67,12 +61,7 @@ class GammaModule:
         self.d = d
         self.exact_entries = entries
         # F(h - 1) and det F over Z[X] do not depend on N: a re-embedding passes them on
-        if _entries_h is None:
-            _entries_h = tuple(
-                tuple(tuple(po.substitute_linear(e, -1, 1, None, len(e))) for e in row)
-                for row in entries
-            )
-        self._entries_h = _entries_h
+        self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
         if _det_int is None:
             _det_int = exactint.poly_mat_det(entries)
         self.det_int = _det_int

@@ -18,13 +18,15 @@ from .crossed import PRECISION_CAP, RANK_CAP, CrossedModule, Level
 from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
-from .series import DEFAULT_TRUNCATION, Character
+from .series import Character
 
 _COMMON_KEYS = {"schema", "kind", "p", "d", "precision", "truncation", "characters", "budget"}
 _GAMMA_KEYS = _COMMON_KEYS | {"F", "n_levels", "n_max"}
 _CROSSED_KEYS = _COMMON_KEYS | {"kappa", "A", "levels"}
 
 DEFAULT_PRECISION = 64
+# the `truncation` key is parsed and echoed into every report; no computation reads it
+DEFAULT_TRUNCATION = 128
 DEFAULT_BUDGET = 25
 
 
@@ -124,6 +126,7 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
     d = _as_int(data["d"], "d")
     if d < 1:
         raise ValidationError("rank-positive", f"d must be >= 1, got {d}")
+    _check_rank(d, p, 0, "d")
     precision = _as_int(data.get("precision", DEFAULT_PRECISION), "precision")
     if precision > PRECISION_CAP:
         raise SizeCapExceededError(f"precision {precision} exceeds the cap {PRECISION_CAP}")

@@ -1,10 +1,8 @@
-"""Truncated power series over Z_p: the algebra Z_p[[X]] and its Y-twin.
+"""Polynomials in Z_p[[X]] and its Y-twin, known modulo p^N.
 
-The ambient identification is gamma <-> 1+X, fixed globally.  A series is
-either a genuine polynomial (`exact_degree` set: the coefficients beyond that
-index are true zeros in Z_p, so X-adic tail bounds are vacuous) or a window of
-`truncation` known coefficients.  p-adic knowledge is always modulo the
-context's p^N; the two notions of precision are tracked independently.
+The ambient identification is gamma <-> 1+X, fixed globally.  A series is a
+genuine polynomial of `exact_degree`: the coefficients beyond that index are
+true zeros in Z_p, so the only precision is the context's p^N.
 """
 
 from __future__ import annotations
@@ -12,18 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _polyops as po
-from .errors import (
-    DivisorDivisibleByPError,
-    MixedContextError,
-    PrecisionExhaustedError,
-    TailUncertifiedError,
-    ValidationError,
-    ZeroToPrecisionError,
-)
+from .errors import MixedContextError, ValidationError, ZeroToPrecisionError
 from .padic import AT_LEAST_N, PadicContext, PadicInt
 from . import kernels
-
-DEFAULT_TRUNCATION = 128
 
 
 @dataclass(frozen=True)
@@ -31,7 +20,7 @@ class PowerSeries:
     context: PadicContext
     variable: str
     coeffs: tuple
-    exact_degree: int | None = None
+    exact_degree: int
 
     def __post_init__(self):
         if self.variable not in ("X", "Y"):
@@ -40,16 +29,13 @@ class PowerSeries:
         cs = [c % q for c in self.coeffs]
         if not cs:
             raise ValidationError("nonempty", "a series needs at least one coefficient")
-        if self.exact_degree is not None:
-            want = self.exact_degree + 1
-            if len(cs) < want:
-                cs += [0] * (want - len(cs))
-            elif len(cs) > want:
-                if any(cs[want:]):
-                    raise ValidationError(
-                        "exact-degree", "nonzero residue beyond the declared degree"
-                    )
-                cs = cs[:want]
+        want = self.exact_degree + 1
+        if len(cs) < want:
+            cs += [0] * (want - len(cs))
+        elif len(cs) > want:
+            if any(cs[want:]):
+                raise ValidationError("exact-degree", "nonzero residue beyond the declared degree")
+            cs = cs[:want]
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors ------------------------------------------------------
@@ -61,29 +47,10 @@ class PowerSeries:
         return cls(ctx, variable, tuple(c), exact_degree=len(c) - 1)
 
     @classmethod
-    def truncated(cls, ctx: PadicContext, variable: str, coeffs, trunc=None) -> "PowerSeries":
-        """Series known only through its first `trunc` coefficients."""
-        c = list(coeffs)
-        if trunc is not None:
-            if trunc < 1:
-                raise ValidationError("truncation", "truncation order must be >= 1")
-            c = (c + [0] * (trunc - len(c)))[:trunc]
-        return cls(ctx, variable, tuple(c), exact_degree=None)
-
-    @classmethod
     def zero(cls, ctx: PadicContext, variable: str) -> "PowerSeries":
         return cls.from_ints(ctx, variable, [0])
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact_degree is not None
-
-    @property
-    def truncation(self):
-        """Number of known coefficients, or None for an exact polynomial."""
-        return None if self.is_exact else len(self.coeffs)
 
     def is_zero_to_precision(self) -> bool:
         return not any(self.coeffs)
@@ -97,28 +64,17 @@ class PowerSeries:
             )
 
     def __repr__(self):
-        tail = f" deg={self.exact_degree}" if self.is_exact else f" trunc={len(self.coeffs)}"
-        return f"PowerSeries({self.variable},{tail}, {list(self.coeffs)})"
+        return f"PowerSeries({self.variable}, deg={self.exact_degree}, {list(self.coeffs)})"
 
     # -- arithmetic --------------------------------------------------------
-
-    def _window(self, other: "PowerSeries"):
-        ws = [s for s in (self.truncation, other.truncation) if s is not None]
-        return min(ws) if ws else None
 
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check(other)
-        q = self.context.modulus
-        w = self._window(other)
-        if w is None:
-            out = po.padd(list(self.coeffs), list(other.coeffs), q)
-            deg = max(self.exact_degree, other.exact_degree)
-            return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
-        a = (list(self.coeffs) + [0] * w)[:w]
-        b = (list(other.coeffs) + [0] * w)[:w]
-        return PowerSeries(self.context, self.variable, tuple(po.padd(a, b, q)))
+        out = po.padd(list(self.coeffs), list(other.coeffs), self.context.modulus)
+        deg = max(self.exact_degree, other.exact_degree)
+        return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
@@ -138,15 +94,9 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._check(other)
-        q = self.context.modulus
-        w = self._window(other)
-        out = po.pmul(list(self.coeffs), list(other.coeffs), q, trunc=w)
-        if w is None:
-            deg = self.exact_degree + other.exact_degree
-            out = (out + [0] * (deg + 1 - len(out)))[:deg + 1]
-            return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
-        out = (out + [0] * (w - len(out)))[:w]
-        return PowerSeries(self.context, self.variable, tuple(out))
+        out = po.pmul(list(self.coeffs), list(other.coeffs), self.context.modulus)
+        deg = self.exact_degree + other.exact_degree
+        return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
 
     def scale(self, c) -> "PowerSeries":
         """Multiply by a scalar (int or PadicInt)."""
@@ -201,13 +151,6 @@ class WeierstrassData:
         return self.distinguished.exact_degree
 
 
-def _first_unit_index(coeffs, p):
-    for i, c in enumerate(coeffs):
-        if c % p:
-            return i
-    return None
-
-
 def _mul_mod(a, b, P, m):
     """a * b mod the monic P over Z/m."""
     return po.poly_divmod_unit_lead(po.pmul(a, b, None), P, m)[1]
@@ -247,56 +190,12 @@ def _hensel_prepare_poly(f1, lam, p, N, q):
     return P, po.trim_int(U)
 
 
-def weierstrass_divide(f: PowerSeries, g: PowerSeries):
-    """Weierstrass division f = q*g + r with deg r < lambda_g.
-
-    lambda_g is the index of g's first unit coefficient.  g's window is
-    factored g = P*U by the Newton lift of `weierstrass_prepare`, f's window
-    is divided by the monic P, and q = quo * U^-1.  The identity holds on the
-    common coefficient window, and r is exactly f mod P whenever both inputs
-    are exact polynomials.  When g is exact and its unit coefficient is its
-    leading one, U is that constant and the division is one long division
-    by g, with q exact; otherwise q is a window of window - lambda_g
-    coefficients.
-    """
-    f._check(g)
-    ctx = f.context
-    p, N, q = ctx.p, ctx.N, ctx.modulus
-    lam = _first_unit_index(g.coeffs, p)
-    if lam is None:
-        raise DivisorDivisibleByPError("every coefficient of the divisor is divisible by p")
-    windows = [w for w in (f.truncation, g.truncation) if w is not None]
-    if windows:
-        window = min(windows)
-    elif lam == g.exact_degree:
-        window = None
-    else:
-        window = max(len(f.coeffs), len(g.coeffs), lam + 2)
-    fw, gw = list(f.coeffs), list(g.coeffs)
-    if window is None:
-        quo, rem = po.poly_divmod_unit_lead(fw, gw, q)
-        rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
-        return PowerSeries(ctx, f.variable, tuple(quo), exact_degree=len(quo) - 1), rs
-    if window <= lam:
-        raise PrecisionExhaustedError(f"truncation {window} cannot see past lambda_g = {lam}")
-    fw = (fw + [0] * window)[:window]
-    gw = (gw + [0] * window)[:window]
-    P, U = _hensel_prepare_poly(gw, lam, p, N, q)
-    quo, rem = po.poly_divmod_unit_lead(fw, P, q)
-    rs = PowerSeries(ctx, f.variable, tuple(rem), exact_degree=max(lam - 1, 0))
-    qlen = window - lam
-    quo = po.pmul(quo, po.series_inverse(U, q, qlen), q, trunc=qlen)
-    return PowerSeries.truncated(ctx, f.variable, quo, trunc=qlen), rs
-
-
 def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
     """Factor f = p^mu * P * u with P distinguished monic of degree lambda.
 
     f / p^mu is factored by Newton iteration mod P (`_hensel_prepare_poly`),
-    at the size of lambda; a truncated series is prepared as the polynomial
-    of its window, so P * u equals that polynomial and u is a window of
-    len - lambda coefficients.  The distinguished part and unit live in a
-    context of precision N - mu (dividing by p^mu costs mu certified digits).
+    at the size of lambda.  The distinguished part and unit live in a context
+    of precision N - mu (dividing by p^mu costs mu certified digits).
     """
     lam, mu = lambda_mu(f)
     ctx = f.context
@@ -304,10 +203,7 @@ def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
     pm = ctx.p ** mu
     P, U = _hensel_prepare_poly([c // pm for c in f.coeffs], lam, ctx.p, ctx1.N, ctx1.modulus)
     dist = PowerSeries(ctx1, f.variable, tuple(P), exact_degree=lam)
-    if f.is_exact:
-        unit = PowerSeries(ctx1, f.variable, tuple(U), exact_degree=len(U) - 1)
-    else:
-        unit = PowerSeries.truncated(ctx1, f.variable, U, trunc=len(f.coeffs) - lam)
+    unit = PowerSeries(ctx1, f.variable, tuple(U), exact_degree=len(U) - 1)
     return WeierstrassData(mu=mu, distinguished=dist, unit=unit)
 
 
@@ -325,9 +221,7 @@ def lambda_mu(f: PowerSeries):
 def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
     """Apply the twist substitution X -> c(1+X) - 1, c = rho(gamma)^(+-1).
 
-    Ring homomorphism; exact on exact polynomials.  On truncated series the
-    window is preserved and coefficient j keeps certified precision
-    min(N, window - j) (the dropped tail sits in (p, X)^window).
+    A ring homomorphism that keeps the degree.
     """
     if f.variable != "X":
         raise ValidationError("twist-variable", "twists act on the Gamma variable X")
@@ -337,7 +231,6 @@ def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
     c = rho.value_residue(inverse=(direction == "inverse"))
     w = len(f.coeffs)
     out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q, w)
-    out += [0] * (w - len(out))
     return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
 
 
@@ -347,16 +240,9 @@ def evaluate_character(f: PowerSeries, rho: Character, direction: str) -> PadicI
         raise ValidationError("eval-variable", "character evaluation acts on the variable X")
     if direction not in ("forward", "inverse"):
         raise ValidationError("eval-direction", f"unknown direction {direction!r}")
-    ctx = f.context
-    q = ctx.modulus
+    q = f.context.modulus
     x0 = (rho.value_residue(inverse=(direction == "inverse")) - 1) % q
-    if not f.is_exact:
-        v0 = ctx.int_valuation(x0)
-        if v0 is not AT_LEAST_N and len(f.coeffs) * v0 < ctx.N:
-            raise TailUncertifiedError(
-                f"tail valuation bound {len(f.coeffs)} * {v0} < N = {ctx.N}"
-            )
-    return PadicInt(ctx, po.poly_eval(list(f.coeffs), x0, q))
+    return PadicInt(f.context, po.poly_eval(list(f.coeffs), x0, q))
 
 
 def omega(n: int, ctx: PadicContext, variable: str = "X") -> PowerSeries:
@@ -372,23 +258,9 @@ def det_mult_mod_omega(f: PowerSeries, n: int) -> PadicInt:
     Equals the resultant Res(omega_n, f) up to sign.  The quotient is the
     group ring Z_p[h]/(h^(p^n) - 1), h = 1 + X, where multiplication by f is
     a circulant; the change of basis from X is unitriangular, so the
-    determinant is the X-basis one.  A truncated dividend's unknown tail
-    folds down with valuation >= floor(window / p^n), so the result is
-    returned in a context of that certified precision.
+    determinant is the X-basis one.
     """
     ctx = f.context
-    p, N = ctx.p, ctx.N
-    pn = p ** n
-    if f.is_exact:
-        neff = N
-    else:
-        window = len(f.coeffs)
-        neff = min(N, window // pn)
-        if neff < 1:
-            raise PrecisionExhaustedError(
-                f"truncation {window} certifies no digits modulo omega_{n}"
-            )
-    q = p ** neff
-    det = kernels.det_mod(po.circulant(po.to_group_ring(f.coeffs, pn, q)), p, neff)
-    out_ctx = ctx if neff == N else ctx.with_precision(neff)
-    return PadicInt(out_ctx, det)
+    q = ctx.modulus
+    det = kernels.det_mod(po.circulant(po.to_group_ring(f.coeffs, ctx.p ** n, q)), ctx.p, ctx.N)
+    return PadicInt(ctx, det)

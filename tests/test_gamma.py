@@ -183,44 +183,7 @@ class TestPresentationDeterminant:
             m = _random_poly_matrix(rng, rng.randint(1, 5), bound=3**8)
             F = [[PowerSeries.from_ints(ctx, "X", e) for e in row] for row in m]
             det = series_matrix_det(F)
-            assert det.is_exact
             assert det.coeffs == tuple(c % q for c in poly_det_int(m))
-
-    def test_series_window_bounded_by_every_truncated_entry(self):
-        # det [[1, O(X^3)], [X, 1]] = 1 + O(X^3): the truncated entry is zero
-        # to precision but still bounds the window
-        one = PowerSeries.from_ints(CTX, "X", [1])
-        big_o = PowerSeries.truncated(CTX, "X", [0], trunc=3)
-        x = PowerSeries.from_ints(CTX, "X", [0, 1])
-        det = series_matrix_det([[one, big_o], [x, one]])
-        assert not det.is_exact
-        assert det.truncation == 3
-        assert det.coeffs == (1, 0, 0)
-
-    def test_series_window_is_the_smallest(self):
-        rng = random.Random(45)
-        q = CTX.modulus
-        for _ in range(20):
-            m = _random_poly_matrix(rng, 3, deg=5)
-            wins = [[rng.choice((None, 3, 4, 6)) for _ in range(3)] for _ in range(3)]
-            F = [
-                [
-                    PowerSeries.from_ints(CTX, "X", e)
-                    if w is None
-                    else PowerSeries.truncated(CTX, "X", [c % q for c in e], trunc=w)
-                    for e, w in zip(row, wrow)
-                ]
-                for row, wrow in zip(m, wins)
-            ]
-            w = min((v for wrow in wins for v in wrow if v is not None), default=None)
-            cut = [[e[:w] for e in row] for row in m]
-            want = [c % q for c in poly_det_int(cut)]
-            det = series_matrix_det(F)
-            if w is None:
-                assert det.coeffs == tuple(want)
-            else:
-                assert det.truncation == w
-                assert det.coeffs == tuple((want + [0] * w)[:w])
 
 
 class TestCharacteristicElement:

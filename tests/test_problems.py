@@ -119,6 +119,13 @@ class TestParse:
         assert [(lv.n, lv.m) for lv in pf.levels] == [(2, 4)]
 
     @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_rank_d_above_cap_refused_before_the_matrix(self, stanza):
+        # d alone is over the cap: refused before the rows are read or a determinant is taken
+        rows = "F" if stanza["kind"] == "gamma" else "A"
+        with pytest.raises(SizeCapExceededError, match="d: rank 2001"):
+            parse(dict(stanza, d=2001, **{rows: []}))
+
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
     def test_precision_cap(self, stanza):
         # p^N is formed at parse time, so N is bounded before any arithmetic
         assert PRECISION_CAP == 1024

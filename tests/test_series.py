@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 from iwalab import (
     AT_LEAST_N,
     Character,
-    DivisorDivisibleByPError,
     PadicContext,
     PowerSeries,
-    TailUncertifiedError,
     ValidationError,
     ZeroToPrecisionError,
     det_mult_mod_omega,
@@ -18,13 +16,12 @@ from iwalab import (
     lambda_mu,
     omega,
     twist_series,
-    weierstrass_divide,
     weierstrass_prepare,
 )
 
 from iwalab import series
 from iwalab.workbench import PRECISION_CAP
-from oracles import hensel_prepare_one_digit, int_valuation, poly_reduce_mod_int, resultant_int
+from oracles import hensel_prepare_one_digit, int_valuation, resultant_int
 
 CTX = PadicContext(3, 16)
 
@@ -33,11 +30,8 @@ def S(ints, ctx=CTX, var="X"):
     return PowerSeries.from_ints(ctx, var, ints)
 
 
-def rand_series(rng, ctx, trunc, exact=False, bound=20):
-    c = [rng.randint(-bound, bound) for _ in range(trunc)]
-    if exact:
-        return PowerSeries.from_ints(ctx, "X", c)
-    return PowerSeries.truncated(ctx, "X", [v % ctx.modulus for v in c], trunc=trunc)
+def rand_series(rng, ctx, length, bound=20):
+    return PowerSeries.from_ints(ctx, "X", [rng.randint(-bound, bound) for _ in range(length)])
 
 
 class TestPowerSeries:
@@ -45,16 +39,6 @@ class TestPowerSeries:
         f = S([1, 2, 0, 0])
         assert f.exact_degree == 1
         assert f.coeffs == (1, 2)
-
-    def test_truncated_window(self):
-        f = PowerSeries.truncated(CTX, "X", [1, 2], trunc=5)
-        assert f.truncation == 5
-        assert f.coeffs == (1, 2, 0, 0, 0)
-
-    def test_mul_truncates_to_min_window(self):
-        a = PowerSeries.truncated(CTX, "X", [1, 1], trunc=3)
-        b = PowerSeries.truncated(CTX, "X", [1, 1], trunc=5)
-        assert (a * b).truncation == 3
 
     def test_mul_exact_full_degree(self):
         f = S([0, 1]) * S([0, 1])
@@ -66,107 +50,6 @@ class TestPowerSeries:
 
         with pytest.raises(MixedContextError):
             S([1]) * PowerSeries.from_ints(CTX, "Y", [1])
-
-
-class TestWeierstrassDivide:
-    def test_x_squared_by_x_plus_three(self):
-        # oracle: polynomial long division over Z: X^2 = (X-3)(X+3) + 9
-        q, r = weierstrass_divide(S([0, 0, 1]), S([3, 1]))
-        assert q.coeffs == ((-3) % CTX.modulus, 1)
-        assert r.coeffs == (9,)
-
-    def test_unit_divisor(self):
-        f = S([5, 7, 11])
-        q, r = weierstrass_divide(f, S([1]))
-        assert q.coeffs == f.coeffs
-        assert r.is_zero_to_precision()
-
-    def test_self_division(self):
-        f = S([3, 1])
-        q, r = weierstrass_divide(f, f)
-        assert q.coeffs == (1,)
-        assert r.is_zero_to_precision()
-
-    def test_divisor_divisible_by_p(self):
-        with pytest.raises(DivisorDivisibleByPError):
-            weierstrass_divide(S([1]), S([3, 9]))
-
-    @given(st.integers(min_value=0, max_value=10**4))
-    def test_division_identity_on_window(self, seed):
-        rng = random.Random(seed)
-        f = rand_series(rng, CTX, 12, exact=rng.random() < 0.5)
-        # divisor with a guaranteed unit coefficient somewhere
-        lam = rng.randint(0, 3)
-        gc = [3 * rng.randint(-5, 5) for _ in range(lam)] + [1 + 3 * rng.randint(0, 5)]
-        gc += [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
-        if rng.random() < 0.5:
-            g = PowerSeries.from_ints(CTX, "X", gc)
-        else:
-            g = PowerSeries.truncated(CTX, "X", [v % CTX.modulus for v in gc], trunc=12)
-        q, r = weierstrass_divide(f, g)
-        assert r.exact_degree is None or r.exact_degree < max(lam, 1)
-        prod = q * g + r
-        window = min(w for w in (prod.truncation, 12) if w is not None)
-        for j in range(min(window, len(prod.coeffs))):
-            fj = f.coeffs[j] if j < len(f.coeffs) else 0
-            assert prod.coeffs[j] == fj
-
-    @staticmethod
-    def check_remainder_against_oracle(f, g, p, N):
-        ctx = PadicContext(p, N)
-        fs, gs = PowerSeries.from_ints(ctx, "X", f), PowerSeries.from_ints(ctx, "X", g)
-        lam = next(i for i, c in enumerate(gs.coeffs) if c % p)
-        P, _ = hensel_prepare_one_digit(list(gs.coeffs), lam, p, N)
-        want = [c % ctx.modulus for c in poly_reduce_mod_int(list(fs.coeffs), P)]
-        want += [0] * (lam - len(want))
-        _, r = weierstrass_divide(fs, gs)
-        assert r.coeffs == tuple(want), (f, g, p, N)
-        return r
-
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_unit_leading_coefficient_is_one_long_division(self, p, monkeypatch):
-        # g's unit coefficient leads, so g = lead * P with P = g / lead
-        # distinguished: the division runs no lift, only one long division by g
-        def no_lift(*args):
-            raise AssertionError("Hensel lift run for a divisor whose unit coefficient leads")
-
-        monkeypatch.setattr(series, "_hensel_prepare_poly", no_lift)
-        rng = random.Random(p)
-        for N in (2, 64, 1024):
-            ctx = PadicContext(p, N)
-            q = ctx.modulus
-            for _ in range(4):
-                lam = rng.randint(1, 4)
-                g = rand_prepare_input(rng, p, 3, lam, lam)
-                f = [rng.randint(-p**4, p**4) for _ in range(rng.randint(1, 12))]
-                fs, gs = PowerSeries.from_ints(ctx, "X", f), PowerSeries.from_ints(ctx, "X", g)
-                quo, rem = weierstrass_divide(fs, gs)
-                want_q, want_r = series.po.poly_divmod_unit_lead(list(fs.coeffs), list(gs.coeffs), q)
-                assert quo.is_exact and quo.coeffs == tuple(want_q), (f, g, N)
-                assert rem.coeffs == tuple(want_r + [0] * (lam - len(want_r))), (f, g, N)
-                # the oracle's lift finds the same factorization P * lead
-                P, _ = hensel_prepare_one_digit(list(gs.coeffs), lam, p, N)
-                lead = gs.coeffs[lam]
-                assert [c * lead % q for c in P] == list(gs.coeffs), (g, N)
-                assert P[-1] == 1 and all(c % p == 0 for c in P[:-1]), (g, N)
-                self.check_remainder_against_oracle(f, g, p, N)
-
-    def test_remainder_example_p7(self):
-        f = [24, 324, 199, -314, 133, -88, 321, -290, -183, -228, 37, 137]
-        r = self.check_remainder_against_oracle(f, [7, 21, 1, -9, -3], 7, 16)
-        assert r.coeffs == (1854028793438, 21043474486820)
-
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("N", [2, 16, 40])
-    def test_remainder_is_f_mod_distinguished_part(self, p, N):
-        # g's unit coefficient is not its leading one, so g = P * U with U of degree >= 1
-        rng = random.Random(100 * p + N)
-        for _ in range(8):
-            lam = rng.randint(1, 3)
-            deg = lam + rng.randint(1, 3)
-            g = rand_prepare_input(rng, p, 3, deg, lam, lead_div_p=rng.random() < 0.5)
-            f = [rng.randint(-p**4, p**4) for _ in range(rng.randint(1, 12))]
-            self.check_remainder_against_oracle(f, g, p, N)
 
 
 class TestWeierstrassPrepare:
@@ -195,8 +78,7 @@ class TestWeierstrassPrepare:
     @given(st.integers(min_value=0, max_value=10**4))
     def test_reconstruction(self, seed):
         rng = random.Random(seed)
-        exact = rng.random() < 0.5
-        f = rand_series(rng, CTX, rng.randint(4, 12), exact=exact)
+        f = rand_series(rng, CTX, rng.randint(4, 12))
         if f.is_zero_to_precision():
             return
         w = weierstrass_prepare(f)
@@ -209,31 +91,7 @@ class TestWeierstrassPrepare:
         prod = w.distinguished * w.unit
         pm = 3**w.mu
         recon = [(c * pm) % CTX.modulus for c in prod.coeffs]
-        window = len(prod.coeffs)
-        for j in range(min(window, len(f.coeffs))):
-            assert recon[j] == f.coeffs[j], (j, w.mu, w.lam)
-
-    @given(st.integers(min_value=0, max_value=10**4))
-    def test_truncated_is_prepare_of_window_polynomial(self, seed):
-        rng = random.Random(seed)
-        p = rng.choice([3, 5, 7])
-        ctx = PadicContext(p, rng.choice([2, 16, 40]))
-        window = rng.randint(1, 12)
-        ints = [p**rng.randint(0, 2) * rng.randint(-p**3, p**3) for _ in range(window)]
-        f = PowerSeries.truncated(ctx, "X", [v % ctx.modulus for v in ints], trunc=window)
-        if f.is_zero_to_precision():
-            return
-        w = weierstrass_prepare(f)
-        we = weierstrass_prepare(PowerSeries.from_ints(ctx, "X", f.coeffs))
-        assert (w.mu, w.lam) == (we.mu, we.lam)
-        assert w.distinguished == we.distinguished
-        assert w.unit.truncation == window - w.lam
-        assert w.unit.coeffs == (we.unit.coeffs + (0,) * window)[:window - w.lam]
-        q1 = w.distinguished.context.modulus
-        f1 = [c // p**w.mu for c in f.coeffs]
-        prod = series.po.pmul(list(w.distinguished.coeffs), list(w.unit.coeffs), q1)
-        assert (prod + [0] * window)[:window] == f1
-        assert not any(prod[window:])
+        assert recon == list(f.coeffs), (w.mu, w.lam)
 
 
 def rand_prepare_input(rng, p, N, deg, lam, lead_div_p=False):
@@ -309,17 +167,9 @@ class TestExactPrepareAtEscalationPrecision:
         rng = random.Random(5)
         for deg in range(3, 11):
             f = rand_prepare_input(rng, 3, 40, deg, rng.randint(1, deg))
-            g = rand_prepare_input(rng, 3, 40, deg, rng.randint(1, deg - 1), lead_div_p=True)
-            exact = PowerSeries.from_ints(ctx, "X", f)
-            window = PowerSeries.truncated(ctx, "X", exact.coeffs, trunc=deg + 3)
-            for run in (
-                lambda: weierstrass_prepare(exact),
-                lambda: weierstrass_prepare(window),
-                lambda: weierstrass_divide(exact, PowerSeries.from_ints(ctx, "X", g)),
-            ):
-                calls = 0
-                run()
-                assert 0 < calls <= bound, (deg, calls)
+            calls = 0
+            weierstrass_prepare(PowerSeries.from_ints(ctx, "X", f))
+            assert 0 < calls <= bound, (deg, calls)
 
 
 class TestLambdaMu:
@@ -331,8 +181,8 @@ class TestLambdaMu:
     @given(st.integers(min_value=0, max_value=10**4))
     def test_additivity_under_products(self, seed):
         rng = random.Random(seed)
-        f = rand_series(rng, CTX, rng.randint(1, 6), exact=True, bound=9)
-        g = rand_series(rng, CTX, rng.randint(1, 6), exact=True, bound=9)
+        f = rand_series(rng, CTX, rng.randint(1, 6), bound=9)
+        g = rand_series(rng, CTX, rng.randint(1, 6), bound=9)
         if f.is_zero_to_precision() or g.is_zero_to_precision():
             return
         lf, mf = lambda_mu(f)
@@ -364,8 +214,8 @@ class TestTwist:
     @given(st.integers(min_value=0, max_value=10**4))
     def test_ring_homomorphism_on_polynomials(self, seed):
         rng = random.Random(seed)
-        f = rand_series(rng, CTX, rng.randint(1, 6), exact=True)
-        g = rand_series(rng, CTX, rng.randint(1, 6), exact=True)
+        f = rand_series(rng, CTX, rng.randint(1, 6))
+        g = rand_series(rng, CTX, rng.randint(1, 6))
         u = 1 + 3 * rng.randint(0, 20)
         rho = Character.from_int(CTX, u)
         d = rng.choice(["forward", "inverse"])
@@ -378,7 +228,7 @@ class TestTwist:
     @given(st.integers(min_value=0, max_value=10**4))
     def test_forward_inverse_roundtrip(self, seed):
         rng = random.Random(seed)
-        f = rand_series(rng, CTX, rng.randint(1, 8), exact=True)
+        f = rand_series(rng, CTX, rng.randint(1, 8))
         rho = Character.from_int(CTX, 1 + 3 * rng.randint(1, 20))
         back = twist_series(twist_series(f, rho, "forward"), rho, "inverse")
         assert back.coeffs == f.coeffs
@@ -386,7 +236,7 @@ class TestTwist:
     def test_evaluation_is_twist_at_zero(self):
         rng = random.Random(7)
         for _ in range(20):
-            f = rand_series(rng, CTX, rng.randint(1, 7), exact=True)
+            f = rand_series(rng, CTX, rng.randint(1, 7))
             rho = Character.from_int(CTX, 1 + 3 * rng.randint(0, 20))
             for d in ("forward", "inverse"):
                 ev = evaluate_character(f, rho, d)
@@ -407,12 +257,6 @@ class TestEvaluateCharacter:
     def test_constants_fixed(self):
         rho = Character.from_int(CTX, 7)
         assert evaluate_character(S([11]), rho, "forward").residue == 11
-
-    def test_tail_uncertified(self):
-        f = PowerSeries.truncated(CTX, "X", [1] * 4, trunc=4)
-        rho = Character.from_int(CTX, 4)
-        with pytest.raises(TailUncertifiedError):
-            evaluate_character(f, rho, "forward")
 
     def test_character_invariant(self):
         with pytest.raises(ValidationError):
@@ -469,9 +313,3 @@ class TestDetMultModOmega:
         else:
             assert got.valuation() == v
             assert got.residue in (want % ctx.modulus, (-want) % ctx.modulus)
-
-    def test_truncated_precision_reduction(self):
-        f = PowerSeries.truncated(CTX, "X", [2, 1] + [0] * 10, trunc=12)
-        d = det_mult_mod_omega(f, 1)
-        # window 12 over p^1 = 3 certifies 4 digits
-        assert d.context.N == 4
