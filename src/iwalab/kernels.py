@@ -1,17 +1,18 @@
 """Matrix kernels over Z/p^N, in pure Python.
 
 These are the hot inner loops of the package: elementary-divisor elimination,
-determinants, and division-free characteristic polynomials for matrices whose
-entries are residues modulo p^N, plus `bareiss_det`, the exact determinant of
-any integer matrix: the crossed NotFinite certificates, the Sylvester
-resultant and every presentation determinant over Z[X] (packed into
-integers) run on it.
+determinants, and characteristic polynomials (Hessenberg reduction, O(n^3))
+for matrices whose entries are residues modulo p^N, plus `bareiss_det`, the
+exact determinant of any integer matrix: the crossed NotFinite certificates,
+the Sylvester resultant and every presentation determinant over Z[X] (packed
+into integers) run on it.
 
 Conventions:
   * the modular kernels take lists of lists of nonnegative ints already
     reduced mod p^N; no kernel modifies its input;
   * valuation exponents >= N are encoded as -1 ("at least N");
-  * pivot search is row-major first-unit, so outputs are deterministic.
+  * pivot search is row-major first-unit (`charpoly_mod`: first of least
+    valuation in its column), so outputs are deterministic.
 
 The word precision k is the largest k with p^k below CPython's int digit
 base, where every residue is a single machine digit.  `precisions(p, N)`
@@ -30,6 +31,8 @@ touches only the columns where the pivot row is nonzero, so sparse inputs
 """
 
 import sys
+from itertools import compress
+from math import gcd
 
 KERNEL_IMPL = "python"
 
@@ -143,64 +146,99 @@ def _divide_out_p(m, p):
 def _eliminate(m, pi, pj, q):
     """Clear column pj mod q with the unit pivot m[pi][pj], then drop its row and column.
 
-    Each row update runs over the pivot row's support only: a column where
-    the pivot row is zero is unchanged by it, and column pj itself is dropped.
+    One pass: the pivot row leaves `m`, and every other row pops its column-pj
+    entry and, when that is nonzero, updates only the pivot row's support (a
+    column where the pivot row is zero is unchanged by it).
     """
-    prow = m[pi]
-    inv = pow(prow[pj], -1, q)
-    support = [(t, v) for t, v in enumerate(prow) if v and t != pj]
-    for r, row in enumerate(m):
-        c = row[pj]
-        if c and r != pi:
-            c = (c * inv) % q
+    prow = m.pop(pi)
+    inv = pow(prow.pop(pj), -1, q)
+    support = [(t, prow[t]) for t in compress(range(len(prow)), prow)]
+    for row in m:
+        c = row.pop(pj)
+        if c:
+            c = c * inv % q
             for t, v in support:
                 row[t] = (row[t] - c * v) % q
-    del m[pi]
-    for row in m:
-        del row[pj]
 
 
 def charpoly_mod(rows, q):
-    """Coefficients of det(t*I - A) mod q, ascending in t (Berkowitz, division-free)."""
+    """Coefficients of det(t*I - A) mod q, ascending in t; q must be a prime power.
+
+    Entries may be any integers; they are read mod q.
+
+    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
+    Theory*, ch. 2), O(n^3): reduce A to upper Hessenberg form H by
+    similarity over Z/q, then expand det(t*I - H) by the division-free
+    recurrence on its leading principal minors.
+
+    Column j pivots on the row-major first entry below the subdiagonal of
+    least valuation (least gcd with q), swapped into row and column j + 1.
+    Every other entry a of the column is then a multiple of g = gcd(pivot, q),
+    so s = (a/g) * (pivot/g)^-1 mod q/g has s * pivot = a mod q, and the
+    conjugation by I - s * e_i e_(j+1)^T is a similarity over Z/q whatever
+    the lift of s; the ring's non-units need no fallback.
+    """
     n = len(rows)
-    if n == 0:
-        return [1 % q]
-    C = [1 % q, (-rows[0][0]) % q]
-    for r in range(2, n + 1):
-        rm1 = r - 1
-        d = rows[rm1][rm1]
-        R = rows[rm1][:rm1]
-        S = [rows[i][rm1] for i in range(rm1)]
-        col = [1 % q, (-d) % q]
-        v = S[:]
-        for k in range(rm1):
-            s = 0
-            for i in range(rm1):
-                s += R[i] * v[i]
-            col.append((-s) % q)
-            if k < rm1 - 1:
-                w = [0] * rm1
-                for i in range(rm1):
-                    acc = 0
-                    Mi = rows[i]
-                    for j in range(rm1):
-                        acc += Mi[j] * v[j]
-                    w[i] = acc % q
-                v = w
-        newC = [0] * (r + 1)
-        top = len(col) - 1
-        for i in range(r + 1):
-            lo = i - top
-            if lo < 0:
-                lo = 0
-            hi = i if i < rm1 else rm1
-            acc = 0
-            for j in range(lo, hi + 1):
-                acc += col[i - j] * C[j]
-            newC[i] = acc % q
-        C = newC
-    C.reverse()
-    return C
+    H = [list(r) for r in rows]
+    for j in range(n - 2):
+        j1 = j + 1
+        best, g = -1, q
+        for i in range(j1, n):
+            a = H[i][j]
+            if a:
+                ga = gcd(a, q)
+                if ga < g:
+                    best, g = i, ga
+                    if g == 1:
+                        break
+        if best < 0:
+            continue
+        if best != j1:
+            H[best], H[j1] = H[j1], H[best]
+            for row in H:
+                row[best], row[j1] = row[j1], row[best]
+        qg = q // g
+        inv = pow(H[j1][j] // g, -1, qg)
+        prow = H[j1]
+        support = [(t, prow[t]) for t in range(j1, n) if prow[t]]
+        shifts = []
+        for i in range(j1 + 1, n):
+            row = H[i]
+            a = row[j]
+            if a:
+                s = (a // g) * inv % qg
+                shifts.append((i, s))
+                row[j] = 0
+                for t, v in support:
+                    row[t] = (row[t] - s * v) % q
+        if shifts:
+            for row in H:
+                acc = row[j1]
+                for i, s in shifts:
+                    acc += s * row[i]
+                row[j1] = acc % q
+    # p_m = det(t*I - H[:m][:m]) = (t - h_mm) p_(m-1)
+    #       - sum_i h_(m-i),m * h_m,(m-1) ... h_(m-i+1),(m-i) * p_(m-i-1)
+    polys = [[1 % q]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0]
+        new += prev
+        h = H[m][m]
+        if h:
+            for k, c in enumerate(prev):
+                new[k] -= h * c
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = prod * H[i + 1][i] % q
+            if not prod:
+                break
+            c = H[i][m] * prod % q
+            if c:
+                for k, v in enumerate(polys[i]):
+                    new[k] -= c * v
+        polys.append([v % q for v in new])
+    return polys[n]
 
 
 def bareiss_det(rows):

@@ -279,6 +279,53 @@ def charpoly_desc(rows):
     return [int(c) for c in Matrix(rows).charpoly().all_coeffs()]
 
 
+def berkowitz_mod(rows, q):
+    """Coefficients of det(t*I - A) mod q, ascending in t (Berkowitz, division-free).
+
+    O(n^4) and free of pivoting, so it holds over any Z/q: the reference for
+    `kernels.charpoly_mod`, which pivots.
+    """
+    n = len(rows)
+    if n == 0:
+        return [1 % q]
+    C = [1 % q, (-rows[0][0]) % q]
+    for r in range(2, n + 1):
+        rm1 = r - 1
+        d = rows[rm1][rm1]
+        R = rows[rm1][:rm1]
+        S = [rows[i][rm1] for i in range(rm1)]
+        col = [1 % q, (-d) % q]
+        v = S[:]
+        for k in range(rm1):
+            s = 0
+            for i in range(rm1):
+                s += R[i] * v[i]
+            col.append((-s) % q)
+            if k < rm1 - 1:
+                w = [0] * rm1
+                for i in range(rm1):
+                    acc = 0
+                    Mi = rows[i]
+                    for j in range(rm1):
+                        acc += Mi[j] * v[j]
+                    w[i] = acc % q
+                v = w
+        newC = [0] * (r + 1)
+        top = len(col) - 1
+        for i in range(r + 1):
+            lo = i - top
+            if lo < 0:
+                lo = 0
+            hi = i if i < rm1 else rm1
+            acc = 0
+            for j in range(lo, hi + 1):
+                acc += col[i - j] * C[j]
+            newC[i] = acc % q
+        C = newC
+    C.reverse()
+    return C
+
+
 def det_int(rows):
     return int(Matrix(rows).det())
 

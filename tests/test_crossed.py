@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from iwalab.cli import main
 from iwalab.corpus import admissible_levels, crossed_corpus, random_crossed_module
 
 from oracles import (
+    berkowitz_mod,
     cocycle_residues,
     det_int,
     gamma_power_matrix,
@@ -246,7 +249,6 @@ class TestAkashiSeries:
     def test_cyclotomic_product_equals_full_charpoly(self, p):
         # oracle: Berkowitz on the full h-basis level matrix, then t -> 1 + X
         from iwalab._polyops import substitute_linear
-        from iwalab.kernels import charpoly_mod
 
         ctx = PadicContext(p, 40)
         q = ctx.modulus
@@ -257,7 +259,7 @@ class TestAkashiSeries:
             # kappa = 1 + p^2 reaches m = n + 2
             X = crossed(rng.choice([X.kappa_exact, 1 + p * p]), X.exact_entries, ctx)
             for lv in admissible_levels(X, 2, 3, rank_cap=54):
-                cp = charpoly_mod(po.block_circulant(X._cocycle(lv)), q)
+                cp = berkowitz_mod(po.block_circulant(X._cocycle(lv)), q)
                 assert list(X.akashi_series(lv).coeffs) == substitute_linear(cp, 1, 1, q, len(cp))
                 seen.add(lv.m)
         assert max(seen) >= 2
@@ -295,6 +297,46 @@ class TestAkashiSeries:
         )
         want = poly * poly * poly
         assert ak.coeffs == want.coeffs
+
+
+class TestAkashiThroughTheCli:
+    """The Akashi series at m = 3, 4 (blocks of rank 36 and 108), d = 2, p = 3, N = 64."""
+
+    KAPPA = 1
+    A = [[[1, 1], [3]], [[0, 3], [1, 0, 1]]]  # [[1 + Y, 3], [3Y, 1 + Y^2]]
+
+    def run_akashi(self, tmp_path, level):
+        problem = {"kind": "crossed", "p": "3", "d": 2, "kappa": str(self.KAPPA),
+                   "A": [[[str(c) for c in e] for e in row] for row in self.A],
+                   "levels": [list(level)], "precision": 64}
+        inp = tmp_path / "akashi.json"
+        inp.write_text(json.dumps(problem))
+        out = tmp_path / "akashi.report.json"
+        t0 = time.perf_counter()
+        code = main(["akashi", "--input", str(inp), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        return [int(c) for c in task["coefficients"]], elapsed
+
+    def test_level_zero_four_in_under_1_5_seconds(self, tmp_path, capsys):
+        coeffs, elapsed = self.run_akashi(tmp_path, (0, 4))
+        capsys.readouterr()
+        assert len(coeffs) == 2 * 81 + 1 and coeffs[-1] == 1
+        assert elapsed < 1.5, elapsed
+
+    def test_level_zero_three_is_the_full_charpoly(self, tmp_path, capsys):
+        from iwalab._polyops import substitute_linear
+
+        coeffs, _ = self.run_akashi(tmp_path, (0, 3))
+        printed = capsys.readouterr().out
+        assert str([str(c) for c in coeffs]) in printed
+        ctx = PadicContext(3, 64)
+        q = ctx.modulus
+        rows = po.block_circulant(crossed(self.KAPPA, self.A, ctx)._cocycle(Level(0, 3)))
+        assert len(rows) == 54
+        cp = berkowitz_mod(rows, q)
+        assert coeffs == substitute_linear(cp, 1, 1, q, len(cp))
 
 
 def group_ring_cases(levels):

@@ -8,6 +8,7 @@ import pytest
 from iwalab import kernels
 
 from oracles import (
+    berkowitz_mod,
     charpoly_desc,
     det_int,
     group_ring_rows_lex,
@@ -151,6 +152,124 @@ class TestStructuredInputs:
                     for _ in range(nr)]
             N = rng.choice([1, 3, 6])
             assert index_snf_exponents(rows, p, N) == snf_exponents(rows, p, N)
+
+
+def check_charpoly(rows, q):
+    """charpoly_mod against Berkowitz and sympy's integer charpoly, input left untouched."""
+    before = [list(r) for r in rows]
+    got = kernels.charpoly_mod(rows, q)
+    assert rows == before
+    assert got == berkowitz_mod(rows, q)
+    assert got == [c % q for c in reversed(charpoly_desc(rows))]
+
+
+def with_subcolumn(rng, sub, q):
+    """A random matrix whose column 0 below the diagonal is `sub`."""
+    n = len(sub) + 1
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    for i, a in enumerate(sub, 1):
+        rows[i][0] = a
+    return rows
+
+
+class TestCharpolyPivot:
+    """The Hessenberg reduction pivots on the least valuation, over Z/p^N with its non-units."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_unit_after_non_unit(self, p):
+        # subcolumn (p, 1): a first-nonzero pivot p cannot clear the unit below it
+        rng = random.Random(20 + p)
+        for N in (1, 2, 6):
+            q = p**N
+            for _ in range(10):
+                check_charpoly(with_subcolumn(rng, [p % q, 1], q), q)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_least_valuation_not_first(self, p):
+        # every entry of the subcolumn is a non-unit; p sits between p^2 and p^3
+        rng = random.Random(30 + p)
+        q = p**6
+        for sub in ([p * p, p, p**3], [p**3, 2 * p * p, p, 0], [0, p**5, p**4 * (p - 1)]):
+            for _ in range(5):
+                check_charpoly(with_subcolumn(rng, sub, q), q)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_zero_subcolumns(self, p):
+        rng = random.Random(40 + p)
+        q = p**5
+        for n in (3, 5, 7):
+            rows = with_subcolumn(rng, [0] * (n - 1), q)
+            check_charpoly(rows, q)
+            for i in range(1, n):  # block upper triangular: a zero subdiagonal
+                for j in range(i):
+                    rows[i][j] = 0
+            check_charpoly(rows, q)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_multiples_of_q_and_residue_field(self, p):
+        rng = random.Random(50 + p)
+        for N in (1, 3):
+            q = p**N
+            for n in range(1, 7):
+                rows = [[rng.choice([0, 0, q, 2 * q, rng.randrange(q)]) for _ in range(n)]
+                        for _ in range(n)]
+                check_charpoly(rows, q)
+            check_charpoly([[0] * 5 for _ in range(5)], q)
+
+    def test_beyond_the_machine_word(self):
+        rng = random.Random(60)
+        q = 3**64
+        assert q > 2**64
+        for _ in range(10):
+            rows = [[rng.choice([0, 3, rng.randrange(q)]) for _ in range(6)] for _ in range(6)]
+            check_charpoly(rows, q)
+        for p in (3, 5):
+            q = p**1024
+            rows = [[p ** rng.randint(0, 3) * rng.randrange(q) % q for _ in range(8)]
+                    for _ in range(8)]
+            check_charpoly(rows, q)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("n", [0, 1, 2, 24])
+    def test_sizes(self, p, n):
+        rng = random.Random(70 + p + n)
+        q = p**8
+        rows = [[p ** rng.randint(0, 2) * rng.randrange(q) % q for _ in range(n)]
+                for _ in range(n)]
+        check_charpoly(rows, q)
+        assert len(kernels.charpoly_mod(rows, q)) == n + 1
+
+    def test_random_valuations(self):
+        rng = random.Random(80)
+        for _ in range(150):
+            p = rng.choice([3, 5, 7, 11])
+            N = rng.choice([1, 2, 3, 5, 12, 40])
+            q = p**N
+            n = rng.randint(0, 7)
+            rows = [[rng.choice([0, rng.randrange(q), p ** rng.randint(1, N) * rng.randrange(q) % q])
+                     for _ in range(n)] for _ in range(n)]
+            before = [list(r) for r in rows]
+            assert kernels.charpoly_mod(rows, q) == berkowitz_mod(rows, q)
+            assert rows == before
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_akashi_block_of_the_corpus(self, p):
+        from iwalab.corpus import admissible_levels, crossed_corpus
+        from iwalab.crossed import _cyclotomic_rows
+
+        ranks = set()
+        for seed in (113, 115):
+            for X in crossed_corpus(seed, 8, p):
+                q = X.context.modulus
+                for lv in admissible_levels(X, 2, 2, rank_cap=162):
+                    C = X._cocycle(lv)
+                    for k in range(lv.m + 1):
+                        block = _cyclotomic_rows(C, p, k, q)
+                        for i, row in enumerate(block):
+                            row[i] = (row[i] - 1) % q
+                        assert kernels.charpoly_mod(block, q) == berkowitz_mod(block, q)
+                        ranks.add(len(block))
+        assert max(ranks) >= 12
 
 
 class TestPrecisions:
