@@ -182,38 +182,34 @@ def split_units(M, p, q):
     sum is prime to p.  For the row-major first unit a at (i, j), each other
     row r with column-j entry c becomes a*row_r - c*row_i; row i and column j
     then split off R/(a) = 0, so the rest (possibly []) has the same cokernel.
-    A row of width w is one element of Z/q[h]/(h^(n w) - 1) with coefficient t
-    of column k at t*w + k: a*row is one `pmul` by a spread to stride w.
+    The update runs entry by entry: a*e - c*f, f the pivot row's entry in e's
+    column, is summed over the nonzero coefficients of a and c into one
+    accumulator of length 2n, folded mod h^n - 1 and reduced mod q once.
     """
-    n = len(M[0][0]) if M else 0
-    w = len(M)
-    rows = [[c for t in zip(*Mi) for c in t] for Mi in M]
-
-    def spread(e, w):
-        out = [0] * ((n - 1) * w + 1)
-        out[::w] = e
-        return out
-
+    rows = [list(row) for row in M]
     while True:
-        pivot = next(((i, j) for i, row in enumerate(rows) for j in range(w)
-                      if sum(row[j::w]) % p), None)
+        pivot = next(((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
+                      if sum(e) % p), None)
         if pivot is None:
-            return [[row[k::w] for k in range(w)] for row in rows]
+            return rows
         i, j = pivot
-        a = spread(rows[i][j::w], w)
-        rest = []
-        for r, row in enumerate(rows):
-            if r == i:
+        prow = rows.pop(i)
+        unit = prow.pop(j)
+        n = len(unit)
+        a = [(s, x) for s, x in enumerate(unit) if x]
+        for row in rows:
+            c = [(s, x) for s, x in enumerate(row.pop(j)) if x]
+            if not c:
                 continue
-            c = row[j::w]
-            if any(c):
-                row = cyclic_reduce(
-                    psub(pmul(a, row, None), pmul(spread(c, w), rows[i], None), None), n * w, q
-                )
-            del row[j::w]
-            rest.append(row)
-        rows = rest
-        w -= 1
+            for k, (e, f) in enumerate(zip(row, prow)):
+                acc = [0] * (2 * n)
+                for s, x in a:
+                    for t, y in enumerate(e, s):
+                        acc[t] += x * y
+                for s, x in c:
+                    for t, y in enumerate(f, s):
+                        acc[t] -= x * y
+                row[k] = [(u + v) % q for u, v in zip(acc, acc[n:])]
 
 
 def poly_divmod_unit_lead(f, g, q):

@@ -208,8 +208,8 @@ class CrossedModule:
 
         Works u^(p^n) C - I over the staged quotient, C the exact cocycle
         product, through `padic.group_ring_h0`: unit entries split off, Smith
-        takes the rest, at the word precision first and at p^N only when some
-        divisor reaches it.
+        takes the rest (at m = 0 the whole scalar matrix), at the word
+        precision first and at p^N only when some divisor reaches it.
         """
         p = self.context.p
         pn = p ** level.n

@@ -62,6 +62,8 @@ class GammaModule:
         self.exact_entries = entries
         # F(h - 1) and det F over Z[X] do not depend on N: a re-embedding passes them on
         self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
+        # the twist powers c^b a level build needs: b below the longest entry
+        self._width = max(len(e) for row in entries for e in row)
         if _det_int is None:
             _det_int = exactint.poly_mat_det(entries)
         self.det_int = _det_int
@@ -117,13 +119,22 @@ class GammaModule:
         p = self.context.p
         pn = p ** n
         u = rho.u.residue
-        width = max(len(e) for row in self._entries_h for e in row)
 
         def build(q):
             c = pow(u, -1, q)
-            cb = [pow(c, b, q) for b in range(width)]
-            return [[po.cyclic_reduce([a * x for a, x in zip(e, cb)], pn, q) for e in row]
-                    for row in self._entries_h]
+            cb = [1] * self._width
+            for b in range(1, self._width):
+                cb[b] = cb[b - 1] * c % q
+            M = []
+            for row in self._entries_h:
+                Mi = []
+                for e in row:
+                    out = [0] * pn
+                    for b, a in enumerate(e):
+                        out[b % pn] += a * cb[b]
+                    Mi.append([v % q for v in out])
+                M.append(Mi)
+            return M
 
         h0 = group_ring_h0(build, p, self.context.N)
         if h0 is None:

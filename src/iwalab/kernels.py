@@ -31,6 +31,7 @@ touches only the columns where the pivot row is nonzero, so sparse inputs
 """
 
 import sys
+from functools import cache
 from itertools import compress
 from math import gcd
 
@@ -49,6 +50,7 @@ def word_precision(p, N):
     return k
 
 
+@cache
 def precisions(p, N):
     """The precisions to try in turn: (k, N) for the word precision 0 < k < N, else (N,)."""
     k = word_precision(p, N)

@@ -276,16 +276,23 @@ def group_ring_h0(build, p: int, N: int) -> int | None:
     `build(q)` returns the matrix mod q, each entry a length-n list in the
     h-basis.  At each of `kernels.precisions(p, N)`, q = p^P: the unit
     entries split off over the group ring (`_polyops.split_units`), and
-    Smith takes the block circulant of what is left.  The exponents mod p^P
-    are min(e, P), so the first result with no divisor at P is exact; None
-    means some divisor reached p^N.
+    Smith takes the block circulant of what is left.  At n = 1 the ring is
+    Z/q, where splitting units is the kernel's own unit pivoting, so the
+    scalar matrix goes to Smith whole.  The exponents mod p^P are min(e, P),
+    so the first result with no divisor at P is exact; None means some
+    divisor reached p^N.
     """
     for P in kernels.precisions(p, N):
         q = p ** P
-        rest = po.split_units(build(q), p, q)
-        if not rest:
-            return 0
-        exps = kernels.smith_exponents(po.block_circulant(rest), p, P)
+        M = build(q)
+        if len(M[0][0]) == 1:
+            rows = [[e[0] for e in row] for row in M]
+        else:
+            rest = po.split_units(M, p, q)
+            if not rest:
+                return 0
+            rows = po.block_circulant(rest)
+        exps = kernels.smith_exponents(rows, p, P)
         if -1 not in exps:
             return sum(exps)
     return None

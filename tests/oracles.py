@@ -258,6 +258,51 @@ def direct_reference(M, rho, n, exponents=snf_exponents):
     return EulerStatus.EXISTS, sum(exps)
 
 
+def split_units_interleaved(M, p, q):
+    """Split the unit entries off a square matrix M over R = Z/q[h]/(h^n - 1), q a power of p.
+
+    R is local with residue field F_p: an entry is a unit when its coefficient
+    sum is prime to p.  For the row-major first unit a at (i, j), each other
+    row r with column-j entry c becomes a*row_r - c*row_i; row i and column j
+    then split off R/(a) = 0, so the rest (possibly []) has the same cokernel.
+    A row of width w is one element of Z/q[h]/(h^(n w) - 1) with coefficient t
+    of column k at t*w + k: a*row is one `pmul` by a spread to stride w.
+
+    The reference for `_polyops.split_units`, which updates entry by entry
+    with the same pivots and the same division-free rule.
+    """
+    n = len(M[0][0]) if M else 0
+    w = len(M)
+    rows = [[c for t in zip(*Mi) for c in t] for Mi in M]
+
+    def spread(e, w):
+        out = [0] * ((n - 1) * w + 1)
+        out[::w] = e
+        return out
+
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(rows) for j in range(w)
+                      if sum(row[j::w]) % p), None)
+        if pivot is None:
+            return [[row[k::w] for k in range(w)] for row in rows]
+        i, j = pivot
+        a = spread(rows[i][j::w], w)
+        rest = []
+        for r, row in enumerate(rows):
+            if r == i:
+                continue
+            c = row[j::w]
+            if any(c):
+                row = po.cyclic_reduce(
+                    po.psub(po.pmul(a, row, None), po.pmul(spread(c, w), rows[i], None), None),
+                    n * w, q,
+                )
+            del row[j::w]
+            rest.append(row)
+        rows = rest
+        w -= 1
+
+
 def resultant_int(f, g):
     """Res(f, g) over Z via sympy (ascending integer coefficient lists)."""
     pf = Poly(list(reversed(f)), _T)

@@ -14,13 +14,28 @@ import pytest
 from iwalab import _polyops as po
 from iwalab import (
     Character,
+    CrossedModule,
+    EulerStatus,
+    GammaModule,
+    Level,
     PadicContext,
     PowerSeries,
+    kernels,
+    padic,
     twist_series,
 )
+from iwalab import crossed as crossed_layer
+from iwalab import gamma as gamma_layer
+from iwalab.corpus import gamma_corpus
 from iwalab.kernels import det_mod, smith_exponents
 
-from oracles import omega_fold, omega_mult_rows, poly_reduce_mod_int, twisted_group_ring
+from oracles import (
+    omega_fold,
+    omega_mult_rows,
+    poly_reduce_mod_int,
+    split_units_interleaved,
+    twisted_group_ring,
+)
 
 LEVELS = [(p, n) for p in (3, 5, 7) for n in (0, 1, 2)]
 
@@ -102,24 +117,33 @@ def ring_element(rng, p, pn, q, unit):
 
 
 class TestSplitUnits:
-    """`split_units` keeps the cokernel: Smith of the block circulant loses one 0 per p^n rows."""
+    """`split_units` keeps the cokernel: Smith of the block circulant loses one 0 per p^n rows.
+
+    Its rest is the interleaved-row reference's (`oracles.split_units_interleaved`)
+    exactly: the same pivots and the same division-free row rule.
+    """
 
     @pytest.mark.parametrize("p,n", LEVELS)
     @pytest.mark.parametrize("N", [2, 6])
     def test_smith_of_remainder(self, p, n, N):
-        # N = 2 stands for a low working precision
+        # N = 2 stands for a low working precision; the last three matrices
+        # have d = 8..10 where p^n <= 3, the widest presentations a level meets
         q = p**N
         pn = p**n
         rng = random.Random(1000 * p + 10 * n + N)
         split = set()
         for k in range(9):
-            d = rng.randint(1, max(1, min(4, 100 // pn)))
+            if pn <= 3 and k >= 6:
+                d = rng.randint(8, 10)
+            else:
+                d = rng.randint(1, max(1, min(4, 100 // pn)))
             share = (0.0, 0.3, 0.8)[k % 3]  # the chance that an entry is a unit
             M = [[ring_element(rng, p, pn, q, rng.random() < share) for _ in range(d)]
                  for _ in range(d)]
             before = [[list(e) for e in row] for row in M]
             rest = po.split_units(M, p, q)
             assert M == before
+            assert rest == split_units_interleaved(M, p, q), M
             assert all(len(row) == len(rest) for row in rest)
             got = smith_exponents(po.block_circulant(rest), p, N) if rest else []
             want = smith_exponents(po.block_circulant(M), p, N)
@@ -161,3 +185,108 @@ class TestSplitUnits:
         c = rho.value_residue(inverse=True)
         ring = [[twisted_group_ring(e, 3, q, c) for e in row] for row in F]
         assert len(po.split_units(ring, 3, q)) == 1
+
+
+class TestRankOne:
+    """A ring of rank 1 (gamma n = 0, crossed m = 0) is Z/q: its scalar matrix goes to Smith whole.
+
+    `group_ring_h0` must then call no `split_units`, and return what the Smith
+    exponents of the block circulant of `build(p^N)` give (None when a divisor
+    reaches p^N).
+    """
+
+    @pytest.fixture
+    def h0_calls(self, monkeypatch):
+        """Record (build, p, N, h0) of every level route's `group_ring_h0`; count `split_units`."""
+        calls = []
+        splits = []
+        split = po.split_units
+
+        def recorded(build, p, N):
+            h0 = padic.group_ring_h0(build, p, N)
+            calls.append((build, p, N, h0))
+            return h0
+
+        def spy(M, p, q):
+            splits.append(len(M))
+            return split(M, p, q)
+
+        monkeypatch.setattr(po, "split_units", spy)
+        monkeypatch.setattr(gamma_layer, "group_ring_h0", recorded)
+        monkeypatch.setattr(crossed_layer, "group_ring_h0", recorded)
+        return calls, splits
+
+    @staticmethod
+    def assert_smith_of_build(calls):
+        for build, p, N, h0 in calls:
+            M = build(p**N)
+            assert all(len(e) == 1 for row in M for e in row)
+            exps = smith_exponents(po.block_circulant(M), p, N)
+            assert h0 == (None if -1 in exps else sum(exps)), M
+
+    def test_gamma_level_zero(self, h0_calls):
+        calls, splits = h0_calls
+        statuses = set()
+        for p, seed in ((3, 5), (5, 6)):
+            for M in gamma_corpus(seed, 4, p):
+                for u in (1, 1 + p, 1 + 2 * p):
+                    statuses.add(M.euler_direct(Character.from_int(M.context, u), 0).status)
+        assert splits == []
+        assert len(calls) >= 24
+        self.assert_smith_of_build(calls)
+        assert EulerStatus.EXISTS in statuses
+
+    def test_crossed_m_zero(self, h0_calls):
+        # A(0) = [[1, 3], [0, 1]], so C - I at m = 0 is [[u' - 1, 3^(n+1) u'], [0, u' - 1]],
+        # u' = u^(p^n): not finite at u = 1, chi = 2 v_3(u' - 1) otherwise
+        calls, splits = h0_calls
+        X = CrossedModule.from_int_data(PadicContext(3, 64), 4, [[[1, 1], [3]], [[0], [1, 2]]])
+        got = {}
+        for n in range(3):
+            for u in (1, 4, 10):
+                r = X.euler_reduced(Character.from_int(X.context, u), Level(n, 0))
+                got[n, u] = (r.status, r.chi_exponent)
+        assert splits == []
+        assert len(calls) == 9
+        self.assert_smith_of_build(calls)
+        for n in range(3):
+            assert got[n, 1][0] is EulerStatus.NOT_FINITE
+            assert got[n, 4] == (EulerStatus.EXISTS, 2 * (n + 1))
+            assert got[n, 10] == (EulerStatus.EXISTS, 2 * (n + 2))
+
+    def test_gamma_not_finite(self, h0_calls):
+        # det F = X (1 + X) vanishes at X = u^-1 - 1 = 0 for u = 1
+        calls, splits = h0_calls
+        M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[0, 1], [1]], [[0], [1, 1]]])
+        r = M.euler_direct(Character.from_int(M.context, 1), 0)
+        assert r.status is EulerStatus.NOT_FINITE
+        assert splits == [] and [h0 for *_, h0 in calls] == [None]
+        self.assert_smith_of_build(calls)
+
+    def test_word_precision_falls_back_to_n(self, h0_calls, monkeypatch):
+        # det F = (X + 2*3^70) g with g(0) = 2, as in an escalation stanza: chi = 70 at
+        # n = 0, u = 1, so the word pass at k = 18 saturates, N = 64 is undetermined
+        # and N = 128 decides
+        calls, splits = h0_calls
+        used = []
+        smith = kernels.smith_exponents
+
+        def recorded(rows, p, N):
+            used.append(N)
+            return smith(rows, p, N)
+
+        monkeypatch.setattr(kernels, "smith_exponents", recorded)
+        k = kernels.word_precision(3, 64)
+        F = [[[2 * 3**70 + 1, 3], [1, 2]], [[2, 1, 3], [2, 1, 3]]]
+        got = []
+        for N in (64, 128):
+            M = GammaModule.from_int_matrix(PadicContext(3, N), F)
+            used.clear()
+            r = M.euler_direct(Character.from_int(M.context, 1), 0)
+            got.append((r.status, r.chi_exponent))
+            assert used == [k, N], used
+        assert got == [(EulerStatus.INDETERMINATE, None), (EulerStatus.EXISTS, 70)]
+        assert splits == [] and [h0 for *_, h0 in calls] == [None, 70]
+        monkeypatch.setattr(kernels, "smith_exponents", smith)
+        self.assert_smith_of_build(calls)
+

@@ -1,14 +1,14 @@
 """Route agreement beyond the small corpora.
 
 Crossed modules (three routes): p = 7, kappa = 1 + p^2 at m = n + 2 (group-ring
-rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11 and 13
-at group-ring rank <= p^2, and staged matrices with and without unit entries.
-Gamma modules (two routes and the X-basis reference): presentations with
-mu > 0, p = 11 and 13 at n <= 1 (rank <= 3p), and d = 3 at direct-route ranks
-75 to 243, with and without unit entries.  Each test asserts the wall-time bound
-RUNTIME_BOUND_S, ten times what the slowest of them takes on a 2-core VM
-(about 1 s), so a slowdown of a route shows here before it shows in the
-suite's total.
+rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11, 13, 17
+and 19 at group-ring rank <= p^2, and staged matrices with and without unit
+entries.  Gamma modules (two routes and the X-basis reference): presentations
+with mu > 0, p = 11, 13, 17 and 19 at n <= 1 (rank <= 3p), and d = 3 at
+direct-route ranks 75 to 243, with and without unit entries.  Each test
+asserts the wall-time bound RUNTIME_BOUND_S, ten times what the slowest of
+them takes on a 2-core VM (about 1 s), so a slowdown of a route shows here
+before it shows in the suite's total.
 """
 
 import random
@@ -152,7 +152,7 @@ def near_identity_crossed(rng, ctx, d, kappa, r0=None):
     return CrossedModule.from_int_data(ctx, kappa, entries)
 
 
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [11, 13, 17, 19])
 def test_large_prime_gamma_direct_vs_analytic(p):
     # d <= 3 at n <= 1: direct-route ranks d * p^n <= 3p
     t0 = time.perf_counter()
@@ -174,7 +174,7 @@ def test_large_prime_gamma_direct_vs_analytic(p):
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
 
 
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [11, 13, 17, 19])
 def test_large_prime_triple_agreement(p):
     # group-ring ranks d * p^(n+m) <= p^2: (1,1) and (2,0) at d = 1, (0,1) and (1,0) at d = 2
     t0 = time.perf_counter()
