@@ -64,19 +64,14 @@ def poly_eval(coeffs, x, q):
     return acc
 
 
-def substitute_linear(coeffs, e, c, q, trunc=None):
-    """f(X) -> f(e + c*X) by Horner, optionally truncated to `trunc` coefficients."""
-    acc = [0]
+def substitute_linear(coeffs, e, c, q):
+    """f(X) -> f(e + c*X) by Horner, with as many coefficients as f."""
+    acc = []
     for a in reversed(coeffs):
-        n = len(acc) + 1
-        if trunc is not None and trunc < n:
-            n = trunc
-        nxt = [0] * n
+        nxt = [0] * (len(acc) + 1)
         for i, v in enumerate(acc):
-            if not v:
-                continue
-            nxt[i] += v * e
-            if i + 1 < n:
+            if v:
+                nxt[i] += v * e
                 nxt[i + 1] += v * c
         nxt[0] += a
         acc = nxt if q is None else [v % q for v in nxt]
@@ -112,10 +107,28 @@ def cyclic_reduce(coeffs, order, q):
     return [c % q for c in out]
 
 
+def cyclotomic_fold(v, p):
+    """v in Z[h]/(h^(p^k) - 1) (length p^k) reduced mod Phi_(p^k)(h) (length phi(p^k)).
+
+    Phi_(p^k)(h) = sum_(j<p) h^(j s), s = p^(k-1), so h^(phi + t), t < s,
+    becomes -sum_(j<p-1) h^(j s + t); at k = 0 v is already its value at h = 1.
+    """
+    pk = len(v)
+    s = pk // p
+    phi = pk - s
+    out = v[:phi]
+    for t in range(s):
+        c = v[phi + t]
+        if c:
+            for j in range(t, phi, s):
+                out[j] -= c
+    return out
+
+
 def h_basis(entries):
     """A matrix of integer polynomials in X, each entry rewritten as f(h - 1) in h = 1 + X."""
     return tuple(
-        tuple(tuple(substitute_linear(e, -1, 1, None, len(e))) for e in row) for row in entries
+        tuple(tuple(substitute_linear(e, -1, 1, None)) for e in row) for row in entries
     )
 
 
@@ -131,32 +144,6 @@ def circulant(c):
     """Rows of right multiplication by c on Z[h]/(h^len(c) - 1): row r is h^r * c."""
     n = len(c)
     return [c[n - r:] + c[:n - r] for r in range(n)]
-
-
-def xpow_mod(e, g, q):
-    """X^e mod g over Z/q by binary powering; g has a unit leading coefficient and degree >= 1."""
-    r = [1]
-    for bit in bin(e)[2:]:
-        r = poly_divmod_unit_lead(pmul(r, r, q), g, q)[1]
-        if bit == "1":
-            r = poly_divmod_unit_lead([0] + r, g, q)[1]
-    return r
-
-
-def mult_rows(f, g, q):
-    """Rows of right multiplication by f on Z/q[X]/(g): row i is X^i * f mod g, padded to deg g.
-
-    g has a unit leading coefficient, so the quotient is free on 1, X, ..., X^(deg g - 1).
-    """
-    dg = len(g) - 1
-    rows = []
-    row = f
-    for _ in range(dg):
-        row = poly_divmod_unit_lead(row, g, q)[1]
-        row += [0] * (dg - len(row))
-        rows.append(row)
-        row = [0] + row
-    return rows
 
 
 def block_circulant(M):

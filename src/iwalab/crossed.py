@@ -34,6 +34,10 @@ RANK_CAP = 2000
 # residue carries N digits, so the cost of a step grows with N^2.
 PRECISION_CAP = 1024
 
+# Largest twist-search budget (file key and --budget): find-twist runs and
+# reports every candidate, so its time and report grow with the budget.
+BUDGET_CAP = 1000
+
 
 @dataclass(frozen=True)
 class Level:
@@ -342,28 +346,19 @@ def _cyclotomic_rows(C, p, k, q):
     """Matrix mod q of right multiplication by C on (Z[h]/Phi_{p^k}(h))^d.
 
     Basis e_i h^t, t < phi(p^k), ordered by (i, t).  An element folds its
-    indices mod p^k; for k = 0 that reads off its value at h = 1, the root of
-    Phi_1(h) = h - 1.  Row (i, r) is then h^r C[i], the first phi rows of the
-    folded circulants.  For k >= 1, Phi_{p^k}(h) = sum_{j<p} h^(j s) with
-    s = p^(k-1), so h^(phi + t) is then replaced by -sum_{j<p-1} h^(j s + t).
+    indices mod p^k, then `_polyops.cyclotomic_fold` reduces it mod
+    Phi_{p^k}; for k = 0 that reads off its value at h = 1.  Row (i, r) is
+    h^r C[i], the first phi rows of the folded circulants, each reduced.
     """
     pk = p ** k
-    s = pk // p
-    phi = pk - s
+    phi = pk - pk // p
     rows = []
     for Ci in C:
         circs = [po.circulant(po.cyclic_reduce(c, pk, None)) for c in Ci]
         for r in range(phi):
             row = []
             for circ in circs:
-                rot = circ[r]
-                out = rot[:phi]
-                for t in range(s):
-                    v = rot[phi + t]
-                    if v:
-                        for j in range(t, phi, s):
-                            out[j] -= v
-                row += [x % q for x in out]
+                row += [x % q for x in po.cyclotomic_fold(circ[r], p)]
             rows.append(row)
     return rows
 

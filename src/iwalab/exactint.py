@@ -1,15 +1,17 @@
 """Exact integer certificates behind the NotFinite decisions.
 
 Anything asserting that a cokernel is genuinely infinite (rather than merely
-large at the working precision) works on true integers.  The gamma
-certificate here is a handful of exact remainders of the twisted
-characteristic polynomial by the cyclotomic Phi_(p^k), k <= n, with phi(p^k)
-at most its degree, so its cost does not grow with the level p^n.  The
+large at the working precision) works on true integers.  The gamma values
+here are the residues of the twisted characteristic polynomial P_u mod
+Phi_(p^k) and their norms N(P_u(zeta_(p^k))) to Q, taken down the cyclotomic
+tower one degree-p step at a time, only for k = 0 and the k with
+phi(p^k) <= lambda, so their cost does not grow with the level p^n; a zero
+residue (a norm of 0) is the certificate.  The
 presentation determinant over Z[X] packs its entries into integers
 (Kronecker substitution) and takes the one exact integer determinant,
-`kernels.bareiss_det`, as does `sylvester_resultant`, the public reference
-for the gamma certificate that no route calls.  Neither uses the modular
-kernels, so tests can check those against these exact integers.
+`kernels.bareiss_det`, as does `sylvester_resultant`, a public reference
+that no route calls.  Neither uses the modular kernels, so tests can check
+those against these exact integers.
 """
 
 from __future__ import annotations
@@ -80,58 +82,60 @@ def poly_mat_det(entries):
     return out or [0]
 
 
-def twisted_char_poly(c, u: int):
-    """u^D * c(u^{-1}T - 1) as an exact integer polynomial in T (D = deg c)."""
-    c = po.trim_int(c)
-    deg = len(c) - 1
-    acc = [0]
-    for k in range(deg, -1, -1):
-        # acc = acc*(T - u) + c_k * u^(D-k)
-        nxt = [0] * (len(acc) + 1)
-        for i, v in enumerate(acc):
-            nxt[i] -= v * u
-            nxt[i + 1] += v
-        nxt[0] += c[k] * u ** (deg - k)
-        acc = nxt
-    return po.trim_int(acc)
+def cyclotomic_norm(f, p, k, q) -> int:
+    """N(f(zeta)) to Q, zeta a primitive p^k-th root of unity (Res(Phi_(p^k), f)), mod q or exact.
 
-
-def cyclotomic_divides(f, p, k) -> bool:
-    """Does Phi_(p^k)(T) divide the integer polynomial f (ascending) over Z?
-
-    Phi_1 = T - 1 divides f exactly when f(1) = 0.  For k >= 1,
-    Phi_(p^k)(T) = Phi_p(T^m), m = p^(k-1), divides T^(p^k) - 1, so f may be
-    folded mod T^(p^k) - 1 first.  Z[T] is free over Z[T^m] on 1, ..., T^(m-1)
-    and Phi_p(T^m) lies in Z[T^m], so the folded f is divisible exactly when
-    each of its m strands c_b, c_(b+m), ..., c_(b+(p-1)m), a polynomial of
-    degree < p in T^m, is a multiple of Phi_p: all p coefficients equal.
+    f (integer, ascending) is folded into R_k = Z[h]/Phi_(p^k)(h).  Down the
+    tower R_k -> R_(k-1), x times its conjugates h -> h^a, a = 1 + j p^(k-1)
+    for j = 1, ..., p - 1 (a = 2, ..., p - 1 at k = 1), lies in Z[h^p]: its
+    coefficients at multiples of p are the relative norm in y = h^p.  A step
+    is p - 1 products of size phi(p^k); each is a ring map, so mod q commutes.
     """
-    if k == 0:
-        return sum(f) == 0
-    m = p ** (k - 1)
-    v = po.cyclic_reduce(f, p * m, None)
-    return all(v[b::m].count(v[b]) == p for b in range(m))
+    x = po.cyclotomic_fold(po.cyclic_reduce(f, p ** k, q), p)
+    while k:
+        pk = p ** k
+        s = pk // p
+        acc = x
+        for a in range(1 + s, pk, s):
+            conj = [0] * pk
+            for i, c in enumerate(x):
+                conj[a * i % pk] = c
+            acc = po.cyclotomic_fold(po.cyclic_reduce(po.pmul(conj, acc, None), pk, q), p)
+        x = acc[::p]
+        k -= 1
+    return x[0] if q is None else x[0] % q
+
+
+def twisted_residues(det_h, u: int, p: int, n: int, lam: int):
+    """(k, P_u mod Phi_(p^k)) in R_k for the k <= n whose norm N(P_u(zeta_(p^k))) has no closed form.
+
+    P_u(h) = u^D det F(u^-1 h - 1): coefficient b is that of det_h = det F(h - 1)
+    times u^(D - b).  For k >= 1 with phi(p^k) > lam the norm has valuation
+    mu*phi(p^k) + lam (Washington, Introduction to Cyclotomic Fields, Thm.
+    13.13), which leaves k = 0 and phi(p^k) <= lam.  R_k is a domain, so the
+    norm is 0 exactly when the residue is.
+    """
+    D = len(det_h) - 1
+    P = [c * u ** (D - b) for b, c in enumerate(det_h)]
+    k = 0
+    while k <= n and (k == 0 or (p - 1) * p ** (k - 1) <= lam):
+        yield k, po.cyclotomic_fold(po.cyclic_reduce(P, p ** k, None), p)
+        k += 1
 
 
 def gamma_h0_is_infinite(det_poly, u: int, p: int, n: int) -> bool:
     """Does the twisted presentation share a root with omega at level n?
 
     True exactly when the determinant of the rho-twisted multiplication map
-    on the rank-p^n quotient vanishes as a genuine p-adic number, i.e. the
-    exact polynomial det has a root u^{-1}*zeta - 1 with zeta^(p^n) = 1:
-    Res(T^(p^n) - 1, P_u) = 0 for P_u = `twisted_char_poly(det, u)`.  The
-    p^n-th roots of unity are the roots of the monic irreducible Phi_(p^k),
-    k <= n, so this asks whether one of them divides P_u over Z; one of
-    degree phi(p^k) > deg P_u cannot.  The cost is set by deg P_u, not by p^n.
+    on the rank-p^n quotient vanishes as a genuine p-adic number: det has a
+    root u^-1 zeta - 1 with zeta^(p^n) = 1, so some norm N(P_u(zeta_(p^k))),
+    k <= n, is 0.  Only a residue of `twisted_residues` can be 0, so the cost
+    is set by lambda, not by p^n.
     """
-    cs = twisted_char_poly(det_poly, u)
-    if cs == [0]:
+    det_poly = po.trim_int(det_poly)
+    if det_poly == [0]:
         return True
-    phi = 1
-    for k in range(n + 1):
-        if phi > len(cs) - 1:
-            break
-        if cyclotomic_divides(cs, p, k):
-            return True
-        phi = (p - 1) * p ** k
-    return False
+    mu = min(int_valuation(c, p) for c in det_poly if c)
+    lam = next(i for i, c in enumerate(det_poly) if c % p ** (mu + 1))
+    det_h = po.substitute_linear(det_poly, -1, 1, None)
+    return any(not any(x) for _, x in twisted_residues(det_h, u, p, n, lam))

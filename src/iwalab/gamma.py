@@ -2,17 +2,20 @@
 
 A module is the cokernel of right multiplication by a d x d matrix F of integer
 polynomials on the series ring (row-vector convention).  Finite-level Euler
-characteristics come by two independent routes: reducing the twisted
-presentation modulo the level polynomial (direct), and the level resultant of
-the twisted characteristic element, taken modulo its distinguished part
-(analytic).  Exactness of NotFinite verdicts is guaranteed by exact
-cyclotomic remainders over Z, never by residue vanishing.
+characteristics come by two independent routes: Smith elimination of the
+twisted presentation modulo the level polynomial over Z/p^N (direct), and
+the exact sum over k <= n of v_p of the norms of the twisted characteristic
+polynomial at the p^k-th roots of unity (analytic), most of them in closed
+form from lambda and mu.  Exactness of NotFinite verdicts is guaranteed by
+exact cyclotomic remainders over Z, never by residue vanishing mod p^N.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import _polyops as po
-from . import exactint, kernels
+from . import exactint
 from .errors import (
     MixedContextError,
     PrecisionExhaustedError,
@@ -21,7 +24,7 @@ from .errors import (
 )
 from .padic import PadicContext, group_ring_h0
 from .results import EulerResult, EulerStatus, search_twists
-from .series import Character, PowerSeries, weierstrass_prepare
+from .series import Character, PowerSeries, lambda_mu, weierstrass_prepare
 
 
 def series_matrix_det(entries) -> PowerSeries:
@@ -45,12 +48,12 @@ class GammaModule:
     """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0).
 
     The module holds F's exact integer polynomial entries (ascending in X),
-    the same entries F(h - 1) in the basis of h = 1 + X, and det F over
-    Z[X]; each route takes their residues per precision, and the finiteness
-    certificates use the integers.
+    the same entries F(h - 1) in the basis of h = 1 + X, det F over Z[X] and
+    det F(h - 1); the direct route and the preparation work mod p^N, the
+    analytic route and the certificates over Z.  det F is prepared on first use.
     """
 
-    def __init__(self, ctx: PadicContext, entries, _det_int=None, _entries_h=None):
+    def __init__(self, ctx: PadicContext, entries, _det_int=None, _entries_h=None, _det_h=None):
         entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
         d = len(entries)
         if d == 0 or any(len(row) != d for row in entries):
@@ -60,7 +63,7 @@ class GammaModule:
         self.context = ctx
         self.d = d
         self.exact_entries = entries
-        # F(h - 1) and det F over Z[X] do not depend on N: a re-embedding passes them on
+        # F(h - 1), det F and det F(h - 1) over Z do not depend on N: a re-embedding passes them on
         self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
         # the twist powers c^b a level build needs: b below the longest entry
         self._width = max(len(e) for row in entries for e in row)
@@ -74,7 +77,7 @@ class GammaModule:
                     "det F is nonzero but vanishes mod p^N; raise the precision"
                 )
             raise ZeroDeterminantError("det F = 0 to working precision; module is not torsion")
-        self._wdata = weierstrass_prepare(self.det)
+        self._det_h = po.substitute_linear(_det_int, -1, 1, None) if _det_h is None else _det_h
 
     @classmethod
     def from_int_matrix(cls, ctx: PadicContext, entries) -> "GammaModule":
@@ -83,9 +86,12 @@ class GammaModule:
 
     def with_precision(self, N: int) -> "GammaModule":
         """Re-embed the exact integer data at a different precision."""
-        return GammaModule(
-            self.context.with_precision(N), self.exact_entries, self.det_int, self._entries_h
-        )
+        ctx = self.context.with_precision(N)
+        return GammaModule(ctx, self.exact_entries, self.det_int, self._entries_h, self._det_h)
+
+    @cached_property
+    def _wdata(self):
+        return weierstrass_prepare(self.det)
 
     # -- characteristic element ---------------------------------------------
 
@@ -97,9 +103,13 @@ class GammaModule:
         coeffs = [(c * pm) % q for c in w.distinguished.coeffs]
         return PowerSeries(self.context, "X", tuple(coeffs), exact_degree=w.lam)
 
+    @cached_property
+    def _lam_mu(self):
+        return lambda_mu(self.det)
+
     def char_invariants(self):
-        """(lambda, mu) of the characteristic element."""
-        return self._wdata.lam, self._wdata.mu
+        """(lambda, mu) of the characteristic element, read off det F without preparing it."""
+        return self._lam_mu
 
     # -- Euler characteristics ------------------------------------------------
 
@@ -142,33 +152,28 @@ class GammaModule:
         return EulerResult.from_h0(h0)
 
     def euler_analytic(self, rho: Character, n: int) -> EulerResult:
-        """chi at level n from the twisted distinguished polynomial, at its size lambda.
+        """chi at level n as the exact sum over k <= n of v_p N(P_u(zeta_(p^k))).
 
-        chi = mu*p^n + v_p Res(h^(p^n) - 1, g) with g(h) = P(c*h - 1), c = u^-1
-        and P the distinguished part, known mod p^(N - mu).  g's leading
-        coefficient c^lambda is a unit, so Z/p^e[h]/(g) is free of rank
-        lambda, and Res(h^(p^n) - 1, g) is, up to sign and a unit, the
-        determinant of multiplication by h^(p^n) - 1 on it (an identity over
-        any commutative ring).  h^(p^n) mod g comes by binary powering, so
-        the level costs a lambda x lambda determinant, none at lambda = 0.
-        The precision e runs over `kernels.precisions(p, N - mu)`: a
-        determinant nonzero mod p^e gives its valuation exactly.
+        chi = v_p Res(h^(p^n) - 1, P_u), P_u(h) = u^D det F(u^-1 h - 1), splits
+        over the p^k-th roots of unity.  Only the residues of
+        `exactint.twisted_residues` take a norm, the rest have valuation
+        mu*phi(p^k) + lambda; a zero residue means not finite.  The route is
+        never indeterminate.
         """
         p = self.context.p
-        pn = p ** n
-        w = self._wdata
-        if not w.lam:
-            return EulerResult.from_h0(w.mu * pn)
-        for e in kernels.precisions(p, w.distinguished.context.N):
-            q = p ** e
-            c = pow(rho.u_exact, -1, q)
-            g = po.substitute_linear(w.distinguished.coeffs, -1, c, q, w.lam + 1)
-            r = po.xpow_mod(pn, g, q)
-            r[0] = (r[0] - 1) % q
-            det = kernels.det_mod(po.mult_rows(r, g, q), p, e)
-            if det:
-                return EulerResult.from_h0(w.mu * pn + exactint.int_valuation(det, p))
-        return self._undetermined(rho, n)
+        lam, mu = self.char_invariants()
+        if not lam:
+            return EulerResult.from_h0(mu * p ** n)
+        chi = 0
+        for last, x in exactint.twisted_residues(self._det_h, rho.u_exact, p, n, lam):
+            if not any(x):
+                return EulerResult(EulerStatus.NOT_FINITE)
+            # v_p N(x) = v_pi(x) < phi*(c + 1), pi = 1 - zeta, c the least v_p in x (README)
+            c = min(exactint.int_valuation(v, p) for v in x if v)
+            q = p ** (len(x) * (c + 1))
+            chi += exactint.int_valuation(exactint.cyclotomic_norm(x, p, last, q), p)
+        # closed form for k = last + 1, ..., n: the phi(p^k) sum to p^n - p^last
+        return EulerResult.from_h0(chi + mu * (p ** n - p ** last) + lam * (n - last))
 
 
 def find_twist(module: GammaModule, n_max: int, budget: int = 25):
@@ -177,10 +182,11 @@ def find_twist(module: GammaModule, n_max: int, budget: int = 25):
     The candidate loop is `results.search_twists` on the direct route;
     candidates are tried in ascending order, so acceptance is deterministic.
     The certificate covers the requested levels only.  Every level at once
-    is in reach with integers alone: level n is not finite exactly when some
-    Phi_(p^k), k <= n with phi(p^k) <= deg det F, divides the twisted
-    characteristic polynomial (`exactint.gamma_h0_is_infinite`), so finitely
-    many exact remainders decide all n; the search does not report that yet.
+    is in reach with integers alone: level n is not finite exactly when the
+    norm N(P_u(zeta_(p^k))) is 0 for some k <= n with k = 0 or
+    phi(p^k) <= lambda (`exactint.gamma_h0_is_infinite`), and past those k
+    chi grows as mu*p^n + lambda*n + nu, so finitely many exact norms decide
+    all n; the search does not report that yet.
     """
     return search_twists(
         module.context,

@@ -5,8 +5,9 @@ All integers may be decimal strings (arbitrary precision survives the text
 format) or plain JSON ints; unknown keys are rejected so result provenance is
 unambiguous.  Module invariants (torsion, unit determinant, level normality,
 character image) are checked here, before any computation, and so is the
-size of the request: the working precision may not exceed PRECISION_CAP, nor
-the dense matrix rank of any requested level RANK_CAP.
+size of the request: the working precision may not exceed PRECISION_CAP, the
+dense matrix rank of any requested level RANK_CAP, nor the twist-search
+budget BUDGET_CAP.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .crossed import PRECISION_CAP, RANK_CAP, CrossedModule, Level
+from .crossed import BUDGET_CAP, PRECISION_CAP, RANK_CAP, CrossedModule, Level
 from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
@@ -134,6 +135,8 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
     budget = _as_int(data.get("budget", DEFAULT_BUDGET), "budget")
     if budget < 1:
         raise ValidationError("budget-positive", f"budget must be >= 1, got {budget}")
+    if budget > BUDGET_CAP:
+        raise SizeCapExceededError(f"budget {budget} exceeds the cap {BUDGET_CAP}")
     characters = _as_int_list(data.get("characters", [1]), "characters")
     if not characters:
         raise ValidationError("characters-nonempty", "characters must name at least one character")

@@ -229,8 +229,7 @@ def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
         raise ValidationError("twist-direction", f"unknown direction {direction!r}")
     q = f.context.modulus
     c = rho.value_residue(inverse=(direction == "inverse"))
-    w = len(f.coeffs)
-    out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q, w)
+    out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q)
     return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
 
 

@@ -7,7 +7,7 @@ every dual-route check keeps two genuinely distinct sides.
 from math import comb
 
 import sympy
-from iwalab import EulerStatus, PadicInt, PowerSeries, twist_series
+from iwalab import EulerStatus, PadicInt, PowerSeries, kernels, twist_series, weierstrass_prepare
 from iwalab import _polyops as po
 from iwalab.crossed import _sigma_h
 from sympy import QQ, ZZ, Matrix, Poly, symbols
@@ -138,7 +138,7 @@ def twisted_group_ring(f, order, q, c):
 
 def to_y(f, q):
     """h-basis coefficients of a staged-quotient element in the Y-basis (h = 1 + Y)."""
-    return po.substitute_linear(f, 1, 1, q, len(f))
+    return po.substitute_linear(f, 1, 1, q)
 
 
 def sigma_power(X, f, k, m):
@@ -258,6 +258,62 @@ def direct_reference(M, rho, n, exponents=snf_exponents):
     return EulerStatus.EXISTS, sum(exps)
 
 
+def xpow_mod(e, g, q):
+    """X^e mod g over Z/q by binary powering; g has a unit leading coefficient and degree >= 1."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = po.poly_divmod_unit_lead(po.pmul(r, r, q), g, q)[1]
+        if bit == "1":
+            r = po.poly_divmod_unit_lead([0] + r, g, q)[1]
+    return r
+
+
+def mult_rows(f, g, q):
+    """Rows of right multiplication by f on Z/q[X]/(g): row i is X^i * f mod g, padded to deg g.
+
+    g has a unit leading coefficient, so the quotient is free on 1, X, ..., X^(deg g - 1).
+    """
+    dg = len(g) - 1
+    rows = []
+    row = f
+    for _ in range(dg):
+        row = po.poly_divmod_unit_lead(row, g, q)[1]
+        row += [0] * (dg - len(row))
+        rows.append(row)
+        row = [0] + row
+    return rows
+
+
+def analytic_lambda_reference(M, rho, n):
+    """The gamma analytic chi at level n from a lambda x lambda determinant mod p^(N - mu).
+
+    chi = mu*p^n + v_p Res(h^(p^n) - 1, g) with g(h) = P(c*h - 1), c = u^-1
+    and P the distinguished part of det F, known mod p^(N - mu).  g's
+    leading coefficient c^lambda is a unit, so Z/p^e[h]/(g) is free of rank
+    lambda, and the resultant is, up to sign and a unit, the determinant of
+    multiplication by h^(p^n) - 1 on it.  The precision e runs over
+    `kernels.precisions(p, N - mu)`; a determinant nonzero mod p^e gives
+    its valuation exactly.  Returns chi, or None when every determinant is 0
+    (not finite, or undecided at this precision).  A reference for
+    `GammaModule.euler_analytic`, which sums exact cyclotomic norms instead.
+    """
+    p = M.context.p
+    pn = p**n
+    w = weierstrass_prepare(M.det)
+    if not w.lam:
+        return w.mu * pn
+    for e in kernels.precisions(p, w.distinguished.context.N):
+        q = p**e
+        c = pow(rho.u_exact, -1, q)
+        g = po.substitute_linear(w.distinguished.coeffs, -1, c, q)
+        r = xpow_mod(pn, g, q)
+        r[0] = (r[0] - 1) % q
+        det = kernels.det_mod(mult_rows(r, g, q), p, e)
+        if det:
+            return w.mu * pn + int_valuation(det, p)
+    return None
+
+
 def split_units_interleaved(M, p, q):
     """Split the unit entries off a square matrix M over R = Z/q[h]/(h^n - 1), q a power of p.
 
@@ -308,6 +364,19 @@ def resultant_int(f, g):
     pf = Poly(list(reversed(f)), _T)
     pg = Poly(list(reversed(g)), _T)
     return int(sympy.resultant(pf, pg))
+
+
+def twisted_char_poly_int(c, u):
+    """u^D * c(u^-1 T - 1) = sum_k c_k u^(D-k) (T - u)^k in T (ascending), D = deg c.
+
+    Horner in T - u over sympy's ZZ[T].
+    """
+    c = po.trim_int(c)
+    D = len(c) - 1
+    acc = Poly(0, _T, domain=ZZ)
+    for k in range(D, -1, -1):
+        acc = acc * Poly([1, -u], _T, domain=ZZ) + c[k] * u ** (D - k)
+    return [int(a) for a in reversed(acc.all_coeffs())]
 
 
 def shares_factor_int(f, g):

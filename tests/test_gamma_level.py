@@ -1,12 +1,14 @@
-"""The gamma level quantities at the size of the characteristic polynomial.
+"""The gamma level quantities at the size of lambda, from exact cyclotomic norms.
 
-`GammaModule.euler_analytic` takes the lambda x lambda determinant of
-multiplication by h^(p^n) - 1 modulo the twisted distinguished polynomial,
-and `exactint.gamma_h0_is_infinite` asks whether a cyclotomic Phi_(p^k),
-k <= n, divides the twisted characteristic polynomial P_u.  Both are checked
-against references whose size is the level p^n: the circulant determinant
-`det_mult_mod_omega`, the Sylvester determinant `sylvester_resultant`, and
-sympy's integer resultant `oracles.resultant_int`.
+`GammaModule.euler_analytic` sums v_p of the norms N(P_u(zeta_(p^k))),
+k <= n, of the twisted characteristic polynomial P_u, most of them in closed
+form, and `exactint.gamma_h0_is_infinite` asks whether one of them is 0.
+`exactint.cyclotomic_norm` is checked against sympy's resultant with
+Phi_(p^k); the route against references whose size is the level p^n (the
+circulant determinant `det_mult_mod_omega`, the Sylvester determinant
+`sylvester_resultant` and sympy's integer resultant), against the former
+lambda x lambda determinant mod p^(N - mu) (`oracles.analytic_lambda_reference`)
+wherever that decides, and against `euler_direct` at N = 512.
 """
 
 import json
@@ -27,14 +29,15 @@ from iwalab import (
 from iwalab import _polyops as po
 from iwalab.cli import main
 from iwalab.corpus import gamma_corpus
-from iwalab.exactint import (
-    cyclotomic_divides,
-    gamma_h0_is_infinite,
-    sylvester_resultant,
-    twisted_char_poly,
-)
+from iwalab.exactint import cyclotomic_norm, gamma_h0_is_infinite, sylvester_resultant
 
-from oracles import int_valuation, resultant_int, shares_factor_int
+from oracles import (
+    analytic_lambda_reference,
+    int_valuation,
+    resultant_int,
+    shares_factor_int,
+    twisted_char_poly_int,
+)
 
 N = 24
 
@@ -72,7 +75,7 @@ def exact_exponent(M, u, n):
     p^n-th roots of unity is e^(p^n) - (-a)^(p^n); otherwise sympy's resultant.
     """
     p = M.context.p
-    cs = twisted_char_poly(M.det_int, u)
+    cs = twisted_char_poly_int(M.det_int, u)
     if len(cs) == 2:
         e, a = cs
         return int_valuation(e ** p**n - (-a) ** p**n, p)
@@ -87,6 +90,8 @@ def circulant_exponent(M, rho, n):
 
 
 def check_analytic(M, u, n, circulant=True):
+    """euler_analytic against the exact resultant, and against the references at the
+    precision where they decide: a valuation of the analytic part below N - mu."""
     ctx = M.context
     p = ctx.p
     rho = Character.from_int(ctx, u)
@@ -95,13 +100,13 @@ def check_analytic(M, u, n, circulant=True):
     _, mu = M.char_invariants()
     if want is None:
         assert got.status is EulerStatus.NOT_FINITE, (M.det_int, u, n)
-    elif want - mu * p**n < ctx.N - mu:
-        assert got.exists and got.chi_exponent == want, (M.det_int, u, n, got, want)
     else:
-        assert got.status is EulerStatus.INDETERMINATE, (M.det_int, u, n, got, want)
+        assert got.exists and got.chi_exponent == want, (M.det_int, u, n, got, want)
+    decided = want is not None and want - mu * p**n < ctx.N - mu
+    ref = want if decided else None
+    assert analytic_lambda_reference(M, rho, n) == ref, (M.det_int, u, n)
     if circulant:
-        ref = circulant_exponent(M, rho, n)
-        assert (got.chi_exponent if got.exists else None) == ref, (M.det_int, u, n)
+        assert circulant_exponent(M, rho, n) == ref, (M.det_int, u, n)
     return got
 
 
@@ -146,7 +151,8 @@ class TestAnalyticAtSizeLambda:
     @pytest.mark.parametrize("p", [3, 5, 11, 13])
     def test_planted_structure(self, p):
         """Levels to 3; at p >= 11 level 3 (rank 1331, 2197) only for linear det F,
-        where the exact resultant has a closed form."""
+        where the exact resultant has a closed form.  A valuation past N - mu,
+        where the references stop deciding, is still exact."""
         seen = set()
         for M in planted(p):
             lam, mu = M.char_invariants()
@@ -154,12 +160,14 @@ class TestAnalyticAtSizeLambda:
             for u in characters(p):
                 for n in range(n_max + 1):
                     got = check_analytic(M, u, n, circulant=p**n <= 27)
-                    seen.add((lam == 0, lam >= p**n, mu > 0, got.status))
-        assert (True, False, False, EulerStatus.EXISTS) in seen
-        assert (False, True, False, EulerStatus.EXISTS) in seen
-        assert any(mu and status is EulerStatus.EXISTS for _, _, mu, status in seen)
-        assert any(s is EulerStatus.NOT_FINITE for *_, s in seen)
-        assert any(s is EulerStatus.INDETERMINATE for *_, s in seen)
+                    beyond = got.exists and got.chi_exponent - mu * p**n >= N - mu
+                    seen.add((lam == 0, lam >= p**n, mu > 0, got.status, beyond))
+        assert (True, False, False, EulerStatus.EXISTS, False) in seen
+        assert (False, True, False, EulerStatus.EXISTS, False) in seen
+        assert any(mu and status is EulerStatus.EXISTS for _, _, mu, status, _ in seen)
+        assert any(s is EulerStatus.NOT_FINITE for *_, s, _ in seen)
+        assert any(beyond for *_, beyond in seen)
+        assert not any(s is EulerStatus.INDETERMINATE for *_, s, _ in seen)
 
     def test_lambda_zero_is_mu_times_level(self):
         M = GammaModule.from_int_matrix(PadicContext(5, N), [[[25, 125, 25]]])
@@ -172,22 +180,83 @@ class TestAnalyticAtSizeLambda:
         M = GammaModule.from_int_matrix(PadicContext(3, N), [[[3, 0, 0, 0, 1]]])
         assert M.euler_analytic(Character.from_int(M.context, 1), 1).chi_exponent == 3
 
+    def test_lambda_200_level_5_in_under_a_second(self):
+        # X^200 + 3: no closed form up to n = 5, since phi(3^5) = 162 <= 200, so
+        # six norms are taken, the last on 162 coefficients
+        M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[3] + [0] * 199 + [1]]])
+        assert M.char_invariants() == (200, 0)
+        for u in (1, 4):
+            t0 = time.perf_counter()
+            got = M.euler_analytic(Character.from_int(M.context, u), 5)
+            assert time.perf_counter() - t0 < 1.0
+            assert got.exists
+            if u == 1:
+                # P_1 = (h - 1)^200 + 3: v(zeta - 1)*200 > 1 whenever phi(3^k) < 200, so t_k = phi(3^k)
+                assert got.chi_exponent == 3**5
+
+
+class TestExactRouteAgainstDirect:
+    """The exact route equals `euler_direct` at N = 512, where the direct route decides everything."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
+    def test_corpus_and_planted(self, p):
+        n_max = {3: 3, 5: 2, 7: 2}.get(p, 1)
+        modules = [M.with_precision(512) for M in planted(p)]
+        if p <= 7:
+            modules += gamma_corpus(p, 8, p, N=512)
+        seen = set()
+        for M in modules:
+            lam, mu = M.char_invariants()
+            for u in characters(p):
+                rho = Character.from_int(M.context, u)
+                for n in range(n_max + 1):
+                    if M.d * p**n > 100:
+                        continue
+                    rd = M.euler_direct(rho, n)
+                    ra = M.euler_analytic(rho, n)
+                    assert rd.status is not EulerStatus.INDETERMINATE, (M.det_int, u, n)
+                    assert (ra.status, ra.chi_exponent) == (rd.status, rd.chi_exponent), (
+                        M.det_int, u, n)
+                    # a norm at some k >= 1, not only the closed form
+                    seen.add((mu > 0, n >= 1 and lam >= p - 1, rd.status))
+        assert any(mu and s is EulerStatus.EXISTS for mu, _, s in seen)
+        assert (False, True, EulerStatus.EXISTS) in seen
+        assert (False, True, EulerStatus.NOT_FINITE) in seen
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_large_coefficients_at_phi_p_squared(self, p):
+        # det F = Phi_(p^2)(u(1 + X)), u = 1 + p^2, at the character u + p^4: lambda = phi(p^2)
+        # and coefficients of thousands of bits, so level 2 takes a norm on phi(p^2)
+        # coefficients; taken mod p^(phi (c + 1)) it stays small and fast
+        u = 1 + p * p
+        M = GammaModule.from_int_matrix(PadicContext(p, 64), [[compose_twist(cyclotomic(p, 2), u)]])
+        assert M.char_invariants()[0] == (p - 1) * p
+        rho = Character.from_int(M.context, u + p**4)
+        t0 = time.perf_counter()
+        ra = M.euler_analytic(rho, 2)
+        assert time.perf_counter() - t0 < 1.0
+        rd = M.euler_direct(rho, 2)
+        assert ra.exists and (ra.status, ra.chi_exponent) == (rd.status, rd.chi_exponent)
+        assert M.euler_analytic(Character.from_int(M.context, u), 2).status is EulerStatus.NOT_FINITE
+
 
 class TestCyclotomicCertificate:
-    @pytest.mark.parametrize("p", [3, 5, 11, 13])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
     def test_cyclotomic_divides_matches_sympy(self, p):
+        """Phi_(p^k) divides f exactly when the tower norm is 0, and every norm is
+        sympy's resultant with Phi_(p^k) (f(1) at k = 0), for k <= 3 while phi(p^k) <= 506."""
         g = [2, -1, 0, 3]
-        for k in range(3):
-            phi = cyclotomic(p, k)
-            assert cyclotomic_divides(po.pmul(phi, g, None), p, k)
-            for i in (0, len(phi) - 1, len(phi) + 1):
-                near = po.pmul(phi, g, None)
-                near[i] += p
-                assert not cyclotomic_divides(near, p, k), (p, k, i)
-            for j in range(3):
-                other = cyclotomic(p, j)
-                want = resultant_int(other, po.pmul(phi, g, None)) == 0
-                assert cyclotomic_divides(po.pmul(phi, g, None), p, j) == want
+        ks = [k for k in range(4) if len(cyclotomic(p, k)) <= 507]
+        for k in ks:
+            f = po.pmul(cyclotomic(p, k), g, None)
+            near = [f[:i] + [f[i] + p] + f[i + 1:] for i in (0, len(f) - 1)] + [f + [p]]
+            for j in ks:
+                for h in [f] + near:
+                    got = cyclotomic_norm(h, p, j, None)
+                    want = sum(h) if j == 0 else resultant_int(cyclotomic(p, j), h)
+                    assert got == want, (p, k, j)
+                    assert cyclotomic_norm(h, p, j, p**7) == want % p**7, (p, k, j)
+                    assert (got == 0) == (h is f and j == k), (p, k, j)
 
     @pytest.mark.parametrize("p", [3, 5, 11, 13])
     def test_planted_cyclotomic_factor(self, p):
@@ -219,7 +288,7 @@ class TestCyclotomicCertificate:
 
     @staticmethod
     def _agrees_with_level_resultant(c, u, p, n, got):
-        cs = twisted_char_poly(c, u)
+        cs = twisted_char_poly_int(c, u)
         if p**n + len(cs) <= 60:
             assert (sylvester_resultant(level_poly(p, n), cs) == 0) == got
         else:

@@ -107,7 +107,6 @@ def test_one_pass_at_or_below_word_precision(monkeypatch):
     rho = Character.from_int(ctx, 4)
     calls = [
         lambda: M.euler_direct(rho, 1),
-        lambda: M.euler_analytic(rho, 1),
         lambda: X.euler_reduced(rho, Level(1, 1)),
         lambda: X.group_ring_oracle(rho, Level(1, 1)),
     ]

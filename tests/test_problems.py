@@ -1,11 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint
+from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint, series
 from iwalab.cli import main
-from iwalab.crossed import PRECISION_CAP, RANK_CAP
+from iwalab.crossed import BUDGET_CAP, PRECISION_CAP, RANK_CAP
 from iwalab.problems import ProblemFile, parse_problem
 from iwalab.workbench import run
 
@@ -134,6 +135,16 @@ class TestParse:
             parse(dict(stanza, precision=1025))
         with pytest.raises(SizeCapExceededError):
             parse(dict(stanza, precision=10**9))
+
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_budget_cap(self, stanza):
+        # find-twist reports every candidate, so the budget bounds its time and report
+        assert BUDGET_CAP == 1000
+        assert parse(dict(stanza, budget=1000)).budget == 1000
+        with pytest.raises(SizeCapExceededError, match="budget 1001 exceeds the cap 1000"):
+            parse(dict(stanza, budget=1001))
+        with pytest.raises(SizeCapExceededError):
+            parse(dict(stanza, budget=str(10**30)))
 
     def test_override_replaces_the_file_key(self):
         text = json.dumps(dict(MINIMAL_GAMMA, precision=2000))
@@ -324,6 +335,16 @@ class TestCli:
         assert report["tasks"][0]["budget"] == "3"
         capsys.readouterr()
 
+    def test_budget_override_above_cap(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(MINIMAL_GAMMA))
+        out = tmp_path / "r.json"
+        argv = ["find-twist", "--input", str(inp), "--budget", "20000", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: budget 20000 exceeds the cap 1000" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_find_twist_cli(self, tmp_path, capsys):
         inp = tmp_path / "prob.json"
         inp.write_text(json.dumps(MINIMAL_CROSSED))
@@ -457,6 +478,59 @@ class TestDetIntReuse:
         report, code = run(pf, "find-twist")
         assert code == 0 and report["tasks"][0]["reverified_ok"] is True
         assert len(calls) == 1
+
+
+class TestLazyPreparation:
+    """det F is prepared only by the commands that print its Weierstrass data."""
+
+    @pytest.fixture
+    def prepares(self, monkeypatch):
+        """Count weierstrass_prepare calls at every iwalab binding site."""
+        count = []
+        real = series.weierstrass_prepare
+
+        def counting(f):
+            count.append(f.context.N)
+            return real(f)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("iwalab") and getattr(mod, "weierstrass_prepare", None) is real:
+                monkeypatch.setattr(mod, "weierstrass_prepare", counting)
+        return count
+
+    @pytest.mark.parametrize(
+        "command, stanza, escalated",
+        [
+            ("euler", dict(MINIMAL_GAMMA, characters=["1", "4"], n_levels=[0, 1, 2]), False),
+            ("find-twist", dict(MINIMAL_GAMMA, n_max=2), False),
+            # det F = (X + 2*3^70)(1 + X): chi = 70 + n at u = 1 escalates 64 -> 128
+            ("euler", dict(MINIMAL_GAMMA, d=2, F=[[[str(2 * 3**70), "1"], ["0"]],
+                                                  [["0"], ["1", "1"]]], n_levels=[0, 1]), True),
+        ],
+        ids=["euler", "find-twist", "euler-escalating"],
+    )
+    def test_level_commands_never_prepare(self, prepares, command, stanza, escalated,
+                                          tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        out = tmp_path / "r.json"
+        assert main([command, "--input", str(inp), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert bool(report["escalations"]) == escalated
+        if escalated:
+            assert report["tasks"][0]["chi_exponent"] == "70"
+        assert prepares == []
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["prepare", "char"])
+    def test_prepare_and_char_prepare_once(self, prepares, command):
+        pf = parse(dict(MINIMAL_GAMMA, F=[[["-3", "1", "9"]]]))
+        assert prepares == []
+        assert pf.module.char_invariants() == (1, 0)
+        assert prepares == []
+        report, code = run(pf, command)
+        assert code == 0 and report["tasks"][0]["lambda"] == "1"
+        assert prepares == [64]
 
 
 class TestOneCommandPath:
