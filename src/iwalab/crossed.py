@@ -6,7 +6,8 @@ basis moves by a matrix A with unit determinant.  Finite-level Euler
 characteristics of twists come by three independent routes:
 
   * euler_reduced      - coinvariants staged through H first (small matrix);
-  * euler_akashi       - evaluation of the level's Akashi polynomial;
+  * euler_akashi       - the level's Akashi polynomial at the twist, from
+                         cached Hessenberg forms of its cyclotomic blocks;
   * group_ring_oracle  - one cokernel over the full finite group ring.
 
 All three must agree; their agreement is this package's central test surface.
@@ -20,7 +21,7 @@ from . import _polyops as po
 from . import kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
-from .padic import AT_LEAST_N, PadicContext, group_ring_h0
+from .padic import PadicContext, group_ring_h0
 from .results import EulerResult, EulerStatus, search_twists
 from .series import Character, PowerSeries
 
@@ -65,8 +66,10 @@ class CrossedModule:
     of A (ascending in Y) and the same entries A(h - 1) in the basis of
     h = 1 + Y; each route takes their residues per precision, and the
     finiteness certificates use the integers.  The cocycle of a level is an
-    exact integer product, so re-embeddings at other precisions share its
-    cache.
+    exact integer product and the certificate's verdict an exact fact, and
+    the Hessenberg forms are keyed by their modulus, so re-embeddings at
+    other precisions share those three caches; the Akashi series cache is
+    per precision.
     """
 
     def __init__(self, ctx: PadicContext, kappa: int, entries, _entries_h=None):
@@ -90,6 +93,8 @@ class CrossedModule:
         self.exact_entries = entries
         self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
         self._cocycle_cache = {}
+        self._hessenberg_cache = {}
+        self._infinite_cache = {}
         self._akashi_cache = {}
 
     @classmethod
@@ -102,6 +107,8 @@ class CrossedModule:
             self.context.with_precision(N), self.kappa_exact, self.exact_entries, self._entries_h
         )
         out._cocycle_cache = self._cocycle_cache
+        out._hessenberg_cache = self._hessenberg_cache
+        out._infinite_cache = self._infinite_cache
         return out
 
     # -- levels ---------------------------------------------------------------
@@ -138,18 +145,30 @@ class CrossedModule:
         not depend on N: every route reduces its own residues mod p^N.
         """
         self.check_level(level)
-        key = (level.n, level.m)
+        return self._cocycle_power(level.n, level.m)
+
+    def _cocycle_power(self, n: int, m: int):
+        """C_(p^n) = sigma^(p^n - 1)(A) ... A mod h^(p^m) - 1 over Z, cached by (n, m).
+
+        C_(a+b) = sigma^b(C_a) C_b, so C_(p^n) is p - 1 products
+        C <- sigma^(p^(n-1))(C) C_(p^(n-1)) starting from C = C_(p^(n-1)):
+        n(p - 1) products in all.  A level below n needs no normality, since
+        sigma is a ring automorphism of every staged quotient.
+        """
+        key = (n, m)
         hit = self._cocycle_cache.get(key)
         if hit is not None:
             return hit
-        p = self.context.p
-        pm = p ** level.m
-        kbar = self.kappa_exact % pm
-        A = self._action_h(level.m)
-        A_support = [[[(b, y) for b, y in enumerate(e) if y] for e in row] for row in A]
-        C = A
-        for _ in range(p ** level.n - 1):
-            C = _cyclic_matmul([[_sigma_h(e, kbar) for e in row] for row in C], A_support)
+        if n == 0:
+            C = self._action_h(m)
+        else:
+            p = self.context.p
+            e = pow(self.kappa_exact, p ** (n - 1), p ** m)
+            half = self._cocycle_power(n - 1, m)
+            support = [[[(b, y) for b, y in enumerate(x) if y] for x in row] for row in half]
+            C = half
+            for _ in range(p - 1):
+                C = _cyclic_matmul([[_sigma_h(x, e) for x in row] for row in C], support)
         self._cocycle_cache[key] = C
         return C
 
@@ -165,7 +184,8 @@ class CrossedModule:
         of det(t - B_k), B_k the matrix of C on (Z_p[h]/Phi_{p^k}(h))^d (the
         Artin formalism of the Akashi series over the characters of H).  Each
         factor is an integral characteristic polynomial and the identity holds
-        over Z, so the product is exact mod p^N.
+        over Z, so the product is exact mod p^N.  `iwalab akashi` prints it;
+        the Euler routes only evaluate it at one point (`euler_akashi`).
         """
         key = (level.n, level.m)
         hit = self._akashi_cache.get(key)
@@ -192,15 +212,21 @@ class CrossedModule:
 
         True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B
         (the block circulant of the cocycle product), so the coinvariants are
-        infinite whatever the working precision.
+        infinite whatever the working precision.  The verdict does not depend
+        on N either: it is cached by (u, n, m), and re-embeddings share it.
         """
+        key = (rho.u_exact, level.n, level.m)
+        hit = self._infinite_cache.get(key)
+        if hit is not None:
+            return hit
         rows = po.block_circulant(self._cocycle(level))
         upn = rho.u_exact ** (self.context.p ** level.n)
         mat = [
             [upn * v - (1 if r == c else 0) for c, v in enumerate(row)]
             for r, row in enumerate(rows)
         ]
-        return kernels.bareiss_det(mat) == 0
+        hit = self._infinite_cache[key] = kernels.bareiss_det(mat) == 0
+        return hit
 
     def _undetermined(self, rho: Character, level: Level) -> EulerResult:
         if self._h0_infinite_exact(rho, level):
@@ -232,15 +258,37 @@ class CrossedModule:
         return EulerResult.from_h0(h0)
 
     def euler_akashi(self, rho: Character, level: Level) -> EulerResult:
-        """Evaluate the Akashi polynomial at the twist: X = u^(-p^n) - 1."""
-        ak = self.akashi_series(level)
-        ctx = self.context
-        q = ctx.modulus
-        x0 = (pow(rho.u.residue, -(ctx.p ** level.n), q) - 1) % q
-        v = ctx.int_valuation(po.poly_eval(list(ak.coeffs), x0, q))
-        if v is AT_LEAST_N:
-            return self._undetermined(rho, level)
-        return EulerResult.from_h0(v)
+        """Evaluate the Akashi polynomial at the twist: X = u^(-p^n) - 1.
+
+        The value is det(t I - B) at t = u^(-p^n), the product over k <= m of
+        det(t I - H_k) for the Hessenberg forms H_k of the cyclotomic blocks
+        (see `akashi_series`), each O(r^2) by `kernels.charpoly_at`.  It is
+        taken at each of `kernels.precisions(p, N)` in turn; a value that is
+        nonzero mod p^P has its valuation, below P, exactly.
+        """
+        p = self.context.p
+        pn = p ** level.n
+        for P in kernels.precisions(p, self.context.N):
+            q = p ** P
+            t = pow(rho.u_exact, -pn, q)
+            value = 1
+            for H in self._hessenberg_blocks(level, q):
+                value = value * kernels.charpoly_at(H, t, q) % q
+            if value:
+                return EulerResult.from_h0(int_valuation(value, p))
+        return self._undetermined(rho, level)
+
+    def _hessenberg_blocks(self, level: Level, q: int):
+        """Hessenberg forms mod q of the cyclotomic blocks k = 0..m, cached by (n, m, q)."""
+        key = (level.n, level.m, q)
+        hit = self._hessenberg_cache.get(key)
+        if hit is None:
+            C = self._cocycle(level)
+            p = self.context.p
+            hit = [kernels.hessenberg_mod(_cyclotomic_rows(C, p, k, q), q)
+                   for k in range(level.m + 1)]
+            self._hessenberg_cache[key] = hit
+        return hit
 
     def group_ring_oracle(self, rho: Character, level: Level) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].

@@ -3,8 +3,8 @@
 Anything asserting that a cokernel is genuinely infinite (rather than merely
 large at the working precision) works on true integers.  The gamma values
 here are the residues of the twisted characteristic polynomial P_u mod
-Phi_(p^k) and their norms N(P_u(zeta_(p^k))) to Q, taken down the cyclotomic
-tower one degree-p step at a time, only for k = 0 and the k with
+Phi_(p^k) and the p-adic valuations of their norms N(P_u(zeta_(p^k))) to Q,
+read off one Taylor shift with no norm formed, only for k = 0 and the k with
 phi(p^k) <= lambda, so their cost does not grow with the level p^n; a zero
 residue (a norm of 0) is the certificate.  The
 presentation determinant over Z[X] packs its entries into integers
@@ -82,28 +82,23 @@ def poly_mat_det(entries):
     return out or [0]
 
 
-def cyclotomic_norm(f, p, k, q) -> int:
-    """N(f(zeta)) to Q, zeta a primitive p^k-th root of unity (Res(Phi_(p^k), f)), mod q or exact.
+def norm_valuation(x, p: int) -> int:
+    """v_p of the norm N(x(zeta)) to Q of a nonzero x in R_k = Z[h]/Phi_(p^k)(h).
 
-    f (integer, ascending) is folded into R_k = Z[h]/Phi_(p^k)(h).  Down the
-    tower R_k -> R_(k-1), x times its conjugates h -> h^a, a = 1 + j p^(k-1)
-    for j = 1, ..., p - 1 (a = 2, ..., p - 1 at k = 1), lies in Z[h^p]: its
-    coefficients at multiples of p are the relative norm in y = h^p.  A step
-    is p - 1 products of size phi(p^k); each is a ring map, so mod q commutes.
+    x is given by its phi(p^k) coefficients.
+
+    Q_p(zeta) is totally ramified of degree phi over Q_p, with uniformizer
+    pi = 1 - zeta of norm p (k >= 1), so v_p N(x) = v_pi(x).  With one Taylor
+    shift x(1 - pi) = sum_i a_i pi^i, i < phi, and the terms have the
+    distinct valuations phi*v_p(a_i) + i, so v_pi(x) is their least.  At
+    k = 0 (phi = 1) that is v_p of x's one coefficient.  No norm is formed.
     """
-    x = po.cyclotomic_fold(po.cyclic_reduce(f, p ** k, q), p)
-    while k:
-        pk = p ** k
-        s = pk // p
-        acc = x
-        for a in range(1 + s, pk, s):
-            conj = [0] * pk
-            for i, c in enumerate(x):
-                conj[a * i % pk] = c
-            acc = po.cyclotomic_fold(po.cyclic_reduce(po.pmul(conj, acc, None), pk, q), p)
-        x = acc[::p]
-        k -= 1
-    return x[0] if q is None else x[0] % q
+    phi = len(x)
+    return min(
+        phi * int_valuation(a, p) + i
+        for i, a in enumerate(po.substitute_linear(x, 1, -1, None))
+        if a
+    )
 
 
 def twisted_residues(det_h, u: int, p: int, n: int, lam: int):

@@ -156,9 +156,9 @@ class GammaModule:
 
         chi = v_p Res(h^(p^n) - 1, P_u), P_u(h) = u^D det F(u^-1 h - 1), splits
         over the p^k-th roots of unity.  Only the residues of
-        `exactint.twisted_residues` take a norm, the rest have valuation
-        mu*phi(p^k) + lambda; a zero residue means not finite.  The route is
-        never indeterminate.
+        `exactint.twisted_residues` are looked at (`exactint.norm_valuation`),
+        the rest have valuation mu*phi(p^k) + lambda; a zero residue means not
+        finite.  The route is never indeterminate.
         """
         p = self.context.p
         lam, mu = self.char_invariants()
@@ -168,10 +168,7 @@ class GammaModule:
         for last, x in exactint.twisted_residues(self._det_h, rho.u_exact, p, n, lam):
             if not any(x):
                 return EulerResult(EulerStatus.NOT_FINITE)
-            # v_p N(x) = v_pi(x) < phi*(c + 1), pi = 1 - zeta, c the least v_p in x (README)
-            c = min(exactint.int_valuation(v, p) for v in x if v)
-            q = p ** (len(x) * (c + 1))
-            chi += exactint.int_valuation(exactint.cyclotomic_norm(x, p, last, q), p)
+            chi += exactint.norm_valuation(x, p)
         # closed form for k = last + 1, ..., n: the phi(p^k) sum to p^n - p^last
         return EulerResult.from_h0(chi + mu * (p ** n - p ** last) + lam * (n - last))
 

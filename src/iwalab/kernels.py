@@ -1,8 +1,10 @@
 """Matrix kernels over Z/p^N, in pure Python.
 
 These are the hot inner loops of the package: elementary-divisor elimination,
-determinants, and characteristic polynomials (Hessenberg reduction, O(n^3))
-for matrices whose entries are residues modulo p^N, plus `bareiss_det`, the
+determinants, the Hessenberg form by similarity (`hessenberg_mod`, O(n^3)),
+and from it the characteristic polynomial (`charpoly_mod`) or its value at
+one point (`charpoly_at`, O(n^2)), for matrices whose entries are residues
+modulo a prime power, plus `bareiss_det`, the
 exact determinant of any integer matrix: the crossed NotFinite certificates,
 the Sylvester resultant and every presentation determinant over Z[X] (packed
 into integers) run on it.
@@ -11,7 +13,7 @@ Conventions:
   * the modular kernels take lists of lists of nonnegative ints already
     reduced mod p^N; no kernel modifies its input;
   * valuation exponents >= N are encoded as -1 ("at least N");
-  * pivot search is row-major first-unit (`charpoly_mod`: first of least
+  * pivot search is row-major first-unit (`hessenberg_mod`: first of least
     valuation in its column), so outputs are deterministic.
 
 The word precision k is the largest k with p^k below CPython's int digit
@@ -163,25 +165,19 @@ def _eliminate(m, pi, pj, q):
                 row[t] = (row[t] - c * v) % q
 
 
-def charpoly_mod(rows, q):
-    """Coefficients of det(t*I - A) mod q, ascending in t; q must be a prime power.
+def hessenberg_mod(rows, q):
+    """An upper Hessenberg matrix similar to `rows` over Z/q, entries in [0, q); q a prime power.
 
-    Entries may be any integers; they are read mod q.
-
-    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
-    Theory*, ch. 2), O(n^3): reduce A to upper Hessenberg form H by
-    similarity over Z/q, then expand det(t*I - H) by the division-free
-    recurrence on its leading principal minors.
-
-    Column j pivots on the row-major first entry below the subdiagonal of
-    least valuation (least gcd with q), swapped into row and column j + 1.
-    Every other entry a of the column is then a multiple of g = gcd(pivot, q),
-    so s = (a/g) * (pivot/g)^-1 mod q/g has s * pivot = a mod q, and the
+    Entries may be any integers; they are read mod q.  Column j pivots on
+    the row-major first entry below the subdiagonal of least valuation
+    (least gcd with q), swapped into row and column j + 1.  Every other
+    entry a of the column is then a multiple of g = gcd(pivot, q), so
+    s = (a/g) * (pivot/g)^-1 mod q/g has s * pivot = a mod q, and the
     conjugation by I - s * e_i e_(j+1)^T is a similarity over Z/q whatever
     the lift of s; the ring's non-units need no fallback.
     """
     n = len(rows)
-    H = [list(r) for r in rows]
+    H = [[v % q for v in r] for r in rows]
     for j in range(n - 2):
         j1 = j + 1
         best, g = -1, q
@@ -219,8 +215,22 @@ def charpoly_mod(rows, q):
                 for i, s in shifts:
                     acc += s * row[i]
                 row[j1] = acc % q
-    # p_m = det(t*I - H[:m][:m]) = (t - h_mm) p_(m-1)
-    #       - sum_i h_(m-i),m * h_m,(m-1) ... h_(m-i+1),(m-i) * p_(m-i-1)
+    return H
+
+
+def charpoly_mod(rows, q):
+    """Coefficients of det(t*I - A) mod q, ascending in t; q must be a prime power.
+
+    Entries may be any integers; they are read mod q.  Hessenberg method
+    (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 2),
+    O(n^3): `hessenberg_mod`, then the division-free recurrence on the
+    leading principal minors p_m = det(t*I - H[:m][:m]):
+
+        p_m = (t - h_mm) p_(m-1)
+              - sum_i h_(m-i),m * h_m,(m-1) ... h_(m-i+1),(m-i) * p_(m-i-1).
+    """
+    H = hessenberg_mod(rows, q)
+    n = len(H)
     polys = [[1 % q]]
     for m in range(n):
         prev = polys[m]
@@ -241,6 +251,25 @@ def charpoly_mod(rows, q):
                     new[k] -= c * v
         polys.append([v % q for v in new])
     return polys[n]
+
+
+def charpoly_at(H, s, q):
+    """det(s*I - H) mod q for an upper Hessenberg H mod q, in O(n^2).
+
+    `charpoly_mod`'s recurrence with the scalar s in place of t.
+    """
+    n = len(H)
+    vals = [1 % q]
+    for m in range(n):
+        acc = (s - H[m][m]) * vals[m]
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = prod * H[i + 1][i] % q
+            if not prod:
+                break
+            acc -= H[i][m] * prod % q * vals[i]
+        vals.append(acc % q)
+    return vals[n]
 
 
 def bareiss_det(rows):

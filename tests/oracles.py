@@ -156,13 +156,14 @@ def sigma_power(X, f, k, m):
     return PowerSeries(ctx, "Y", tuple(out), exact_degree=pm - 1)
 
 
-def cocycle_residues(X, level):
+def cocycle_residues(X, level, exact=False):
     """sigma^(p^n - 1)(A) ... sigma(A) A mod p^N in the h-basis, multiplied from the left.
 
     Dense products of residues: each factor sigma^k(A) permutes the h-basis
-    of A(h - 1) by kappa^k mod p^m, and every product is reduced mod p^N.
+    of A(h - 1) by kappa^k mod p^m, and every product is reduced mod p^N;
+    with `exact` the p^n - 1 products are taken over Z instead.
     """
-    q = X.context.modulus
+    q = None if exact else X.context.modulus
     pm = X.context.p ** level.m
     A = [[po.to_group_ring(e, pm, q) for e in row] for row in X.exact_entries]
     d = len(A)
@@ -182,6 +183,20 @@ def cocycle_residues(X, level):
             for i in range(d)
         ]
     return C
+
+
+def akashi_value_exponent(X, rho, level):
+    """v_p of the Akashi series at X = u^(-p^n) - 1 mod p^N; None when that value is 0 mod p^N.
+
+    The series is expanded in full (`CrossedModule.akashi_series`) and
+    evaluated at the twist: the Akashi route before it evaluated the
+    cyclotomic blocks' Hessenberg forms at the point directly.
+    """
+    ctx = X.context
+    q = ctx.modulus
+    x0 = (pow(rho.u_exact, -(ctx.p ** level.n), q) - 1) % q
+    value = po.poly_eval(list(X.akashi_series(level).coeffs), x0, q)
+    return int_valuation(value, ctx.p) if value else None
 
 
 def gamma_power_matrix(X, level):
@@ -360,10 +375,36 @@ def split_units_interleaved(M, p, q):
 
 
 def resultant_int(f, g):
-    """Res(f, g) over Z via sympy (ascending integer coefficient lists)."""
+    """Res(f, g) over Z via sympy (ascending integer coefficient lists).
+
+    sympy's resultant given the factor of lower degree first can return
+    Res(g, f), which differs by (-1)^(deg f * deg g): for f = T - 1 and
+    g = [3, -3, -6, 6, -9, 3, 4, -9] it gives 11, not g(1) = -11.  So the
+    factor of higher degree goes first and the sign is applied here.  The
+    Sylvester determinant (`sylvester_det_int`) is the definition this is
+    tested against; it is far too slow for the degrees the level tests
+    reach (minutes at size 183, where this takes a fraction of a second).
+    """
     pf = Poly(list(reversed(f)), _T)
     pg = Poly(list(reversed(g)), _T)
+    if pf.is_zero or pg.is_zero:
+        return 0
+    m, n = pf.degree(), pg.degree()
+    if m < n:
+        return (-1) ** (m * n) * int(sympy.resultant(pg, pf))
     return int(sympy.resultant(pf, pg))
+
+
+def sylvester_det_int(f, g):
+    """Res(f, g) over Z as sympy's determinant of the Sylvester matrix (ascending lists)."""
+    f = po.trim_int(f)
+    g = po.trim_int(g)
+    if f == [0] or g == [0]:
+        return 0
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * j + g[::-1] + [0] * (m - 1 - j) for j in range(m)]
+    return int(Matrix(rows).det()) if rows else 1
 
 
 def twisted_char_poly_int(c, u):

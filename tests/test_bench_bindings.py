@@ -8,11 +8,15 @@ same holds for the names `iwalab.__all__` exports.  `perfbench/workloads.py`
 calls much more of the package (the corpus generators, `Character.from_int`,
 `context`, `with_precision`, every `euler_*` route and `cli.main`), so one
 round of each workload is built and run here at seed 0, and every answer
-must pass the workload's own failure rule.
+must pass the workload's own failure rule.  The same round's digest must
+equal the one recorded in `perfbench/answers.json`, so a changed answer
+fails here and not only in the benchmark's answer gate.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +71,28 @@ def test_one_round_of_each_workload_passes_its_failure_rule(name, tmp_path):
         if task.finish is not None:
             answer = task.finish(answer)
         assert workload.failure(task, answer) is None, (task.key, answer)
+
+
+def round_digest(pairs, skip):
+    """`round_digest` of perfbench/run.py: sha256 of the compact, key-sorted JSON list of
+    [task key, answer] pairs, recorded failures left out, to 16 hex digits."""
+    text = json.dumps([[key, answer] for key, answer in pairs if key not in skip],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["gamma-sweep", "crossed-triple", "cli-escalate"])
+def test_round_zero_of_seed_zero_matches_the_recorded_answers(name, tmp_path):
+    recorded = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))[name]["0"]
+    workload = load_perfbench("workloads").WORKLOADS[name]
+    pairs = []
+    for task in workload.build(0, 1, tmp_path)[0]:
+        # as run.run_pass records it: a raised exception is the answer, and is not finished
+        try:
+            answer = task.run()
+        except Exception as exc:
+            answer = {"raised": type(exc).__name__, "message": str(exc)}
+        if task.finish is not None and "raised" not in answer:
+            answer = task.finish(answer)
+        pairs.append((task.key, answer))
+    assert round_digest(pairs, set(recorded["failed"])) == recorded["digests"][0]

@@ -24,6 +24,7 @@ from iwalab.cli import main
 from iwalab.corpus import admissible_levels, crossed_corpus, random_crossed_module
 
 from oracles import (
+    akashi_value_exponent,
     berkowitz_mod,
     cocycle_residues,
     det_int,
@@ -215,6 +216,157 @@ class TestCocycle:
                      "--out", str(tmp_path / "r.json")])
         capsys.readouterr()
         assert code == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("p, n_max", [(3, 4), (5, 3)])
+    def test_doubling_matches_linear_products(self, p, n_max):
+        # C_(p^n) from C_(p^(n-1)) by p - 1 twisted products, against the p^n - 1
+        # products sigma^k(A) C, exact over Z and mod p^N
+        ctx = PadicContext(p, 16)
+        rng = random.Random(140 + p)
+        modules = [crossed(1 + p, [[[1, 1], [0, 2]], [[p], [1, 0, 1]]], ctx)]
+        modules += [random_crossed_module(rng, ctx) for _ in range(2)]
+        for X in modules:
+            for n in range(n_max + 1):
+                for m in (0, 1):
+                    lv = X.check_level(Level(n, m))
+                    got = X._cocycle(lv)
+                    assert got == cocycle_residues(X, lv, exact=True), (X.exact_entries, lv)
+                    q = ctx.modulus
+                    reduced = [[[v % q for v in e] for e in row] for row in got]
+                    assert reduced == cocycle_residues(X, lv)
+
+    @pytest.mark.parametrize("p, n, m", [(3, 4, 1), (3, 2, 3), (5, 3, 0), (5, 1, 2)])
+    def test_level_n_takes_n_times_p_minus_one_products(self, monkeypatch, p, n, m):
+        calls = []
+        inner = crossed_layer._cyclic_matmul
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(crossed_layer, "_cyclic_matmul", counted)
+        X = crossed(1 + p * p, [[[1, 1], [p]], [[0, 2], [1, 0, 1]]], PadicContext(p, 16))
+        X._cocycle(Level(n, m))
+        assert len(calls) == n * (p - 1)
+        X.with_precision(32)._cocycle(Level(n, m))
+        assert len(calls) == n * (p - 1)
+
+
+class TestAkashiEvaluation:
+    """euler_akashi evaluates cached Hessenberg forms at the twist, word precision first."""
+
+    @staticmethod
+    def check(X, rho, lv):
+        got = X.euler_akashi(rho, lv)
+        want = akashi_value_exponent(X, rho, lv)
+        if want is None:
+            infinite = X._h0_infinite_exact(rho, lv)
+            status = EulerStatus.NOT_FINITE if infinite else EulerStatus.INDETERMINATE
+            assert got.status is status, (X.exact_entries, lv, rho.u_exact)
+        else:
+            assert got.exists and got.chi_exponent == want, (X.exact_entries, lv, rho.u_exact, got)
+        return got, want
+
+    @pytest.mark.parametrize("N", [64, 512])
+    def test_matches_series_evaluation_on_the_corpus(self, N):
+        seen = set()
+        for p in (3, 5):
+            for X in crossed_corpus(150 + p, 8, p, N=N):
+                for lv in admissible_levels(X, 2, 2, rank_cap=162):
+                    for u in (1, 1 + p, 1 + p * p):
+                        got, _ = self.check(X, Character.from_int(X.context, u), lv)
+                        seen.add(got.status)
+        assert EulerStatus.EXISTS in seen and EulerStatus.NOT_FINITE in seen
+
+    @pytest.mark.parametrize("N", [64, 512])
+    def test_near_identity_past_the_word_precision(self, N):
+        # A = I + 3 C0 + Y C1 at level (2, 2): the value's valuation often reaches
+        # the word precision 18, so the pass at p^N decides
+        ctx = PadicContext(3, N)
+        rng = random.Random(160)
+        k = kernels.word_precision(3, N)
+        past = 0
+        for _ in range(12):
+            A = [[[(1 if i == j else 0) + 3 * rng.randint(-2, 2), rng.randint(-3, 3)]
+                  for j in range(2)] for i in range(2)]
+            X = crossed(4, A, ctx)
+            for u in (1, 4, 10):
+                got, want = self.check(X, Character.from_int(ctx, u), Level(2, 2))
+                past += want is not None and want >= k
+        assert past
+
+    def test_not_finite_trivial_action(self):
+        X = trivial_module()
+        for lv in (Level(0, 0), Level(1, 1), Level(2, 1)):
+            got, want = self.check(X, TRIV, lv)
+            assert want is None and got.status is EulerStatus.NOT_FINITE
+
+    def test_hessenberg_forms_cached_per_precision_and_shared(self):
+        X = crossed(4, [[[1, 1], [3]], [[0, 2], [1, 0, 1]]], PadicContext(3, 64))
+        lv = Level(1, 1)
+        X.euler_akashi(U4, lv)
+        Y = X.with_precision(128)
+        Y.euler_akashi(U4, lv)
+        assert Y._hessenberg_cache is X._hessenberg_cache
+        assert (1, 1, 3 ** kernels.word_precision(3, 64)) in X._hessenberg_cache
+
+    def test_euler_never_expands_the_series(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args):
+            raise AssertionError("the Euler routes evaluate the Akashi polynomial at a point")
+
+        monkeypatch.setattr(CrossedModule, "akashi_series", refuse)
+        monkeypatch.setattr(kernels, "charpoly_mod", refuse)
+        problem = Path(__file__).resolve().parents[1] / "problems" / "crossed_trivial.json"
+        code = main(["euler", "--precision", "1", "--input", str(problem),
+                     "--out", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        assert code == 0
+        tasks = json.loads((tmp_path / "r.json").read_text())["tasks"]
+        assert all(task["routes_agree"] for task in tasks)
+
+
+class TestNotFiniteCertificate:
+    """The exact Bareiss certificate runs once per (u, level), whatever the route or precision."""
+
+    @staticmethod
+    def count_bareiss(monkeypatch):
+        calls = []
+        inner = kernels.bareiss_det
+
+        def counted(rows):
+            calls.append(len(rows))
+            return inner(rows)
+
+        monkeypatch.setattr(kernels, "bareiss_det", counted)
+        return calls
+
+    def test_not_finite_level_across_routes_and_precisions(self, monkeypatch):
+        calls = self.count_bareiss(monkeypatch)
+        X = trivial_module()
+        lv = Level(1, 1)
+        for M in (X, X.with_precision(64), X.with_precision(64).with_precision(128)):
+            rho = Character.from_int(M.context, 1)
+            assert M.euler_reduced(rho, lv).status is EulerStatus.NOT_FINITE
+            assert M.euler_akashi(rho, lv).status is EulerStatus.NOT_FINITE
+        assert len(calls) == 1
+        # the group-ring route certifies on its own, every time
+        assert X.group_ring_oracle(TRIV, lv).status is EulerStatus.NOT_FINITE
+        assert X.group_ring_oracle(TRIV, lv).status is EulerStatus.NOT_FINITE
+        assert len(calls) == 3
+
+    def test_escalation_certifies_each_undecided_task_once(self, monkeypatch, tmp_path, capsys):
+        # --precision 1 escalates u = 4 through N = 1, 2, 4, 8 while the Akashi value
+        # (valuation 2 p^m) is undecided; u = 1 is not finite at once
+        calls = self.count_bareiss(monkeypatch)
+        problem = Path(__file__).resolve().parents[1] / "problems" / "crossed_trivial.json"
+        code = main(["euler", "--precision", "1", "--input", str(problem),
+                     "--out", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert [t["status"] for t in report["tasks"]] == ["not-finite-detected"] * 2 + ["exists"] * 2
+        assert len(report["escalations"]) >= 4
         assert len(calls) == 4
 
 

@@ -3,7 +3,7 @@
 `GammaModule.euler_analytic` sums v_p of the norms N(P_u(zeta_(p^k))),
 k <= n, of the twisted characteristic polynomial P_u, most of them in closed
 form, and `exactint.gamma_h0_is_infinite` asks whether one of them is 0.
-`exactint.cyclotomic_norm` is checked against sympy's resultant with
+`exactint.norm_valuation` is checked against v_p of sympy's resultant with
 Phi_(p^k); the route against references whose size is the level p^n (the
 circulant determinant `det_mult_mod_omega`, the Sylvester determinant
 `sylvester_resultant` and sympy's integer resultant), against the former
@@ -12,6 +12,7 @@ wherever that decides, and against `euler_direct` at N = 512.
 """
 
 import json
+import random
 import time
 
 import pytest
@@ -29,13 +30,14 @@ from iwalab import (
 from iwalab import _polyops as po
 from iwalab.cli import main
 from iwalab.corpus import gamma_corpus
-from iwalab.exactint import cyclotomic_norm, gamma_h0_is_infinite, sylvester_resultant
+from iwalab.exactint import gamma_h0_is_infinite, norm_valuation, sylvester_resultant
 
 from oracles import (
     analytic_lambda_reference,
     int_valuation,
     resultant_int,
     shares_factor_int,
+    sylvester_det_int,
     twisted_char_poly_int,
 )
 
@@ -223,11 +225,24 @@ class TestExactRouteAgainstDirect:
         assert (False, True, EulerStatus.EXISTS) in seen
         assert (False, True, EulerStatus.NOT_FINITE) in seen
 
+    def test_phi_529_at_level_two_in_under_a_second(self):
+        # det F = Phi_529(24(1 + X)) at the character 24 + 23^4: lambda = phi(23^2) = 506,
+        # within the parse-time caps, where a product of conjugates down the tower takes seconds
+        p = 23
+        M = GammaModule.from_int_matrix(PadicContext(p, 64), [[compose_twist(cyclotomic(p, 2), 24)]])
+        assert M.char_invariants()[0] == 506
+        rho = Character.from_int(M.context, 24 + p**4)
+        t0 = time.perf_counter()
+        ra = M.euler_analytic(rho, 2)
+        assert time.perf_counter() - t0 < 1.0
+        rd = M.euler_direct(rho, 2)
+        assert (ra.status, ra.chi_exponent) == (rd.status, rd.chi_exponent) == (EulerStatus.EXISTS, 3036)
+
     @pytest.mark.parametrize("p", [11, 13])
     def test_large_coefficients_at_phi_p_squared(self, p):
         # det F = Phi_(p^2)(u(1 + X)), u = 1 + p^2, at the character u + p^4: lambda = phi(p^2)
-        # and coefficients of thousands of bits, so level 2 takes a norm on phi(p^2)
-        # coefficients; taken mod p^(phi (c + 1)) it stays small and fast
+        # and coefficients of thousands of bits, so level 2 reads a norm valuation off
+        # phi(p^2) coefficients, one Taylor shift and no product
         u = 1 + p * p
         M = GammaModule.from_int_matrix(PadicContext(p, 64), [[compose_twist(cyclotomic(p, 2), u)]])
         assert M.char_invariants()[0] == (p - 1) * p
@@ -243,8 +258,9 @@ class TestExactRouteAgainstDirect:
 class TestCyclotomicCertificate:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
     def test_cyclotomic_divides_matches_sympy(self, p):
-        """Phi_(p^k) divides f exactly when the tower norm is 0, and every norm is
-        sympy's resultant with Phi_(p^k) (f(1) at k = 0), for k <= 3 while phi(p^k) <= 506."""
+        """Phi_(p^k) divides f exactly when its residue in R_k is 0, and every other
+        `norm_valuation` is v_p of sympy's resultant with Phi_(p^k) (of f(1) at k = 0),
+        for k <= 3 while phi(p^k) <= 506."""
         g = [2, -1, 0, 3]
         ks = [k for k in range(4) if len(cyclotomic(p, k)) <= 507]
         for k in ks:
@@ -252,11 +268,25 @@ class TestCyclotomicCertificate:
             near = [f[:i] + [f[i] + p] + f[i + 1:] for i in (0, len(f) - 1)] + [f + [p]]
             for j in ks:
                 for h in [f] + near:
-                    got = cyclotomic_norm(h, p, j, None)
+                    x = po.cyclotomic_fold(po.cyclic_reduce(h, p**j, None), p)
                     want = sum(h) if j == 0 else resultant_int(cyclotomic(p, j), h)
-                    assert got == want, (p, k, j)
-                    assert cyclotomic_norm(h, p, j, p**7) == want % p**7, (p, k, j)
-                    assert (got == 0) == (h is f and j == k), (p, k, j)
+                    assert (want == 0) == (not any(x)) == (h is f and j == k), (p, k, j)
+                    if want:
+                        assert norm_valuation(x, p) == int_valuation(want, p), (p, k, j)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_norm_valuation_of_random_residues(self, p):
+        """Residues with planted p-adic valuations against v_p of sympy's resultant."""
+        rng = random.Random(90 + p)
+        for k in (0, 1, 2) if p < 13 else (0, 1):
+            phi = p**k - p**k // p if k else 1
+            for _ in range(12):
+                x = [rng.choice([0, 1, p]) ** rng.randint(0, 3) * rng.randint(-50, 50)
+                     for _ in range(phi)]
+                if not any(x):
+                    continue
+                want = x[0] if k == 0 else resultant_int(cyclotomic(p, k), x)
+                assert norm_valuation(x, p) == int_valuation(want, p), (p, k, x)
 
     @pytest.mark.parametrize("p", [3, 5, 11, 13])
     def test_planted_cyclotomic_factor(self, p):
@@ -310,3 +340,20 @@ class TestCertificateThroughTheCli:
         assert task["status"] == "not-finite-detected"
         assert task["analytic_status"] == "not-finite-detected"
         assert elapsed < 5.0, elapsed
+
+
+class TestResultantOracle:
+    """`oracles.resultant_int` is the Sylvester determinant, sign included."""
+
+    def test_examples_where_sympy_swapped_the_factors(self):
+        f = [3, -3, -6, 6, -9, 3, 4, -9]
+        assert resultant_int([-1, 1], f) == sylvester_det_int([-1, 1], f) == -11
+        assert resultant_int(f, [-1, 1]) == sylvester_det_int(f, [-1, 1]) == 11
+        assert resultant_int([-1, 1], [6, 5]) == sylvester_det_int([-1, 1], [6, 5]) == 11
+
+    def test_random_pairs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            f, g = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))] for _ in range(2))
+            want = sylvester_det_int(f, g)
+            assert resultant_int(f, g) == want == sylvester_resultant(f, g), (f, g)

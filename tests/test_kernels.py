@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from iwalab import _polyops as po
 from iwalab import kernels
 
 from oracles import (
@@ -155,12 +156,27 @@ class TestStructuredInputs:
 
 
 def check_charpoly(rows, q):
-    """charpoly_mod against Berkowitz and sympy's integer charpoly, input left untouched."""
+    """charpoly_mod against Berkowitz and sympy's integer charpoly, input left untouched;
+    charpoly_at on the Hessenberg form against Berkowitz evaluated at points."""
     before = [list(r) for r in rows]
     got = kernels.charpoly_mod(rows, q)
     assert rows == before
-    assert got == berkowitz_mod(rows, q)
+    want = berkowitz_mod(rows, q)
+    assert got == want
     assert got == [c % q for c in reversed(charpoly_desc(rows))]
+    check_charpoly_at(rows, q, want)
+
+
+def check_charpoly_at(rows, q, want):
+    """hessenberg_mod is upper Hessenberg, and det(s I - H) is `want` evaluated at s."""
+    before = [list(r) for r in rows]
+    H = kernels.hessenberg_mod(rows, q)
+    assert rows == before
+    assert all(H[i][j] == 0 for i in range(len(H)) for j in range(i - 1))
+    assert all(0 <= v < q for row in H for v in row)
+    rng = random.Random(len(rows) * 7 + q % 1000)
+    for s in (0, 1, q - 1, rng.randrange(q), rng.randrange(q)):
+        assert kernels.charpoly_at(H, s, q) == po.poly_eval(want, s, q), (rows, q, s)
 
 
 def with_subcolumn(rng, sub, q):
@@ -265,6 +281,7 @@ class TestCharpolyPivot:
                     C = X._cocycle(lv)
                     for k in range(lv.m + 1):
                         block = _cyclotomic_rows(C, p, k, q)
+                        check_charpoly_at(block, q, berkowitz_mod(block, q))
                         for i, row in enumerate(block):
                             row[i] = (row[i] - 1) % q
                         assert kernels.charpoly_mod(block, q) == berkowitz_mod(block, q)
