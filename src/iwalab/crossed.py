@@ -30,6 +30,11 @@ from .series import Character, PowerSeries
 # levels at d*p^n, crossed levels at d*p^(n+m)).
 RANK_CAP = 2000
 
+# Longest series entry of F or A, in coefficients: the h-basis shift and the
+# presentation determinant cost the square of an entry's length or more
+# before any level is formed, so problem files are refused at parse time above it.
+LENGTH_CAP = 1024
+
 # Largest working precision N: a problem file's precision, --precision and
 # --max-precision (the escalation ceiling) are refused above it.  Every
 # residue carries N digits, so the cost of a step grows with N^2.
@@ -67,9 +72,8 @@ class CrossedModule:
     h = 1 + Y; each route takes their residues per precision, and the
     finiteness certificates use the integers.  The cocycle of a level is an
     exact integer product and the certificate's verdict an exact fact, and
-    the Hessenberg forms are keyed by their modulus, so re-embeddings at
-    other precisions share those three caches; the Akashi series cache is
-    per precision.
+    the Hessenberg forms of the cyclotomic blocks are keyed by their modulus,
+    so re-embeddings at other precisions share those three caches.
     """
 
     def __init__(self, ctx: PadicContext, kappa: int, entries, _entries_h=None):
@@ -95,7 +99,6 @@ class CrossedModule:
         self._cocycle_cache = {}
         self._hessenberg_cache = {}
         self._infinite_cache = {}
-        self._akashi_cache = {}
 
     @classmethod
     def from_int_data(cls, ctx: PadicContext, kappa: int, entries) -> "CrossedModule":
@@ -183,49 +186,43 @@ class CrossedModule:
         over Q_p into the fields Q_p(zeta_{p^k}) and det(t - B) is the product
         of det(t - B_k), B_k the matrix of C on (Z_p[h]/Phi_{p^k}(h))^d (the
         Artin formalism of the Akashi series over the characters of H).  Each
-        factor is an integral characteristic polynomial and the identity holds
-        over Z, so the product is exact mod p^N.  `iwalab akashi` prints it;
-        the Euler routes only evaluate it at one point (`euler_akashi`).
+        factor is an integral characteristic polynomial, here of B_k's cached
+        Hessenberg form mod p^N, and the identity holds over Z, so the product
+        is exact mod p^N; then t = 1 + X.  `iwalab akashi` prints it; the
+        Euler routes only evaluate it at one point (`euler_akashi`).
         """
-        key = (level.n, level.m)
-        hit = self._akashi_cache.get(key)
-        if hit is not None:
-            return hit
-        C = self._cocycle(level)
-        ctx = self.context
-        q = ctx.modulus
-        ak = [1]
-        for k in range(level.m + 1):
-            # det((1+X) I - B_k) is the characteristic polynomial of B_k - I in X
-            block = _cyclotomic_rows(C, ctx.p, k, q)
-            for i, row in enumerate(block):
-                row[i] = (row[i] - 1) % q
-            ak = po.pmul(ak, kernels.charpoly_mod(block, q), q)
-        out = PowerSeries(ctx, "X", tuple(ak), exact_degree=len(ak) - 1)
-        self._akashi_cache[key] = out
-        return out
+        q = self.context.modulus
+        cp = [1]
+        for H in self._hessenberg_blocks(level, q):
+            cp = po.pmul(cp, kernels.charpoly_mod(H, q), q)
+        ak = po.substitute_linear(cp, 1, 1, q)
+        return PowerSeries(self.context, "X", tuple(ak), exact_degree=len(ak) - 1)
 
     # -- Euler characteristics ----------------------------------------------------
 
     def _h0_infinite_exact(self, rho: Character, level: Level) -> bool:
         """Exact-integer verdict on the finiteness of the twisted coinvariants.
 
-        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B
-        (the block circulant of the cocycle product), so the coinvariants are
-        infinite whatever the working precision.  The verdict does not depend
-        on N either: it is cached by (u, n, m), and re-embeddings share it.
+        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B,
+        so the coinvariants are infinite whatever the working precision: that
+        is, when det(u^(p^n) B_k - I) = 0 for some cyclotomic block B_k (see
+        `akashi_series`), tried from k = 0 up.  The verdict does not depend on
+        N either: it is cached by (u, n, m), and re-embeddings share it.
         """
         key = (rho.u_exact, level.n, level.m)
         hit = self._infinite_cache.get(key)
         if hit is not None:
             return hit
-        rows = po.block_circulant(self._cocycle(level))
-        upn = rho.u_exact ** (self.context.p ** level.n)
-        mat = [
-            [upn * v - (1 if r == c else 0) for c, v in enumerate(row)]
-            for r, row in enumerate(rows)
-        ]
-        hit = self._infinite_cache[key] = kernels.bareiss_det(mat) == 0
+        p = self.context.p
+        C = self._cocycle(level)
+        upn = rho.u_exact ** (p ** level.n)
+        hit = self._infinite_cache[key] = any(
+            kernels.bareiss_det([
+                [upn * v - (1 if r == c else 0) for c, v in enumerate(row)]
+                for r, row in enumerate(_cyclotomic_rows(C, p, k))
+            ]) == 0
+            for k in range(level.m + 1)
+        )
         return hit
 
     def _undetermined(self, rho: Character, level: Level) -> EulerResult:
@@ -285,7 +282,7 @@ class CrossedModule:
         if hit is None:
             C = self._cocycle(level)
             p = self.context.p
-            hit = [kernels.hessenberg_mod(_cyclotomic_rows(C, p, k, q), q)
+            hit = [kernels.hessenberg_mod(_cyclotomic_rows(C, p, k), q)
                    for k in range(level.m + 1)]
             self._hessenberg_cache[key] = hit
         return hit
@@ -390,23 +387,23 @@ def _cyclic_matmul(S, A_support):
     return out
 
 
-def _cyclotomic_rows(C, p, k, q):
-    """Matrix mod q of right multiplication by C on (Z[h]/Phi_{p^k}(h))^d.
+def _cyclotomic_rows(C, p, k):
+    """Matrix over Z of right multiplication by C on (Z[h]/Phi_{p^k}(h))^d.
 
-    Basis e_i h^t, t < phi(p^k), ordered by (i, t).  An element folds its
-    indices mod p^k, then `_polyops.cyclotomic_fold` reduces it mod
-    Phi_{p^k}; for k = 0 that reads off its value at h = 1.  Row (i, r) is
-    h^r C[i], the first phi rows of the folded circulants, each reduced.
+    Basis e_i h^t, t < phi(p^k), ordered by (i, t).  Row (i, r) is h^r C[i]:
+    each entry of C[i] folds its indices mod p^k, turns by r places, and
+    `_polyops.cyclotomic_fold` reduces it mod Phi_{p^k}; for k = 0 that reads
+    off its value at h = 1.
     """
     pk = p ** k
     phi = pk - pk // p
     rows = []
     for Ci in C:
-        circs = [po.circulant(po.cyclic_reduce(c, pk, None)) for c in Ci]
+        folded = [po.cyclic_reduce(c, pk, None) for c in Ci]
         for r in range(phi):
             row = []
-            for circ in circs:
-                row += [x % q for x in po.cyclotomic_fold(circ[r], p)]
+            for c in folded:
+                row += po.cyclotomic_fold(c[pk - r:] + c[:pk - r], p)
             rows.append(row)
     return rows
 

@@ -6,16 +6,17 @@ format) or plain JSON ints; unknown keys are rejected so result provenance is
 unambiguous.  Module invariants (torsion, unit determinant, level normality,
 character image) are checked here, before any computation, and so is the
 size of the request: the working precision may not exceed PRECISION_CAP, the
-dense matrix rank of any requested level RANK_CAP, nor the twist-search
-budget BUDGET_CAP.
+dense matrix rank of any requested level RANK_CAP, the length of a series
+entry LENGTH_CAP, nor the twist-search budget BUDGET_CAP.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
-from .crossed import BUDGET_CAP, PRECISION_CAP, RANK_CAP, CrossedModule, Level
+from .crossed import BUDGET_CAP, LENGTH_CAP, PRECISION_CAP, RANK_CAP, CrossedModule, Level
 from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
@@ -41,8 +42,15 @@ def _as_int(value, what: str) -> int:
         try:
             return int(s)
         except ValueError:
+            digits = s.lstrip("+-")
+            if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
+                raise ParseError(f"{what}: {_over_the_digit_limit()}") from None
             raise ParseError(f"{what}: {value!r} is not a decimal integer") from None
     raise ParseError(f"{what}: expected an integer or decimal string, got {type(value).__name__}")
+
+
+def _over_the_digit_limit() -> str:
+    return f"an integer is over the {sys.get_int_max_str_digits()}-digit limit"
 
 
 def _as_int_list(value, what: str):
@@ -58,6 +66,11 @@ def _as_matrix(value, d: int, what: str):
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != d:
             raise ParseError(f"{what}: row {i} must have {d} series entries")
+        for j, e in enumerate(row):
+            if isinstance(e, list) and len(e) > LENGTH_CAP:
+                raise SizeCapExceededError(
+                    f"{what}[{i}][{j}]: {len(e)} coefficients exceed the cap {LENGTH_CAP}"
+                )
         rows.append([_as_int_list(e, f"{what}[{i}]") for e in row])
     return rows
 
@@ -103,6 +116,8 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal past Python's int-conversion limit
+        raise ParseError(_over_the_digit_limit()) from None
     if not isinstance(data, dict):
         raise ParseError("the problem file must be a JSON object")
     if overrides:

@@ -185,6 +185,39 @@ def cocycle_residues(X, level, exact=False):
     return C
 
 
+def cyclotomic_rows_circulant(C, p, k, q):
+    """Matrix mod q of right multiplication by C on (Z[h]/Phi_{p^k}(h))^d, from whole circulants.
+
+    Each entry of C[i] is folded mod h^(p^k) - 1 and its p^k x p^k circulant
+    built; row (i, r) is the r-th row of each, r < phi(p^k), reduced mod
+    Phi_{p^k} by `cyclotomic_fold` and then mod q.  The builder the Akashi
+    blocks had before they took one rotation per row.
+    """
+    pk = p**k
+    phi = pk - pk // p
+    rows = []
+    for Ci in C:
+        circs = [po.circulant(po.cyclic_reduce(c, pk, None)) for c in Ci]
+        for r in range(phi):
+            row = []
+            for circ in circs:
+                row += [x % q for x in po.cyclotomic_fold(circ[r], p)]
+            rows.append(row)
+    return rows
+
+
+def h0_infinite_block_circulant(X, rho, level):
+    """det(u^(p^n) B - I) == 0 over Z, B the rank-d p^m block circulant of the exact cocycle.
+
+    The crossed not-finite certificate before it was split over the
+    cyclotomic blocks: one Bareiss determinant at the full level rank.
+    """
+    rows = po.block_circulant(X._cocycle(level))
+    upn = rho.u_exact ** (X.context.p**level.n)
+    mat = [[upn * v - (1 if r == c else 0) for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    return kernels.bareiss_det(mat) == 0
+
+
 def akashi_value_exponent(X, rho, level):
     """v_p of the Akashi series at X = u^(-p^n) - 1 mod p^N; None when that value is 0 mod p^N.
 

@@ -27,9 +27,11 @@ from oracles import (
     akashi_value_exponent,
     berkowitz_mod,
     cocycle_residues,
+    cyclotomic_rows_circulant,
     det_int,
     gamma_power_matrix,
     group_ring_rows_lex,
+    h0_infinite_block_circulant,
     poly_reduce_mod_int,
     sigma_power,
 )
@@ -327,7 +329,12 @@ class TestAkashiEvaluation:
 
 
 class TestNotFiniteCertificate:
-    """The exact Bareiss certificate runs once per (u, level), whatever the route or precision."""
+    """The exact certificate runs once per (u, level), whatever the route or precision.
+
+    A certificate is one Bareiss determinant per cyclotomic block, from the
+    rank-d block k = 0 up to the first that vanishes, so the rank-d calls
+    count the certificates.
+    """
 
     @staticmethod
     def count_bareiss(monkeypatch):
@@ -357,7 +364,8 @@ class TestNotFiniteCertificate:
 
     def test_escalation_certifies_each_undecided_task_once(self, monkeypatch, tmp_path, capsys):
         # --precision 1 escalates u = 4 through N = 1, 2, 4, 8 while the Akashi value
-        # (valuation 2 p^m) is undecided; u = 1 is not finite at once
+        # (valuation 2 p^m) is undecided; u = 1 is not finite at once, at its
+        # first block.  d = 1, so each certificate makes one rank-1 call.
         calls = self.count_bareiss(monkeypatch)
         problem = Path(__file__).resolve().parents[1] / "problems" / "crossed_trivial.json"
         code = main(["euler", "--precision", "1", "--input", str(problem),
@@ -367,7 +375,39 @@ class TestNotFiniteCertificate:
         report = json.loads((tmp_path / "r.json").read_text())
         assert [t["status"] for t in report["tasks"]] == ["not-finite-detected"] * 2 + ["exists"] * 2
         assert len(report["escalations"]) >= 4
-        assert len(calls) == 4
+        assert calls.count(1) == 4
+
+    def test_blocks_and_verdicts_match_the_block_circulant(self):
+        # the split certificate against the rank-d p^m determinant, and each block
+        # against the one built from whole circulants, not-finite levels included
+        verdicts = []
+        for seed in (101, 113, 115, 117, 123):
+            for p in (3, 5, 7):
+                for X in crossed_corpus(seed, 4, p):
+                    q = X.context.modulus
+                    for lv in admissible_levels(X, 2, 2, rank_cap=162):
+                        C = X._cocycle(lv)
+                        for k in range(lv.m + 1):
+                            rows = crossed_layer._cyclotomic_rows(C, p, k)
+                            assert [[v % q for v in row] for row in rows] == \
+                                cyclotomic_rows_circulant(C, p, k, q)
+                        for u in (1, 1 + p, 1 + 2 * p):
+                            rho = Character.from_int(X.context, u)
+                            got = X._h0_infinite_exact(rho, lv)
+                            assert got == h0_infinite_block_circulant(X, rho, lv), (
+                                X.exact_entries, X.kappa_exact, lv, u)
+                            verdicts.append(got)
+        assert len(verdicts) > 1000 and 30 < sum(verdicts) < len(verdicts)
+
+    def test_level_one_four_in_under_1_5_seconds(self):
+        # rank 162 as one determinant; the blocks have ranks 2, 4, 12, 36 and 108
+        X = crossed(TestAkashiThroughTheCli.KAPPA, TestAkashiThroughTheCli.A, PadicContext(3, 64))
+        lv = Level(1, 4)
+        X._cocycle(lv)
+        t0 = time.perf_counter()
+        assert not X._h0_infinite_exact(Character.from_int(X.context, 4), lv)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.5, elapsed
 
 
 class TestAkashiSeries:
@@ -635,6 +675,42 @@ class TestEulerRoutes:
                         assert r1.chi_exponent == r2.chi_exponent == r3.chi_exponent
                         if r1.exists:
                             assert r1.h1_exponent == r2.h1_exponent == r3.h1_exponent == 0
+
+    def test_rank_three_near_identity(self):
+        # A = I + 3 C at levels (1,1), (0,2), (1,2); the module with a constant-1
+        # diagonal summand is not finite at u = 1, which the certificate decides
+        rng = random.Random(35)
+        ctx = PadicContext(3, 128)  # the Akashi value needs N above chi, which reaches 84 here
+        seen = set()
+        for kappa in (4, 10):
+            modules = []
+            for _ in range(3):
+                modules.append([[[(1 if i == j else 0) + 3 * rng.randint(-2, 2), 3 * rng.randint(-1, 1)]
+                                 for j in range(3)] for i in range(3)])
+            planted = [row[:] for row in modules[0]]
+            planted[0] = [[1], [0], [0]]
+            for row in planted[1:]:
+                row[0] = [0]
+            modules.append(planted)
+            for A in modules:
+                X = crossed(kappa, A, ctx)
+                for nm in ((1, 1), (0, 2), (1, 2)):
+                    if nm == (0, 2) and kappa == 4:
+                        continue  # m <= n + v_3(kappa - 1) = 1
+                    lv = Level(*nm)
+                    for u in (1, 4, 10):
+                        rho = Character.from_int(ctx, u)
+                        r1 = X.euler_reduced(rho, lv)
+                        r2 = X.euler_akashi(rho, lv)
+                        r3 = X.group_ring_oracle(rho, lv)
+                        assert r1.status is r2.status is r3.status, (A, kappa, nm, u)
+                        assert r1.chi_exponent == r2.chi_exponent == r3.chi_exponent
+                        if A is planted and u == 1:
+                            assert r1.status is EulerStatus.NOT_FINITE
+                            assert h0_infinite_block_circulant(X, rho, lv)
+                        seen.add((nm, r1.status))
+        assert {nm for nm, _ in seen} == {(1, 1), (0, 2), (1, 2)}
+        assert {st for _, st in seen} == {EulerStatus.EXISTS, EulerStatus.NOT_FINITE}
 
     def test_direct_sum_multiplicativity(self):
         rng = random.Random(33)

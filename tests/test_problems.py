@@ -6,7 +6,7 @@ import pytest
 
 from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint, series
 from iwalab.cli import main
-from iwalab.crossed import BUDGET_CAP, PRECISION_CAP, RANK_CAP
+from iwalab.crossed import BUDGET_CAP, LENGTH_CAP, PRECISION_CAP, RANK_CAP
 from iwalab.problems import ProblemFile, parse_problem
 from iwalab.workbench import run
 
@@ -146,6 +146,22 @@ class TestParse:
         with pytest.raises(SizeCapExceededError):
             parse(dict(stanza, budget=str(10**30)))
 
+    @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
+    def test_entry_length_cap(self, stanza):
+        # an entry's h-basis shift and the presentation determinant grow with its
+        # length squared or more, so the length is bounded before either runs
+        assert LENGTH_CAP == 1024
+        key = "F" if stanza["kind"] == "gamma" else "A"
+        for length in (LENGTH_CAP, LENGTH_CAP + 1):
+            entry = [stanza[key][0][0][0]] + ["0"] * (length - 2) + ["1"]
+            text = json.dumps(dict(stanza, **{key: [[entry]]}))
+            if length == LENGTH_CAP:
+                parse_problem(text)
+            else:
+                with pytest.raises(SizeCapExceededError,
+                                   match=rf"{key}\[0\]\[0\]: 1025 coefficients exceed the cap 1024"):
+                    parse_problem(text)
+
     def test_override_replaces_the_file_key(self):
         text = json.dumps(dict(MINIMAL_GAMMA, precision=2000))
         assert parse_problem(text, {"precision": 16}).precision == 16
@@ -238,6 +254,19 @@ class TestCli:
         inp.write_text('{"kind": "gamma", "foo": 1}')
         assert main(["euler", "--input", str(inp)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["literal", "string"])
+    def test_integer_over_the_digit_limit(self, quote, tmp_path, capsys):
+        # json.loads and int() raise a plain ValueError past Python's int-conversion limit
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        inp = tmp_path / "big.json"
+        inp.write_text('{"kind": "gamma", "p": 3, "d": 1, "F": [[[%s%s%s, 1]]]}'
+                       % (quote, digits, quote))
+        assert main(["euler", "--input", str(inp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"over the {sys.get_int_max_str_digits()}-digit limit" in err
+        assert "not a decimal integer" not in err
 
     @pytest.mark.parametrize("stanza", [MINIMAL_GAMMA, MINIMAL_CROSSED], ids=["gamma", "crossed"])
     def test_empty_characters_exit_code(self, stanza, tmp_path, capsys):
