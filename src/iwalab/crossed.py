@@ -6,8 +6,9 @@ basis moves by a matrix A with unit determinant.  Finite-level Euler
 characteristics of twists come by three independent routes:
 
   * euler_reduced      - coinvariants staged through H first (small matrix);
-  * euler_akashi       - the level's Akashi polynomial at the twist, from
-                         cached Hessenberg forms of its cyclotomic blocks;
+  * euler_akashi       - the level's Akashi polynomial at the twist, exact
+                         over Z: one determinant over Z[h], split over the
+                         cyclotomic blocks;
   * group_ring_oracle  - one cokernel over the full finite group ring.
 
 All three must agree; their agreement is this package's central test surface.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import _polyops as po
-from . import kernels
+from . import exactint, kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
 from .padic import PadicContext, group_ring_h0
@@ -70,10 +71,9 @@ class CrossedModule:
     The module holds the exact integer kappa, the exact integer coefficients
     of A (ascending in Y) and the same entries A(h - 1) in the basis of
     h = 1 + Y; each route takes their residues per precision, and the
-    finiteness certificates use the integers.  The cocycle of a level is an
-    exact integer product and the certificate's verdict an exact fact, and
-    the Hessenberg forms of the cyclotomic blocks are keyed by their modulus,
-    so re-embeddings at other precisions share those three caches.
+    finiteness certificates use the integers.  The cocycle of a level and
+    the Akashi value at a twist are exact integers, independent of N, so
+    re-embeddings at other precisions share those two caches.
     """
 
     def __init__(self, ctx: PadicContext, kappa: int, entries, _entries_h=None):
@@ -97,8 +97,7 @@ class CrossedModule:
         self.exact_entries = entries
         self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
         self._cocycle_cache = {}
-        self._hessenberg_cache = {}
-        self._infinite_cache = {}
+        self._akashi_cache = {}
 
     @classmethod
     def from_int_data(cls, ctx: PadicContext, kappa: int, entries) -> "CrossedModule":
@@ -110,8 +109,7 @@ class CrossedModule:
             self.context.with_precision(N), self.kappa_exact, self.exact_entries, self._entries_h
         )
         out._cocycle_cache = self._cocycle_cache
-        out._hessenberg_cache = self._hessenberg_cache
-        out._infinite_cache = self._infinite_cache
+        out._akashi_cache = self._akashi_cache
         return out
 
     # -- levels ---------------------------------------------------------------
@@ -186,47 +184,55 @@ class CrossedModule:
         over Q_p into the fields Q_p(zeta_{p^k}) and det(t - B) is the product
         of det(t - B_k), B_k the matrix of C on (Z_p[h]/Phi_{p^k}(h))^d (the
         Artin formalism of the Akashi series over the characters of H).  Each
-        factor is an integral characteristic polynomial, here of B_k's cached
-        Hessenberg form mod p^N, and the identity holds over Z, so the product
-        is exact mod p^N; then t = 1 + X.  `iwalab akashi` prints it; the
-        Euler routes only evaluate it at one point (`euler_akashi`).
+        factor is an integral characteristic polynomial, here
+        `kernels.charpoly_mod` of the block mod p^N, and the identity holds
+        over Z, so the product is exact mod p^N; then t = 1 + X.  `iwalab
+        akashi` prints it; the Euler routes need only its value at one point
+        (`euler_akashi`).
         """
         q = self.context.modulus
+        p = self.context.p
+        C = self._cocycle(level)
         cp = [1]
-        for H in self._hessenberg_blocks(level, q):
-            cp = po.pmul(cp, kernels.charpoly_mod(H, q), q)
+        for k in range(level.m + 1):
+            cp = po.pmul(cp, kernels.charpoly_mod(_cyclotomic_rows(C, p, k), q), q)
         ak = po.substitute_linear(cp, 1, 1, q)
         return PowerSeries(self.context, "X", tuple(ak), exact_degree=len(ak) - 1)
 
     # -- Euler characteristics ----------------------------------------------------
 
-    def _h0_infinite_exact(self, rho: Character, level: Level) -> bool:
-        """Exact-integer verdict on the finiteness of the twisted coinvariants.
+    def _akashi_exponent(self, rho: Character, level: Level):
+        """v_p of det(u^(p^n) B - I) over Z for the exact level matrix B; None when it is 0.
 
-        True when det(u^(p^n) B - I) = 0 over Z for the exact level matrix B,
-        so the coinvariants are infinite whatever the working precision: that
-        is, when det(u^(p^n) B_k - I) = 0 for some cyclotomic block B_k (see
-        `akashi_series`), tried from k = 0 up.  The verdict does not depend on
-        N either: it is cached by (u, n, m), and re-embeddings share it.
+        Up to a unit this is the Akashi polynomial at the twist, so its v_p is
+        chi, and a value of 0 certifies infinite coinvariants at every
+        precision.  Take D(h) = det(u^(p^n) C - I), the d x d determinant over
+        Z[h] of the exact cocycle (`exactint.poly_mat_det`).  The determinant
+        commutes with Z[h] -> R_k = Z[h]/Phi_{p^k}(h), and the determinant over
+        Z of an R_k-linear map is the norm of its determinant over R_k, so the
+        value is the product over k <= m of the norms of D mod Phi_{p^k} (the
+        splitting of `akashi_series`): its v_p is the sum of their
+        `exactint.norm_valuation`, and it is 0 exactly when one residue is.
+        The value does not depend on N: it is cached by (u, n, m), and
+        re-embeddings share it.
         """
         key = (rho.u_exact, level.n, level.m)
-        hit = self._infinite_cache.get(key)
-        if hit is not None:
-            return hit
-        p = self.context.p
-        C = self._cocycle(level)
-        upn = rho.u_exact ** (p ** level.n)
-        hit = self._infinite_cache[key] = any(
-            kernels.bareiss_det([
-                [upn * v - (1 if r == c else 0) for c, v in enumerate(row)]
-                for r, row in enumerate(_cyclotomic_rows(C, p, k))
-            ]) == 0
-            for k in range(level.m + 1)
-        )
-        return hit
+        if key not in self._akashi_cache:
+            p = self.context.p
+            upn = rho.u_exact ** (p ** level.n)
+            M = [[[upn * v for v in e] for e in row] for row in self._cocycle(level)]
+            for i, row in enumerate(M):
+                row[i][0] -= 1
+            D = exactint.poly_mat_det(M)
+            residues = [exactint.cyclotomic_residue(D, p, k) for k in range(level.m + 1)]
+            self._akashi_cache[key] = (
+                sum(exactint.norm_valuation(x, p) for x in residues)
+                if all(map(any, residues)) else None
+            )
+        return self._akashi_cache[key]
 
     def _undetermined(self, rho: Character, level: Level) -> EulerResult:
-        if self._h0_infinite_exact(rho, level):
+        if self._akashi_exponent(rho, level) is None:
             return EulerResult(EulerStatus.NOT_FINITE)
         return EulerResult(EulerStatus.INDETERMINATE)
 
@@ -257,35 +263,14 @@ class CrossedModule:
     def euler_akashi(self, rho: Character, level: Level) -> EulerResult:
         """Evaluate the Akashi polynomial at the twist: X = u^(-p^n) - 1.
 
-        The value is det(t I - B) at t = u^(-p^n), the product over k <= m of
-        det(t I - H_k) for the Hessenberg forms H_k of the cyclotomic blocks
-        (see `akashi_series`), each O(r^2) by `kernels.charpoly_at`.  It is
-        taken at each of `kernels.precisions(p, N)` in turn; a value that is
-        nonzero mod p^P has its valuation, below P, exactly.
+        The value is exact (`_akashi_exponent`).  It decides when its v_p is
+        below N, where its residue mod p^N is nonzero; a value of 0 is
+        NotFinite, and a nonzero value of v_p >= N is indeterminate at N.
         """
-        p = self.context.p
-        pn = p ** level.n
-        for P in kernels.precisions(p, self.context.N):
-            q = p ** P
-            t = pow(rho.u_exact, -pn, q)
-            value = 1
-            for H in self._hessenberg_blocks(level, q):
-                value = value * kernels.charpoly_at(H, t, q) % q
-            if value:
-                return EulerResult.from_h0(int_valuation(value, p))
+        chi = self._akashi_exponent(rho, level)
+        if chi is not None and chi < self.context.N:
+            return EulerResult.from_h0(chi)
         return self._undetermined(rho, level)
-
-    def _hessenberg_blocks(self, level: Level, q: int):
-        """Hessenberg forms mod q of the cyclotomic blocks k = 0..m, cached by (n, m, q)."""
-        key = (level.n, level.m, q)
-        hit = self._hessenberg_cache.get(key)
-        if hit is None:
-            C = self._cocycle(level)
-            p = self.context.p
-            hit = [kernels.hessenberg_mod(_cyclotomic_rows(C, p, k), q)
-                   for k in range(level.m + 1)]
-            self._hessenberg_cache[key] = hit
-        return hit
 
     def group_ring_oracle(self, rho: Character, level: Level) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].

@@ -1,17 +1,19 @@
-"""Exact integer certificates behind the NotFinite decisions.
+"""Exact integer values behind the second routes and the NotFinite decisions.
 
 Anything asserting that a cokernel is genuinely infinite (rather than merely
-large at the working precision) works on true integers.  The gamma values
-here are the residues of the twisted characteristic polynomial P_u mod
-Phi_(p^k) and the p-adic valuations of their norms N(P_u(zeta_(p^k))) to Q,
-read off one Taylor shift with no norm formed, only for k = 0 and the k with
-phi(p^k) <= lambda, so their cost does not grow with the level p^n; a zero
-residue (a norm of 0) is the certificate.  The
-presentation determinant over Z[X] packs its entries into integers
-(Kronecker substitution) and takes the one exact integer determinant,
-`kernels.bareiss_det`, as does `sylvester_resultant`, a public reference
-that no route calls.  Neither uses the modular kernels, so tests can check
-those against these exact integers.
+large at the working precision) works on true integers.  Both second routes
+read a polynomial f in h over Z at the p^k-th roots of unity: its residue
+mod Phi_(p^k) in R_k = Z[h]/Phi_(p^k)(h) (`cyclotomic_residue`) and the
+p-adic valuation of that residue's norm to Q (`norm_valuation`), read off one
+Taylor shift with no norm formed; a zero residue (a norm of 0) is the
+certificate.  For gamma, f is the twisted characteristic polynomial P_u, and
+only k = 0 and the k with phi(p^k) <= lambda are read, so the cost does not
+grow with the level p^n; for a crossed level, f is the determinant over
+Z[h] of the twisted cocycle, read at every k <= m.  The polynomial-matrix
+determinant packs its entries into integers (Kronecker substitution) and
+takes the one exact integer determinant, `kernels.bareiss_det`, as does
+`sylvester_resultant`, a public reference that no route calls.  Neither uses
+the modular kernels, so tests can check those against these exact integers.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def poly_mat_det(entries):
     b = B.bit_length() + 1 every coefficient lies strictly inside
     (-2^(b-1), 2^(b-1)), so evaluating the entries at X = 2^b, taking the one
     integer determinant `bareiss_det` and reading its signed base-2^b digits
-    recovers det F.  The package's only polynomial-matrix determinant;
-    series determinants reduce it mod p^N.
+    recovers det F.  The package's only polynomial-matrix determinant:
+    series determinants reduce it mod p^N, and the crossed Akashi value
+    reads it at the roots of unity.
     Returns the trimmed ascending coefficient list ([0] when singular).
     """
     bound = 1
@@ -80,6 +83,15 @@ def poly_mat_det(entries):
         out.append(c)
         det = (det - c) >> b
     return out or [0]
+
+
+def cyclotomic_residue(f, p: int, k: int):
+    """f mod Phi_(p^k)(h) in R_k, by its phi(p^k) coefficients, for f in Z[h] (ascending).
+
+    Folds f mod h^(p^k) - 1, then `_polyops.cyclotomic_fold`; at k = 0 this
+    is [f(1)].
+    """
+    return po.cyclotomic_fold(po.cyclic_reduce(f, p ** k, None), p)
 
 
 def norm_valuation(x, p: int) -> int:
@@ -114,7 +126,7 @@ def twisted_residues(det_h, u: int, p: int, n: int, lam: int):
     P = [c * u ** (D - b) for b, c in enumerate(det_h)]
     k = 0
     while k <= n and (k == 0 or (p - 1) * p ** (k - 1) <= lam):
-        yield k, po.cyclotomic_fold(po.cyclic_reduce(P, p ** k, None), p)
+        yield k, cyclotomic_residue(P, p, k)
         k += 1
 
 

@@ -1,13 +1,13 @@
 """Matrix kernels over Z/p^N, in pure Python.
 
 These are the hot inner loops of the package: elementary-divisor elimination,
-determinants, the Hessenberg form by similarity (`hessenberg_mod`, O(n^3)),
-and from it the characteristic polynomial (`charpoly_mod`) or its value at
-one point (`charpoly_at`, O(n^2)), for matrices whose entries are residues
-modulo a prime power, plus `bareiss_det`, the
-exact determinant of any integer matrix: the crossed NotFinite certificates,
-the Sylvester resultant and every presentation determinant over Z[X] (packed
-into integers) run on it.
+determinants, the Hessenberg form by similarity (`hessenberg_mod`, O(n^3))
+and from it the characteristic polynomial (`charpoly_mod`), for matrices
+whose entries are residues modulo a prime power, plus `bareiss_det`, the
+exact determinant of any integer matrix: the group-ring NotFinite
+certificate, the Sylvester resultant and every polynomial-matrix determinant
+over Z[X] (packed into integers: the gamma presentations and the crossed
+Akashi values) run on it.
 
 Conventions:
   * the modular kernels take lists of lists of nonnegative ints already
@@ -20,10 +20,10 @@ The word precision k is the largest k with p^k below CPython's int digit
 base, where every residue is a single machine digit.  `precisions(p, N)`
 lists the precisions a computation tries in turn: k first when k < N, then
 N.  The exponents of a matrix mod p^k are min(e, k) of its exponents, so a
-result none of whose divisors reaches p^k is exact at every N >= k.  The Euler
-routes run their whole pipeline over that list, and `padic.smith_form_raw`
-does the same for a caller that hands it residues mod p^N; every kernel makes
-one pass at the precision it is given.
+result none of whose divisors reaches p^k is exact at every N >= k.  The
+Smith-based Euler routes run their whole pipeline over that list, and
+`padic.smith_form_raw` does the same for a caller that hands it residues mod
+p^N; every kernel makes one pass at the precision it is given.
 
 `smith_exponents` and `det_mod` share the pivot search, the global
 p-extraction and the elimination step; each keeps only its own bookkeeping
@@ -251,25 +251,6 @@ def charpoly_mod(rows, q):
                     new[k] -= c * v
         polys.append([v % q for v in new])
     return polys[n]
-
-
-def charpoly_at(H, s, q):
-    """det(s*I - H) mod q for an upper Hessenberg H mod q, in O(n^2).
-
-    `charpoly_mod`'s recurrence with the scalar s in place of t.
-    """
-    n = len(H)
-    vals = [1 % q]
-    for m in range(n):
-        acc = (s - H[m][m]) * vals[m]
-        prod = 1
-        for i in range(m - 1, -1, -1):
-            prod = prod * H[i + 1][i] % q
-            if not prod:
-                break
-            acc -= H[i][m] * prod % q * vals[i]
-        vals.append(acc % q)
-    return vals[n]
 
 
 def bareiss_det(rows):

@@ -222,8 +222,8 @@ def akashi_value_exponent(X, rho, level):
     """v_p of the Akashi series at X = u^(-p^n) - 1 mod p^N; None when that value is 0 mod p^N.
 
     The series is expanded in full (`CrossedModule.akashi_series`) and
-    evaluated at the twist: the Akashi route before it evaluated the
-    cyclotomic blocks' Hessenberg forms at the point directly.
+    evaluated at the twist mod p^N, independently of `euler_akashi`, which
+    takes the value exactly over Z from one determinant over Z[h].
     """
     ctx = X.context
     q = ctx.modulus

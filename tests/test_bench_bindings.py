@@ -8,9 +8,9 @@ same holds for the names `iwalab.__all__` exports.  `perfbench/workloads.py`
 calls much more of the package (the corpus generators, `Character.from_int`,
 `context`, `with_precision`, every `euler_*` route and `cli.main`), so one
 round of each workload is built and run here at seed 0, and every answer
-must pass the workload's own failure rule.  The same round's digest must
-equal the one recorded in `perfbench/answers.json`, so a changed answer
-fails here and not only in the benchmark's answer gate.
+must pass the workload's own failure rule.  The recorded rounds of seeds 0,
+1 and 13 must reproduce their digests in `perfbench/answers.json`, so a
+changed answer fails here and not only in the benchmark's answer gate.
 """
 
 import hashlib
@@ -82,17 +82,23 @@ def round_digest(pairs, skip):
 
 
 @pytest.mark.parametrize("name", ["gamma-sweep", "crossed-triple", "cli-escalate"])
-def test_round_zero_of_seed_zero_matches_the_recorded_answers(name, tmp_path):
-    recorded = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))[name]["0"]
+def test_recorded_rounds_of_three_seeds_match_the_recorded_answers(name, tmp_path):
+    answers = json.loads((PERFBENCH / "answers.json").read_text(encoding="utf-8"))[name]
     workload = load_perfbench("workloads").WORKLOADS[name]
-    pairs = []
-    for task in workload.build(0, 1, tmp_path)[0]:
-        # as run.run_pass records it: a raised exception is the answer, and is not finished
-        try:
-            answer = task.run()
-        except Exception as exc:
-            answer = {"raised": type(exc).__name__, "message": str(exc)}
-        if task.finish is not None and "raised" not in answer:
-            answer = task.finish(answer)
-        pairs.append((task.key, answer))
-    assert round_digest(pairs, set(recorded["failed"])) == recorded["digests"][0]
+    for seed in (0, 1, 13):
+        recorded = answers[str(seed)]
+        skip = set(recorded["failed"])
+        rounds = workload.build(seed, len(recorded["digests"]), tmp_path / str(seed))
+        assert len(rounds) == len(recorded["digests"]) == 8
+        for r, (tasks, digest) in enumerate(zip(rounds, recorded["digests"])):
+            pairs = []
+            for task in tasks:
+                # as run.run_pass records it: a raised exception is the answer, and is not finished
+                try:
+                    answer = task.run()
+                except Exception as exc:
+                    answer = {"raised": type(exc).__name__, "message": str(exc)}
+                if task.finish is not None and "raised" not in answer:
+                    answer = task.finish(answer)
+                pairs.append((task.key, answer))
+            assert round_digest(pairs, skip) == digest, (seed, r)

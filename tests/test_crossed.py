@@ -19,7 +19,7 @@ from iwalab import (
 )
 from iwalab import _polyops as po
 from iwalab import crossed as crossed_layer
-from iwalab import kernels
+from iwalab import exactint, kernels
 from iwalab.cli import main
 from iwalab.corpus import admissible_levels, crossed_corpus, random_crossed_module
 
@@ -47,6 +47,16 @@ def crossed(kappa, entries, ctx=CTX):
 
 def trivial_module(ctx=CTX):
     return crossed(4, [[[1]]], ctx)
+
+
+def write_crossed_problem(tmp_path, kappa, A, level, **extra):
+    """A crossed problem file at p = 3, N = 64 for one level; `extra` adds keys."""
+    problem = {"kind": "crossed", "p": "3", "d": len(A), "kappa": str(kappa),
+               "A": [[[str(c) for c in e] for e in row] for row in A],
+               "levels": [list(level)], "precision": 64, **extra}
+    inp = tmp_path / "problem.json"
+    inp.write_text(json.dumps(problem))
+    return inp
 
 
 class TestConstruction:
@@ -256,14 +266,14 @@ class TestCocycle:
 
 
 class TestAkashiEvaluation:
-    """euler_akashi evaluates cached Hessenberg forms at the twist, word precision first."""
+    """euler_akashi is the exact Akashi value at the twist, deciding when its v_p is below N."""
 
     @staticmethod
     def check(X, rho, lv):
         got = X.euler_akashi(rho, lv)
         want = akashi_value_exponent(X, rho, lv)
         if want is None:
-            infinite = X._h0_infinite_exact(rho, lv)
+            infinite = h0_infinite_block_circulant(X, rho, lv)
             status = EulerStatus.NOT_FINITE if infinite else EulerStatus.INDETERMINATE
             assert got.status is status, (X.exact_entries, lv, rho.u_exact)
         else:
@@ -284,7 +294,7 @@ class TestAkashiEvaluation:
     @pytest.mark.parametrize("N", [64, 512])
     def test_near_identity_past_the_word_precision(self, N):
         # A = I + 3 C0 + Y C1 at level (2, 2): the value's valuation often reaches
-        # the word precision 18, so the pass at p^N decides
+        # the word precision 18, where a residue mod 3^18 would not decide
         ctx = PadicContext(3, N)
         rng = random.Random(160)
         k = kernels.word_precision(3, N)
@@ -304,15 +314,6 @@ class TestAkashiEvaluation:
             got, want = self.check(X, TRIV, lv)
             assert want is None and got.status is EulerStatus.NOT_FINITE
 
-    def test_hessenberg_forms_cached_per_precision_and_shared(self):
-        X = crossed(4, [[[1, 1], [3]], [[0, 2], [1, 0, 1]]], PadicContext(3, 64))
-        lv = Level(1, 1)
-        X.euler_akashi(U4, lv)
-        Y = X.with_precision(128)
-        Y.euler_akashi(U4, lv)
-        assert Y._hessenberg_cache is X._hessenberg_cache
-        assert (1, 1, 3 ** kernels.word_precision(3, 64)) in X._hessenberg_cache
-
     def test_euler_never_expands_the_series(self, monkeypatch, tmp_path, capsys):
         def refuse(*args):
             raise AssertionError("the Euler routes evaluate the Akashi polynomial at a point")
@@ -329,44 +330,48 @@ class TestAkashiEvaluation:
 
 
 class TestNotFiniteCertificate:
-    """The exact certificate runs once per (u, level), whatever the route or precision.
+    """One exact Akashi value per (u, level), whatever the route or precision.
 
-    A certificate is one Bareiss determinant per cyclotomic block, from the
-    rank-d block k = 0 up to the first that vanishes, so the rank-d calls
-    count the certificates.
+    The value is one `exactint.poly_mat_det` over Z[h], shared by
+    `euler_reduced` and `euler_akashi`, by re-embeddings at other precisions
+    and so by CLI escalation; the group-ring route certifies on its own.
     """
 
     @staticmethod
-    def count_bareiss(monkeypatch):
+    def count(monkeypatch, module, name):
         calls = []
-        inner = kernels.bareiss_det
+        inner = getattr(module, name)
 
         def counted(rows):
             calls.append(len(rows))
             return inner(rows)
 
-        monkeypatch.setattr(kernels, "bareiss_det", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_not_finite_level_across_routes_and_precisions(self, monkeypatch):
-        calls = self.count_bareiss(monkeypatch)
-        X = trivial_module()
+        dets = self.count(monkeypatch, exactint, "poly_mat_det")
+        X = trivial_module(PadicContext(3, 64))
         lv = Level(1, 1)
-        for M in (X, X.with_precision(64), X.with_precision(64).with_precision(128)):
-            rho = Character.from_int(M.context, 1)
-            assert M.euler_reduced(rho, lv).status is EulerStatus.NOT_FINITE
-            assert M.euler_akashi(rho, lv).status is EulerStatus.NOT_FINITE
-        assert len(calls) == 1
+        for M in (X, X.with_precision(128), X.with_precision(128).with_precision(256)):
+            for u, status in ((1, EulerStatus.NOT_FINITE), (4, EulerStatus.EXISTS)):
+                rho = Character.from_int(M.context, u)
+                assert M.euler_reduced(rho, lv).status is status
+                assert M.euler_akashi(rho, lv).status is status
+        # one evaluation each for u = 1 and u = 4 (the staged route decides u = 4 alone)
+        assert dets == [1, 1]
         # the group-ring route certifies on its own, every time
-        assert X.group_ring_oracle(TRIV, lv).status is EulerStatus.NOT_FINITE
-        assert X.group_ring_oracle(TRIV, lv).status is EulerStatus.NOT_FINITE
-        assert len(calls) == 3
+        bareiss = self.count(monkeypatch, kernels, "bareiss_det")
+        triv = Character.from_int(X.context, 1)
+        assert X.group_ring_oracle(triv, lv).status is EulerStatus.NOT_FINITE
+        assert X.group_ring_oracle(triv, lv).status is EulerStatus.NOT_FINITE
+        assert len(bareiss) == 2 and dets == [1, 1]
 
     def test_escalation_certifies_each_undecided_task_once(self, monkeypatch, tmp_path, capsys):
         # --precision 1 escalates u = 4 through N = 1, 2, 4, 8 while the Akashi value
-        # (valuation 2 p^m) is undecided; u = 1 is not finite at once, at its
-        # first block.  d = 1, so each certificate makes one rank-1 call.
-        calls = self.count_bareiss(monkeypatch)
+        # (valuation 2 p^m) is not below N; u = 1 is not finite at once.  Each of
+        # the 4 tasks takes one evaluation, shared by both routes and every N.
+        dets = self.count(monkeypatch, exactint, "poly_mat_det")
         problem = Path(__file__).resolve().parents[1] / "problems" / "crossed_trivial.json"
         code = main(["euler", "--precision", "1", "--input", str(problem),
                      "--out", str(tmp_path / "r.json")])
@@ -375,10 +380,10 @@ class TestNotFiniteCertificate:
         report = json.loads((tmp_path / "r.json").read_text())
         assert [t["status"] for t in report["tasks"]] == ["not-finite-detected"] * 2 + ["exists"] * 2
         assert len(report["escalations"]) >= 4
-        assert calls.count(1) == 4
+        assert dets == [1] * 4
 
     def test_blocks_and_verdicts_match_the_block_circulant(self):
-        # the split certificate against the rank-d p^m determinant, and each block
+        # a zero exact value against the rank-d p^m determinant, and each block
         # against the one built from whole circulants, not-finite levels included
         verdicts = []
         for seed in (101, 113, 115, 117, 123):
@@ -393,7 +398,7 @@ class TestNotFiniteCertificate:
                                 cyclotomic_rows_circulant(C, p, k, q)
                         for u in (1, 1 + p, 1 + 2 * p):
                             rho = Character.from_int(X.context, u)
-                            got = X._h0_infinite_exact(rho, lv)
+                            got = X._akashi_exponent(rho, lv) is None
                             assert got == h0_infinite_block_circulant(X, rho, lv), (
                                 X.exact_entries, X.kappa_exact, lv, u)
                             verdicts.append(got)
@@ -405,9 +410,68 @@ class TestNotFiniteCertificate:
         lv = Level(1, 4)
         X._cocycle(lv)
         t0 = time.perf_counter()
-        assert not X._h0_infinite_exact(Character.from_int(X.context, 4), lv)
+        assert X._akashi_exponent(Character.from_int(X.context, 4), lv) is not None
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.5, elapsed
+
+
+class TestExactAkashiValue:
+    """v_p of the exact Akashi value is the staged route's chi, escalated until it decides."""
+
+    @staticmethod
+    def staged(X, u, lv, cap=1024):
+        M = X
+        while True:
+            r = M.euler_reduced(Character.from_int(M.context, u), lv)
+            if r.status is not EulerStatus.INDETERMINATE or 2 * M.context.N > cap:
+                return r
+            M = M.with_precision(2 * M.context.N)
+
+    def check(self, X, u, lv):
+        chi = X._akashi_exponent(Character.from_int(X.context, u), lv)
+        r = self.staged(X, u, lv)
+        if chi is None:
+            assert r.status is EulerStatus.NOT_FINITE, (X.exact_entries, lv, u)
+        else:
+            assert r.exists and r.chi_exponent == chi, (X.exact_entries, lv, u, r)
+        return chi
+
+    def test_corpus(self):
+        values = []
+        for seed in (101, 113, 115, 117, 123):
+            for p in (3, 5, 7):
+                for X in crossed_corpus(seed, 4, p):
+                    for lv in admissible_levels(X, 2, 2, rank_cap=162):
+                        for u in (1, 1 + p, 1 + 2 * p):
+                            values.append(self.check(X, u, lv))
+        nones = values.count(None)
+        assert len(values) > 1000 and 30 < nones < len(values)
+
+    @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+    def test_near_identity_at_large_primes(self, p):
+        # A = I + p R + Y S is I mod (p, Y): chi > 0 at every level, or not finite
+        ctx = PadicContext(p, 64)
+        rng = random.Random(240 + p)
+        chis = []
+        for _ in range(3):
+            A = [[[(i == j) + p * rng.randint(-2, 2)]
+                  + [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
+                  for j in range(2)] for i in range(2)]
+            X = crossed(1 + p, A, ctx)
+            for lv in (Level(0, 1), Level(1, 0), Level(1, 1), Level(2, 0)):
+                for u in (1, 1 + p, 1 + 2 * p):
+                    chis.append(self.check(X, u, lv))
+        assert all(c is None or c > 0 for c in chis) and any(chis)
+
+    def test_above_the_precision_is_indeterminate(self):
+        # chi = 219 is above N = 64: the Akashi route is indeterminate there, as the
+        # value mod 3^64 is, and the staged route decides
+        X = crossed(28, [[[1, 3]]], PadicContext(3, 64))
+        lv, rho = Level(1, 4), Character.from_int(X.context, 4)
+        assert X.euler_akashi(rho, lv).status is EulerStatus.INDETERMINATE
+        assert X._akashi_exponent(rho, lv) == 219
+        r = X.euler_reduced(rho, lv)
+        assert r.exists and r.chi_exponent == 219
 
 
 class TestAkashiSeries:
@@ -498,11 +562,7 @@ class TestAkashiThroughTheCli:
     A = [[[1, 1], [3]], [[0, 3], [1, 0, 1]]]  # [[1 + Y, 3], [3Y, 1 + Y^2]]
 
     def run_akashi(self, tmp_path, level):
-        problem = {"kind": "crossed", "p": "3", "d": 2, "kappa": str(self.KAPPA),
-                   "A": [[[str(c) for c in e] for e in row] for row in self.A],
-                   "levels": [list(level)], "precision": 64}
-        inp = tmp_path / "akashi.json"
-        inp.write_text(json.dumps(problem))
+        inp = write_crossed_problem(tmp_path, self.KAPPA, self.A, level)
         out = tmp_path / "akashi.report.json"
         t0 = time.perf_counter()
         code = main(["akashi", "--input", str(inp), "--out", str(out)])
@@ -529,6 +589,34 @@ class TestAkashiThroughTheCli:
         assert len(rows) == 54
         cp = berkowitz_mod(rows, q)
         assert coeffs == substitute_linear(cp, 1, 1, q)
+
+
+class TestEulerThroughTheCli:
+    """`iwalab euler` at N = 64, u = 4, under a time bound, on large crossed levels.
+
+    Entries near 3^70 at level (2,3) (chi = 67 > N, so the run escalates), and
+    the d = 2 module of `TestAkashiThroughTheCli` at (2,4) (chi = 103) and (0,5).
+    """
+
+    P70 = 3**70
+    NEAR_3_70 = [[[1 + 2 * P70, 5, -7], [P70, 1, 2]], [[3, -P70, 1], [1 + P70, 4, 2]]]
+
+    @pytest.mark.parametrize("kappa, A, level", [
+        (4, NEAR_3_70, (2, 3)),
+        (TestAkashiThroughTheCli.KAPPA, TestAkashiThroughTheCli.A, (2, 4)),
+        (TestAkashiThroughTheCli.KAPPA, TestAkashiThroughTheCli.A, (0, 5)),
+    ], ids=["near-3^70-2-3", "2-4", "0-5"])
+    def test_in_under_2_seconds(self, tmp_path, capsys, kappa, A, level):
+        inp = write_crossed_problem(tmp_path, kappa, A, level, characters=["4"])
+        out = tmp_path / "euler.report.json"
+        t0 = time.perf_counter()
+        code = main(["euler", "--input", str(inp), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        capsys.readouterr()
+        assert code == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["status"] == "exists" and task["routes_agree"], task
+        assert elapsed < 2, elapsed
 
 
 def group_ring_cases(levels):
