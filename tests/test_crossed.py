@@ -314,6 +314,18 @@ class TestAkashiEvaluation:
             got, want = self.check(X, TRIV, lv)
             assert want is None and got.status is EulerStatus.NOT_FINITE
 
+    def test_hessenberg_forms_cached_per_precision_and_shared(self):
+        # the exact value replaced the Hessenberg forms per word precision: it is
+        # cached by (u, n, m) alone, and a re-embedding shares the cache and the value
+        X = crossed(4, [[[1, 1], [3]], [[0, 2], [1, 0, 1]]], PadicContext(3, 64))
+        lv = Level(1, 1)
+        got = X.euler_akashi(U4, lv)
+        Y = X.with_precision(128)
+        assert Y._akashi_cache is X._akashi_cache
+        assert list(X._akashi_cache) == [(4, 1, 1)]
+        assert Y.euler_akashi(U4, lv) == got
+        assert list(Y._akashi_cache) == [(4, 1, 1)]
+
     def test_euler_never_expands_the_series(self, monkeypatch, tmp_path, capsys):
         def refuse(*args):
             raise AssertionError("the Euler routes evaluate the Akashi polynomial at a point")
