@@ -23,7 +23,7 @@ from . import exactint, kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
 from .padic import PadicContext, group_ring_h0
-from .results import EulerResult, EulerStatus, search_twists
+from .results import EulerResult, search_twists
 from .series import Character, PowerSeries
 
 # Largest matrix rank a route may build: the group-ring presentation has rank
@@ -211,10 +211,9 @@ class CrossedModule:
         commutes with Z[h] -> R_k = Z[h]/Phi_{p^k}(h), and the determinant over
         Z of an R_k-linear map is the norm of its determinant over R_k, so the
         value is the product over k <= m of the norms of D mod Phi_{p^k} (the
-        splitting of `akashi_series`): its v_p is the sum of their
-        `exactint.norm_valuation`, and it is 0 exactly when one residue is.
-        The value does not depend on N: it is cached by (u, n, m), and
-        re-embeddings share it.
+        splitting of `akashi_series`), whose v_p, or None when one residue is
+        0, is `exactint.cyclotomic_valuation`.  The value does not depend on
+        N: it is cached by (u, n, m), and re-embeddings share it.
         """
         key = (rho.u_exact, level.n, level.m)
         if key not in self._akashi_cache:
@@ -224,17 +223,8 @@ class CrossedModule:
             for i, row in enumerate(M):
                 row[i][0] -= 1
             D = exactint.poly_mat_det(M)
-            residues = [exactint.cyclotomic_residue(D, p, k) for k in range(level.m + 1)]
-            self._akashi_cache[key] = (
-                sum(exactint.norm_valuation(x, p) for x in residues)
-                if all(map(any, residues)) else None
-            )
+            self._akashi_cache[key] = exactint.cyclotomic_valuation(D, p, range(level.m + 1))
         return self._akashi_cache[key]
-
-    def _undetermined(self, rho: Character, level: Level) -> EulerResult:
-        if self._akashi_exponent(rho, level) is None:
-            return EulerResult(EulerStatus.NOT_FINITE)
-        return EulerResult(EulerStatus.INDETERMINATE)
 
     def euler_reduced(self, rho: Character, level: Level) -> EulerResult:
         """Coinvariants staged through H: cokernel of u^(p^n) B - I over Z_p.
@@ -257,7 +247,7 @@ class CrossedModule:
 
         h0 = group_ring_h0(build, p, self.context.N)
         if h0 is None:
-            return self._undetermined(rho, level)
+            return EulerResult.from_exact(self._akashi_exponent(rho, level), below=0)
         return EulerResult.from_h0(h0)
 
     def euler_akashi(self, rho: Character, level: Level) -> EulerResult:
@@ -267,10 +257,7 @@ class CrossedModule:
         below N, where its residue mod p^N is nonzero; a value of 0 is
         NotFinite, and a nonzero value of v_p >= N is indeterminate at N.
         """
-        chi = self._akashi_exponent(rho, level)
-        if chi is not None and chi < self.context.N:
-            return EulerResult.from_h0(chi)
-        return self._undetermined(rho, level)
+        return EulerResult.from_exact(self._akashi_exponent(rho, level), below=self.context.N)
 
     def group_ring_oracle(self, rho: Character, level: Level) -> EulerResult:
         """Full-size route over the finite group ring Z_p[G/U].
@@ -292,9 +279,8 @@ class CrossedModule:
             exps = kernels.smith_exponents(self._group_ring_rows(rho, level, p ** P), p, P)
             if -1 not in exps:
                 return EulerResult.from_h0(sum(exps))
-        if kernels.bareiss_det(self._group_ring_rows(rho, level)) == 0:
-            return EulerResult(EulerStatus.NOT_FINITE)
-        return EulerResult(EulerStatus.INDETERMINATE)
+        det = kernels.bareiss_det(self._group_ring_rows(rho, level))
+        return EulerResult.from_exact(int_valuation(det, p), below=0)
 
     def _group_ring_rows(self, rho: Character, level: Level, q=None):
         """Right multiplication by (g I - u A) on Z_p[G/U]^d, mod q (over Z when q is None).
@@ -404,8 +390,8 @@ def find_twist_crossed(module: CrossedModule, levels, budget: int = 25):
     rho, report = search_twists(
         module.context,
         range(budget),
-        [tuple(lv) for lv in levels],
-        lambda rho, nm: module.euler_reduced(rho, Level(*nm)),
+        levels,
+        module.euler_reduced,
         f"no candidate among 1+kp, k < {budget}, certified every requested level",
     )
     accepted = report.candidates[-1]

@@ -6,14 +6,15 @@ read a polynomial f in h over Z at the p^k-th roots of unity: its residue
 mod Phi_(p^k) in R_k = Z[h]/Phi_(p^k)(h) (`cyclotomic_residue`) and the
 p-adic valuation of that residue's norm to Q (`norm_valuation`), read off one
 Taylor shift with no norm formed; a zero residue (a norm of 0) is the
-certificate.  For gamma, f is the twisted characteristic polynomial P_u, and
-only k = 0 and the k with phi(p^k) <= lambda are read, so the cost does not
-grow with the level p^n; for a crossed level, f is the determinant over
-Z[h] of the twisted cocycle, read at every k <= m.  The polynomial-matrix
-determinant packs its entries into integers (Kronecker substitution) and
-takes the one exact integer determinant, `kernels.bareiss_det`, as does
-`sylvester_resultant`, a public reference that no route calls.  Neither uses
-the modular kernels, so tests can check those against these exact integers.
+certificate; `cyclotomic_valuation` sums those valuations over a set of k.
+For gamma, f is the twisted characteristic polynomial P_u, read at k = 0 and
+the k with phi(p^k) <= lambda (`twisted_chi`); for a crossed level, f is the
+determinant over Z[h] of the twisted cocycle, read at every k <= m.  The
+polynomial-matrix determinant packs its entries into integers (Kronecker
+substitution) and takes the one exact integer determinant,
+`kernels.bareiss_det`, as does `sylvester_resultant`, a public reference
+that no route calls.  Neither uses the modular kernels, so tests can check
+those against these exact integers.
 """
 
 from __future__ import annotations
@@ -23,14 +24,29 @@ from .kernels import bareiss_det
 
 
 def int_valuation(x: int, p: int):
-    """v_p of a nonzero integer; None for 0 (infinite)."""
+    """v_p of a nonzero integer by O(log v) divisions, by p^(2^j) up, then down; None for 0."""
     if x == 0:
         return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
+    v, q, powers = 0, p, []
+    while x % q == 0:
+        x //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    # now v_p(x) < 2^len(powers), and each power popped halves the bound
+    while powers:
+        q = powers.pop()
+        if x % q == 0:
+            x //= q
+            v += 1 << len(powers)
     return v
+
+
+def lambda_mu(f, p: int):
+    """(lambda, mu) of a nonzero f in Z[X]: mu = min v_p(f_i), lambda = the first i reaching it."""
+    vals = [int_valuation(c, p) for c in f]
+    mu = min(v for v in vals if v is not None)
+    return vals.index(mu), mu
 
 
 def sylvester_resultant(f, g) -> int:
@@ -113,36 +129,48 @@ def norm_valuation(x, p: int) -> int:
     )
 
 
-def twisted_residues(det_h, u: int, p: int, n: int, lam: int):
-    """(k, P_u mod Phi_(p^k)) in R_k for the k <= n whose norm N(P_u(zeta_(p^k))) has no closed form.
+def cyclotomic_valuation(f, p: int, ks):
+    """Sum of v_p N(f(zeta_(p^k))) over k in ks, f in Z[h]; None if a residue (read first) is 0."""
+    residues = [cyclotomic_residue(f, p, k) for k in ks]
+    if not all(map(any, residues)):
+        return None
+    return sum(norm_valuation(x, p) for x in residues)
 
-    P_u(h) = u^D det F(u^-1 h - 1): coefficient b is that of det_h = det F(h - 1)
-    times u^(D - b).  For k >= 1 with phi(p^k) > lam the norm has valuation
-    mu*phi(p^k) + lam (Washington, Introduction to Cyclotomic Fields, Thm.
-    13.13), which leaves k = 0 and phi(p^k) <= lam.  R_k is a domain, so the
-    norm is 0 exactly when the residue is.
+
+def twisted_chi(det_h, u: int, p: int, n: int, lam: int, mu: int):
+    """chi = v_p Res(h^(p^n) - 1, P_u) at gamma level n; None when the resultant is 0.
+
+    P_u(h) = u^D det F(u^-1 h - 1) has coefficient b that of det_h = det F(h - 1)
+    times u^(D - b); (lam, mu) are det F's.  chi is the sum over k <= n of
+    t_k = v_p N(P_u(zeta_(p^k))).  The closed form: t_k = mu*phi(p^k) + lam
+    when k >= 1 and phi(p^k) > lam (Washington, Introduction to Cyclotomic
+    Fields, Thm. 13.13), and chi = mu*p^n when lam = 0.  So only k = 0 and
+    the k with phi(p^k) <= lam, up to some last, are read
+    (`cyclotomic_valuation`), and the rest sum to
+    mu*(p^n - p^last) + lam*(n - last): the cost is set by lam, not p^n.
     """
+    if not lam:
+        return mu * p ** n
     D = len(det_h) - 1
     P = [c * u ** (D - b) for b, c in enumerate(det_h)]
-    k = 0
-    while k <= n and (k == 0 or (p - 1) * p ** (k - 1) <= lam):
-        yield k, cyclotomic_residue(P, p, k)
-        k += 1
+    last = 0
+    while last < n and (p - 1) * p ** last <= lam:
+        last += 1
+    chi = cyclotomic_valuation(P, p, range(last + 1))
+    if chi is None:
+        return None
+    return chi + mu * (p ** n - p ** last) + lam * (n - last)
 
 
 def gamma_h0_is_infinite(det_poly, u: int, p: int, n: int) -> bool:
     """Does the twisted presentation share a root with omega at level n?
 
-    True exactly when the determinant of the rho-twisted multiplication map
-    on the rank-p^n quotient vanishes as a genuine p-adic number: det has a
-    root u^-1 zeta - 1 with zeta^(p^n) = 1, so some norm N(P_u(zeta_(p^k))),
-    k <= n, is 0.  Only a residue of `twisted_residues` can be 0, so the cost
-    is set by lambda, not by p^n.
+    True exactly when det F, given over Z[X], has a root u^-1 zeta - 1 with
+    zeta^(p^n) = 1: `twisted_chi` of det F(h - 1) is None.  No route calls it.
     """
     det_poly = po.trim_int(det_poly)
     if det_poly == [0]:
         return True
-    mu = min(int_valuation(c, p) for c in det_poly if c)
-    lam = next(i for i, c in enumerate(det_poly) if c % p ** (mu + 1))
+    lam, mu = lambda_mu(det_poly, p)
     det_h = po.substitute_linear(det_poly, -1, 1, None)
-    return any(not any(x) for _, x in twisted_residues(det_h, u, p, n, lam))
+    return twisted_chi(det_h, u, p, n, lam, mu) is None

@@ -6,7 +6,7 @@ characteristics come by two independent routes: Smith elimination of the
 twisted presentation modulo the level polynomial over Z/p^N (direct), and
 the exact sum over k <= n of v_p of the norms of the twisted characteristic
 polynomial at the p^k-th roots of unity (analytic), most of them in closed
-form from lambda and mu.  Exactness of NotFinite verdicts is guaranteed by
+form from lambda and mu (`exactint.twisted_chi`).  Exactness of NotFinite verdicts is guaranteed by
 exact cyclotomic remainders over Z, never by residue vanishing mod p^N.
 """
 
@@ -23,8 +23,8 @@ from .errors import (
     ZeroDeterminantError,
 )
 from .padic import PadicContext, group_ring_h0
-from .results import EulerResult, EulerStatus, search_twists
-from .series import Character, PowerSeries, lambda_mu, weierstrass_prepare
+from .results import EulerResult, search_twists
+from .series import Character, PowerSeries, weierstrass_prepare
 
 
 def series_matrix_det(entries) -> PowerSeries:
@@ -48,9 +48,10 @@ class GammaModule:
     """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0).
 
     The module holds F's exact integer polynomial entries (ascending in X),
-    the same entries F(h - 1) in the basis of h = 1 + X, det F over Z[X] and
-    det F(h - 1); the direct route and the preparation work mod p^N, the
-    analytic route and the certificates over Z.  det F is prepared on first use.
+    the same entries F(h - 1) in the basis of h = 1 + X, det F over Z[X] with
+    its (lambda, mu), and det F(h - 1); the direct route and the preparation
+    work mod p^N, the analytic route and the certificates over Z.  det F is
+    prepared on first use.
     """
 
     def __init__(self, ctx: PadicContext, entries, _det_int=None, _entries_h=None, _det_h=None):
@@ -77,6 +78,7 @@ class GammaModule:
                     "det F is nonzero but vanishes mod p^N; raise the precision"
                 )
             raise ZeroDeterminantError("det F = 0 to working precision; module is not torsion")
+        self._lam_mu = exactint.lambda_mu(_det_int, ctx.p)
         self._det_h = po.substitute_linear(_det_int, -1, 1, None) if _det_h is None else _det_h
 
     @classmethod
@@ -103,20 +105,15 @@ class GammaModule:
         coeffs = [(c * pm) % q for c in w.distinguished.coeffs]
         return PowerSeries(self.context, "X", tuple(coeffs), exact_degree=w.lam)
 
-    @cached_property
-    def _lam_mu(self):
-        return lambda_mu(self.det)
-
     def char_invariants(self):
-        """(lambda, mu) of the characteristic element, read off det F without preparing it."""
+        """(lambda, mu) of the characteristic element, read off the exact det F, not prepared."""
         return self._lam_mu
 
     # -- Euler characteristics ------------------------------------------------
 
-    def _undetermined(self, rho: Character, n: int) -> EulerResult:
-        if exactint.gamma_h0_is_infinite(self.det_int, rho.u_exact, self.context.p, n):
-            return EulerResult(EulerStatus.NOT_FINITE)
-        return EulerResult(EulerStatus.INDETERMINATE)
+    def _exact_chi(self, rho: Character, n: int):
+        """`exactint.twisted_chi` of the held det F(h - 1): chi, or None when not finite."""
+        return exactint.twisted_chi(self._det_h, rho.u_exact, self.context.p, n, *self._lam_mu)
 
     def euler_direct(self, rho: Character, n: int) -> EulerResult:
         """chi at level n from the twisted presentation over Z_p[h]/(h^(p^n) - 1).
@@ -148,29 +145,16 @@ class GammaModule:
 
         h0 = group_ring_h0(build, p, self.context.N)
         if h0 is None:
-            return self._undetermined(rho, n)
+            return EulerResult.from_exact(self._exact_chi(rho, n), below=0)
         return EulerResult.from_h0(h0)
 
     def euler_analytic(self, rho: Character, n: int) -> EulerResult:
         """chi at level n as the exact sum over k <= n of v_p N(P_u(zeta_(p^k))).
 
-        chi = v_p Res(h^(p^n) - 1, P_u), P_u(h) = u^D det F(u^-1 h - 1), splits
-        over the p^k-th roots of unity.  Only the residues of
-        `exactint.twisted_residues` are looked at (`exactint.norm_valuation`),
-        the rest have valuation mu*phi(p^k) + lambda; a zero residue means not
-        finite.  The route is never indeterminate.
+        chi = v_p Res(h^(p^n) - 1, P_u) is `exactint.twisted_chi`, which states
+        the closed form, of the held det F(h - 1).  Never indeterminate.
         """
-        p = self.context.p
-        lam, mu = self.char_invariants()
-        if not lam:
-            return EulerResult.from_h0(mu * p ** n)
-        chi = 0
-        for last, x in exactint.twisted_residues(self._det_h, rho.u_exact, p, n, lam):
-            if not any(x):
-                return EulerResult(EulerStatus.NOT_FINITE)
-            chi += exactint.norm_valuation(x, p)
-        # closed form for k = last + 1, ..., n: the phi(p^k) sum to p^n - p^last
-        return EulerResult.from_h0(chi + mu * (p ** n - p ** last) + lam * (n - last))
+        return EulerResult.from_exact(self._exact_chi(rho, n))
 
 
 def find_twist(module: GammaModule, n_max: int, budget: int = 25):
@@ -179,11 +163,9 @@ def find_twist(module: GammaModule, n_max: int, budget: int = 25):
     The candidate loop is `results.search_twists` on the direct route;
     candidates are tried in ascending order, so acceptance is deterministic.
     The certificate covers the requested levels only.  Every level at once
-    is in reach with integers alone: level n is not finite exactly when the
-    norm N(P_u(zeta_(p^k))) is 0 for some k <= n with k = 0 or
-    phi(p^k) <= lambda (`exactint.gamma_h0_is_infinite`), and past those k
-    chi grows as mu*p^n + lambda*n + nu, so finitely many exact norms decide
-    all n; the search does not report that yet.
+    is in reach with integers alone: `exactint.twisted_chi` reads finitely
+    many exact norms, and past them chi grows as mu*p^n + lambda*n + nu;
+    the search does not report that yet.
     """
     return search_twists(
         module.context,

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 from .errors import MixedContextError, NotAUnitError, NotSquareError, ValidationError
 from . import _polyops as po
-from . import kernels
+from . import exactint, kernels
 
 
 class _AtLeastN:
@@ -122,14 +122,8 @@ class PadicContext:
 
     def int_valuation(self, residue: int) -> Valuation:
         """Valuation of a residue in [0, p^N): largest e < N with p^e | residue."""
-        if residue % self.modulus == 0:
-            return AT_LEAST_N
-        v = 0
         x = residue % self.modulus
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return AT_LEAST_N if x == 0 else exactint.int_valuation(x, self.p)
 
 
 @dataclass(frozen=True)

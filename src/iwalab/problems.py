@@ -102,7 +102,6 @@ class ProblemFile:
     characters: list
     module: object
     levels: list
-    schema: int = 1
     n_max: int | None = None
 
     def build_module(self, N: int):
@@ -185,7 +184,6 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
             characters=characters,
             module=module,
             levels=n_levels,
-            schema=schema,
             n_max=n_max,
         )
 
@@ -217,5 +215,4 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
         characters=characters,
         module=module,
         levels=levels,
-        schema=schema,
     )

@@ -37,6 +37,19 @@ class EulerResult:
     def from_h0(cls, h0: int) -> "EulerResult":
         return cls(EulerStatus.EXISTS, chi_exponent=h0, h0_exponent=h0, h1_exponent=0)
 
+    @classmethod
+    def from_exact(cls, chi: int | None, below: int | None = None) -> "EulerResult":
+        """Verdict of an exact value given by its v_p `chi`, or None when it is 0 (NotFinite).
+
+        chi exists when below `below` (always when None), else is indeterminate;
+        a route that met p^N passes below=0 and reads the value as its certificate.
+        """
+        if chi is None:
+            return cls(EulerStatus.NOT_FINITE)
+        if below is None or chi < below:
+            return cls.from_h0(chi)
+        return cls(EulerStatus.INDETERMINATE)
+
 
 @dataclass(frozen=True)
 class LevelOutcome:

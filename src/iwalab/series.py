@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _polyops as po
+from . import exactint, kernels
 from .errors import MixedContextError, ValidationError, ZeroToPrecisionError
-from .padic import AT_LEAST_N, PadicContext, PadicInt
-from . import kernels
+from .padic import PadicContext, PadicInt
 
 
 @dataclass(frozen=True)
@@ -208,14 +208,10 @@ def weierstrass_prepare(f: PowerSeries) -> WeierstrassData:
 
 
 def lambda_mu(f: PowerSeries):
-    """(lambda, mu) without running the full preparation."""
-    ctx = f.context
+    """(lambda, mu) of the residues (`exactint.lambda_mu`), without the full preparation."""
     if f.is_zero_to_precision():
         raise ZeroToPrecisionError("every coefficient is 0 mod p^N")
-    vals = [ctx.int_valuation(c) for c in f.coeffs]
-    mu = min(v for v in vals if v is not AT_LEAST_N)
-    lam = next(i for i, v in enumerate(vals) if v == mu)
-    return lam, mu
+    return exactint.lambda_mu(f.coeffs, f.context.p)
 
 
 def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:

@@ -426,6 +426,18 @@ class TestNotFiniteCertificate:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.5, elapsed
 
+    def test_large_character_at_level_five_zero_in_under_1_5_seconds(self):
+        # at m = 0 the cocycle is A(0)^(p^n) = [[1, 3^(n+1)], [0, 1]], so the value
+        # is (u^(p^n) - 1)^2, of v_p 2 (2000 + 5) for u = 1 + 3^2000 at n = 5: a
+        # 2.3-million-bit integer whose valuation a division per unit would crawl through
+        X = crossed(4, TestAkashiThroughTheCli.A, PadicContext(3, 64))
+        lv = Level(5, 0)
+        X._cocycle(lv)
+        t0 = time.perf_counter()
+        assert X._akashi_exponent(Character.from_int(X.context, 1 + 3**2000), lv) == 4010
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.5, elapsed
+
 
 class TestExactAkashiValue:
     """v_p of the exact Akashi value is the staged route's chi, escalated until it decides."""
@@ -906,6 +918,7 @@ class TestFindTwistCrossed:
         accepted = rep.candidates[-1]
         assert [o.chi_exponent for o in accepted.outcomes] == [1, 6, 18]
         assert [o.cross_exponent for o in accepted.outcomes] == [1, 6, 18]
+        assert [o.level for o in accepted.outcomes] == [Level(0, 0), Level(1, 1), Level(1, 2)]
 
     def test_trivial_character_accepted_when_good(self):
         # Akashi at (0,0) is X + (1-c) with c = 4, so u = 1 already certifies

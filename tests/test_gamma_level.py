@@ -2,7 +2,8 @@
 
 `GammaModule.euler_analytic` sums v_p of the norms N(P_u(zeta_(p^k))),
 k <= n, of the twisted characteristic polynomial P_u, most of them in closed
-form, and `exactint.gamma_h0_is_infinite` asks whether one of them is 0.
+form (`exactint.twisted_chi`); the value is None, not finite, when one of
+them is 0, and `euler_direct` reads the same value when Smith meets p^N.
 `exactint.norm_valuation` is checked against v_p of sympy's resultant with
 Phi_(p^k); the route against references whose size is the level p^n (the
 circulant determinant `det_mult_mod_omega`, the Sylvester determinant
@@ -20,16 +21,21 @@ import pytest
 from iwalab import (
     AT_LEAST_N,
     Character,
+    EulerResult,
     EulerStatus,
     GammaModule,
     PadicContext,
+    PrecisionExhaustedError,
+    ZeroDeterminantError,
     det_mult_mod_omega,
+    lambda_mu,
     twist_series,
     weierstrass_prepare,
 )
 from iwalab import _polyops as po
 from iwalab.cli import main
 from iwalab.corpus import gamma_corpus
+from iwalab.crossed import LENGTH_CAP
 from iwalab.exactint import gamma_h0_is_infinite, norm_valuation, sylvester_resultant
 
 from oracles import (
@@ -323,6 +329,89 @@ class TestCyclotomicCertificate:
             assert (sylvester_resultant(level_poly(p, n), cs) == 0) == got
         else:
             assert shares_factor_int(level_poly(p, n), cs) == got
+
+
+class TestOneExactValue:
+    """Both gamma routes read one exact value off the module's det F(h - 1) and (lambda, mu)."""
+
+    @staticmethod
+    def x_times_g_at_the_length_cap():
+        """F = X g, one entry of LENGTH_CAP coefficients: not finite at u = 1 from level 0 on."""
+        rng = random.Random(5)
+        g = [1] + [rng.randint(-9, 9) for _ in range(LENGTH_CAP - 3)] + [1]
+        M = GammaModule.from_int_matrix(PadicContext(3, 64), [[po.pmul([0, 1], g, None)]])
+        assert len(M.exact_entries[0][0]) == LENGTH_CAP
+        return M, Character.from_int(M.context, 1)
+
+    def test_not_finite_direct_verdict_at_the_length_cap_in_under_50_ms(self):
+        # det F(h - 1) is held, so the certificate reads one residue, P_u(1) = 0 at n = 0
+        M, rho = self.x_times_g_at_the_length_cap()
+        t0 = time.perf_counter()
+        rd = M.euler_direct(rho, 0)
+        elapsed = time.perf_counter() - t0
+        assert rd.status is EulerStatus.NOT_FINITE
+        assert elapsed < 0.05, elapsed
+
+    def test_not_finite_verdicts_take_no_taylor_shift(self, monkeypatch):
+        M, rho = self.x_times_g_at_the_length_cap()
+        shifts = []
+        inner = po.substitute_linear
+        monkeypatch.setattr(po, "substitute_linear", lambda *a: shifts.append(a) or inner(*a))
+        for n in range(3):
+            assert M.euler_direct(rho, n).status is EulerStatus.NOT_FINITE
+            assert M.euler_analytic(rho, n).status is EulerStatus.NOT_FINITE
+        assert shifts == []
+
+    def test_one_verdict_mapping_for_both_stanza_kinds(self):
+        # the analytic route passes no bound, euler_akashi N, a route that met p^N 0
+        nf, ex, ind = EulerStatus.NOT_FINITE, EulerStatus.EXISTS, EulerStatus.INDETERMINATE
+        cases = [((None,), nf, None), ((5,), ex, 5), ((None, 64), nf, None), ((63, 64), ex, 63),
+                 ((64, 64), ind, None), ((0, 0), ind, None), ((None, 0), nf, None)]
+        for args, status, chi in cases:
+            r = EulerResult.from_exact(*args)
+            assert (r.status, r.chi_exponent) == (status, chi), args
+        assert EulerResult.from_exact(7) == EulerResult.from_h0(7)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_char_invariants_read_exactly_match_the_residues(self, p):
+        # every other row scaled by p^2 gives mu > 0, and at N = 6 a coefficient
+        # p^7 sits below the least valuation, where its residue is 0
+        seen = set()
+        for seed in (7, 8, 9):
+            for M in gamma_corpus(seed, 8, p):
+                for N in (64, 6):
+                    base = [[[c * p ** (2 * (i % 2)) for c in e] for e in row]
+                            for i, row in enumerate(M.exact_entries)]
+                    for entries in (M.exact_entries, base, [[[p**7] + e for e in row]
+                                                           for row in base]):
+                        try:
+                            X = GammaModule.from_int_matrix(PadicContext(p, N), entries)
+                        except (PrecisionExhaustedError, ZeroDeterminantError):
+                            continue
+                        lam, mu = X.char_invariants()
+                        assert (lam, mu) == lambda_mu(X.det), (p, entries, N)
+                        vals = [int_valuation(c, p) for c in X.det_int]
+                        seen.add((mu > 0, any(v is not None and v >= N for v in vals)))
+        assert {(True, True), (True, False), (False, False)} <= seen
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_certificate_wrapper_matches_the_analytic_verdict(self, p):
+        g = [1 + p, -2, 1]
+        planted_factors = [
+            GammaModule.from_int_matrix(
+                PadicContext(p, N), [[po.pmul(compose_twist(cyclotomic(p, k), u), g, None)]])
+            for u in characters(p) for k in range(3)
+        ]
+        verdicts = []
+        for M in gamma_corpus(10 + p, 10, p) + planted(p) + planted_factors:
+            for u in characters(p):
+                rho = Character.from_int(M.context, u)
+                for n in range(4):
+                    got = gamma_h0_is_infinite(M.det_int, u, p, n)
+                    assert got == (M.euler_analytic(rho, n).status is EulerStatus.NOT_FINITE), (
+                        M.det_int, u, n)
+                    verdicts.append(got)
+        assert 10 < sum(verdicts) < len(verdicts)
 
 
 class TestCertificateThroughTheCli:

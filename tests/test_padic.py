@@ -13,10 +13,11 @@ from iwalab import (
     ValidationError,
     cokernel_kernel_orders,
 )
+from iwalab.exactint import int_valuation
 from iwalab.kernels import word_precision
 from iwalab.padic import smith_form_raw
 
-from oracles import cofactor_det_mod, snf_exponents
+from oracles import cofactor_det_mod, int_valuation as naive_valuation, snf_exponents
 
 
 def residues(ctx, rows):
@@ -75,6 +76,27 @@ class TestValuation:
         assert AT_LEAST_N > 63
         assert not (AT_LEAST_N < 10)
         assert sorted([AT_LEAST_N, 3, 0]) == [0, 3, AT_LEAST_N]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    def test_planted_integer_valuations_match_a_naive_loop(self, p):
+        # v straddles every power of two up to 4096, where the doubling turns back
+        rng = random.Random(p)
+        vs = list(range(70)) + [2**j + s for j in range(6, 13) for s in (-1, 0, 1)]
+        vs += [rng.randint(70, 4000) for _ in range(8)]
+        for v in vs:
+            unit = rng.randint(1, p ** 30) * p + rng.randint(1, p - 1)
+            for x in (unit * p**v, -unit * p**v):
+                assert int_valuation(x, p) == naive_valuation(x, p) == v, (p, v)
+        assert int_valuation(0, p) is None
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_residue_valuations_match_the_integer_ones(self, p):
+        ctx = PadicContext(p, 40)
+        rng = random.Random(10 + p)
+        for v in range(45):
+            x = (rng.randint(1, p ** 5) * p + 1) * p**v
+            want = v if v < 40 else AT_LEAST_N
+            assert ctx.int_valuation(x) == want and ctx.int_valuation(-x) == want, (p, v)
 
 
 class TestUnitInverse:

@@ -36,6 +36,12 @@ class TestParse:
         pf = parse({"kind": "gamma", "p": 3, "d": 1, "F": [[["−3", "1"]]]})
         assert pf.module.exact_entries == (((-3, 1),),)
 
+    def test_schema_other_than_one_refused(self):
+        assert not hasattr(parse(dict(MINIMAL_GAMMA, schema=1)), "schema")
+        for kind in (MINIMAL_GAMMA, MINIMAL_CROSSED):
+            with pytest.raises(ParseError, match="^unsupported schema version 2$"):
+                parse(dict(kind, schema=2))
+
     def test_unknown_key_rejected(self):
         bad = dict(MINIMAL_GAMMA, foo=1)
         with pytest.raises(ParseError):
