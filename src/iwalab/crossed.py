@@ -23,7 +23,7 @@ from . import exactint, kernels
 from .errors import SizeCapExceededError, ValidationError
 from .exactint import int_valuation
 from .padic import PadicContext, group_ring_h0
-from .results import EulerResult, search_twists
+from .results import DEFAULT_BUDGET, EulerResult, search_twists
 from .series import Character, PowerSeries
 
 # Largest matrix rank a route may build: the group-ring presentation has rank
@@ -231,8 +231,8 @@ class CrossedModule:
 
         Works u^(p^n) C - I over the staged quotient, C the exact cocycle
         product, through `padic.group_ring_h0`: unit entries split off, Smith
-        takes the rest (at m = 0 the whole scalar matrix), at the word
-        precision first and at p^N only when some divisor reaches it.
+        takes the rest (at m = 0 the whole scalar matrix) on the ladder of
+        `kernels.smith_ladder`.
         """
         p = self.context.p
         pn = p ** level.n
@@ -265,20 +265,19 @@ class CrossedModule:
         Presents the twisted module over the whole quotient group, rows e_i g^a h^b
         and columns permuted so that g's unit lies on the diagonal (see
         `_group_ring_rows`), and takes one cokernel; independent of the staged
-        reduction and of the Akashi evaluation.  The rows are built and
-        eliminated at each of `kernels.precisions(p, N)` in turn, until no
-        divisor reaches the precision; the NotFinite certificate is the
-        Bareiss determinant of the exact rows.
+        reduction and of the Akashi evaluation.  `kernels.smith_ladder` builds
+        and eliminates the rows at the word precision first and at p^N only
+        when a divisor reaches it; the NotFinite certificate is the Bareiss
+        determinant of the exact rows.
         """
         self.check_level(level)
         p = self.context.p
         D = self.d * p ** level.index_exponent
         if D > RANK_CAP:
             raise SizeCapExceededError(f"group-ring rank {D} exceeds cap {RANK_CAP}")
-        for P in kernels.precisions(p, self.context.N):
-            exps = kernels.smith_exponents(self._group_ring_rows(rho, level, p ** P), p, P)
-            if -1 not in exps:
-                return EulerResult.from_h0(sum(exps))
+        exps = kernels.smith_ladder(lambda q: self._group_ring_rows(rho, level, q), p, self.context.N)
+        if -1 not in exps:
+            return EulerResult.from_h0(sum(exps))
         det = kernels.bareiss_det(self._group_ring_rows(rho, level))
         return EulerResult.from_exact(int_valuation(det, p), below=0)
 
@@ -379,7 +378,7 @@ def _cyclotomic_rows(C, p, k):
     return rows
 
 
-def find_twist_crossed(module: CrossedModule, levels, budget: int = 25):
+def find_twist_crossed(module: CrossedModule, levels, budget: int = DEFAULT_BUDGET):
     """First u = 1+kp, k = 0, ..., budget - 1 (trivial character included), finite at every level.
 
     The candidate loop is `results.search_twists` on the staged route.  The

@@ -148,15 +148,23 @@ def twisted_chi(det_h, u: int, p: int, n: int, lam: int, mu: int):
     the k with phi(p^k) <= lam, up to some last, are read
     (`cyclotomic_valuation`), and the rest sum to
     mu*(p^n - p^last) + lam*(n - last): the cost is set by lam, not p^n.
+    Those residues need P_u only mod h^(p^last) - 1, so P_u is never formed:
+    its coefficients fold into p^last accumulators, with one running power
+    of u, and the memory is p^last values, not the D coefficients of P_u.
     """
     if not lam:
         return mu * p ** n
-    D = len(det_h) - 1
-    P = [c * u ** (D - b) for b, c in enumerate(det_h)]
     last = 0
     while last < n and (p - 1) * p ** last <= lam:
         last += 1
-    chi = cyclotomic_valuation(P, p, range(last + 1))
+    pl = p ** last
+    acc = [0] * pl
+    power = 1
+    for b in range(len(det_h) - 1, -1, -1):
+        if det_h[b]:
+            acc[b % pl] += det_h[b] * power
+        power *= u
+    chi = cyclotomic_valuation(acc, p, range(last + 1))
     if chi is None:
         return None
     return chi + mu * (p ** n - p ** last) + lam * (n - last)

@@ -23,7 +23,7 @@ from .errors import (
     ZeroDeterminantError,
 )
 from .padic import PadicContext, group_ring_h0
-from .results import EulerResult, search_twists
+from .results import DEFAULT_BUDGET, EulerResult, search_twists
 from .series import Character, PowerSeries, weierstrass_prepare
 
 
@@ -120,8 +120,9 @@ class GammaModule:
 
         The twist by rho^-1 sends h to c*h, c = u^-1, so coefficient b of an
         entry F(h - 1) is scaled by c^b and the indices then fold mod p^n.
-        `padic.group_ring_h0` works the result at the word precision first,
-        and again at p^N only when some divisor reaches it.
+        `padic.group_ring_h0` works the result on the ladder of
+        `kernels.smith_ladder`: at the word precision first, and again at p^N
+        only when some divisor reaches it.
         """
         p = self.context.p
         pn = p ** n
@@ -157,7 +158,7 @@ class GammaModule:
         return EulerResult.from_exact(self._exact_chi(rho, n))
 
 
-def find_twist(module: GammaModule, n_max: int, budget: int = 25):
+def find_twist(module: GammaModule, n_max: int, budget: int = DEFAULT_BUDGET):
     """First u = 1+kp, k = 1, ..., budget, certifying existence at every level n <= n_max.
 
     The candidate loop is `results.search_twists` on the direct route;

@@ -20,10 +20,10 @@ The word precision k is the largest k with p^k below CPython's int digit
 base, where every residue is a single machine digit.  `precisions(p, N)`
 lists the precisions a computation tries in turn: k first when k < N, then
 N.  The exponents of a matrix mod p^k are min(e, k) of its exponents, so a
-result none of whose divisors reaches p^k is exact at every N >= k.  The
-Smith-based Euler routes run their whole pipeline over that list, and
-`padic.smith_form_raw` does the same for a caller that hands it residues mod
-p^N; every kernel makes one pass at the precision it is given.
+result none of whose divisors reaches p^k is exact at every N >= k.
+`smith_ladder` is the one loop over that list: the Smith-based Euler routes
+and `padic.smith_form_raw` hand it a builder of their rows mod p^P, and every
+kernel makes one pass at the precision it is given.
 
 `smith_exponents` and `det_mod` share the pivot search, the global
 p-extraction and the elimination step; each keeps only its own bookkeeping
@@ -57,6 +57,22 @@ def precisions(p, N):
     """The precisions to try in turn: (k, N) for the word precision 0 < k < N, else (N,)."""
     k = word_precision(p, N)
     return (k, N) if 0 < k < N else (N,)
+
+
+def smith_ladder(build, p, N):
+    """Smith exponents of the rows `build(p^P)` at the first P of `precisions(p, N)` with no -1.
+
+    `build(q)` returns the matrix as residue rows mod q; an empty matrix
+    (every unit split off) has no divisors and goes to no elimination.  The
+    exponents mod p^P are min(e, P), so a result with no divisor at p^P is
+    exact; when every precision has one, the result at N is returned, -1 and all.
+    """
+    for P in precisions(p, N):
+        rows = build(p ** P)
+        exps = smith_exponents(rows, p, P) if rows else []
+        if -1 not in exps:
+            break
+    return exps
 
 
 def smith_exponents(rows, p, N):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Sequence, Union
 
 from .errors import MixedContextError, NotAUnitError, NotSquareError, ValidationError
@@ -17,6 +18,7 @@ from . import _polyops as po
 from . import exactint, kernels
 
 
+@total_ordering
 class _AtLeastN:
     """Sentinel valuation: 'indistinguishable from 0 at this precision'.
 
@@ -42,25 +44,6 @@ class _AtLeastN:
     def __lt__(self, other):
         if isinstance(other, (int, _AtLeastN)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _AtLeastN)):
-            return True
         return NotImplemented
 
 
@@ -217,15 +200,14 @@ class ElementaryDivisors:
 def smith_form_raw(rows: Sequence[Sequence[int]], ctx: PadicContext) -> ElementaryDivisors:
     """Elementary divisors over Z/p^N of residue rows by minimal-valuation pivoting.
 
-    Eliminates at each of `kernels.precisions(p, N)` in turn and keeps the
-    first result with no divisor at its precision, or the one at N.
+    `kernels.smith_ladder` eliminates the rows reduced mod p^k first and
+    the rows as given only when a divisor reaches p^k.
     """
-    p, N = ctx.p, ctx.N
-    for P in kernels.precisions(p, N):
-        q = p ** P
-        exps = kernels.smith_exponents([[v % q for v in r] for r in rows] if P < N else rows, p, P)
-        if -1 not in exps:
-            break
+
+    def build(q):
+        return rows if q == ctx.modulus else [[v % q for v in r] for r in rows]
+
+    exps = kernels.smith_ladder(build, ctx.p, ctx.N)
     return ElementaryDivisors(
         exponents=tuple(AT_LEAST_N if e < 0 else e for e in exps),
         row_count=len(rows),
@@ -268,25 +250,18 @@ def group_ring_h0(build, p: int, N: int) -> int | None:
     """h0 exponent of the cokernel of a square matrix over Z/p^N[h]/(h^n - 1); None if undetermined.
 
     `build(q)` returns the matrix mod q, each entry a length-n list in the
-    h-basis.  At each of `kernels.precisions(p, N)`, q = p^P: the unit
+    h-basis.  At each precision of `kernels.smith_ladder`, q = p^P: the unit
     entries split off over the group ring (`_polyops.split_units`), and
     Smith takes the block circulant of what is left.  At n = 1 the ring is
     Z/q, where splitting units is the kernel's own unit pivoting, so the
-    scalar matrix goes to Smith whole.  The exponents mod p^P are min(e, P),
-    so the first result with no divisor at P is exact; None means some
-    divisor reached p^N.
+    scalar matrix goes to Smith whole.  None means some divisor reached p^N.
     """
-    for P in kernels.precisions(p, N):
-        q = p ** P
+
+    def rows(q):
         M = build(q)
         if len(M[0][0]) == 1:
-            rows = [[e[0] for e in row] for row in M]
-        else:
-            rest = po.split_units(M, p, q)
-            if not rest:
-                return 0
-            rows = po.block_circulant(rest)
-        exps = kernels.smith_exponents(rows, p, P)
-        if -1 not in exps:
-            return sum(exps)
-    return None
+            return [[e[0] for e in row] for row in M]
+        return po.block_circulant(po.split_units(M, p, q))
+
+    exps = kernels.smith_ladder(rows, p, N)
+    return None if -1 in exps else sum(exps)

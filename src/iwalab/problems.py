@@ -20,6 +20,7 @@ from .crossed import BUDGET_CAP, LENGTH_CAP, PRECISION_CAP, RANK_CAP, CrossedMod
 from .errors import ParseError, SizeCapExceededError, ValidationError
 from .gamma import GammaModule
 from .padic import PadicContext
+from .results import DEFAULT_BUDGET
 from .series import Character
 
 _COMMON_KEYS = {"schema", "kind", "p", "d", "precision", "truncation", "characters", "budget"}
@@ -29,7 +30,6 @@ _CROSSED_KEYS = _COMMON_KEYS | {"kappa", "A", "levels"}
 DEFAULT_PRECISION = 64
 # the `truncation` key is parsed and echoed into every report; no computation reads it
 DEFAULT_TRUNCATION = 128
-DEFAULT_BUDGET = 25
 
 
 def _as_int(value, what: str) -> int:
@@ -164,50 +164,40 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
             raise ParseError("missing key 'F'")
         entries = _as_matrix(data["F"], d, "F")
         module = GammaModule.from_int_matrix(ctx, entries)
-        n_levels = _as_int_list(data.get("n_levels", [0, 1]), "n_levels")
-        if not n_levels:
+        levels = _as_int_list(data.get("n_levels", [0, 1]), "n_levels")
+        if not levels:
             raise ValidationError("levels-nonempty", "n_levels must name at least one level")
-        for n in n_levels:
+        for n in levels:
             if n < 0:
                 raise ValidationError("level", "levels must be >= 0")
-        n_max = _as_int(data["n_max"], "n_max") if "n_max" in data else max(n_levels)
+        n_max = _as_int(data["n_max"], "n_max") if "n_max" in data else max(levels)
         if n_max < 0:
             raise ValidationError("level", f"n_max must be >= 0, got {n_max}")
-        for n in n_levels + [n_max]:
+        for n in levels + [n_max]:
             _check_rank(d, p, n, f"level {n}")
-        return ProblemFile(
-            kind="gamma",
-            p=p,
-            precision=precision,
-            truncation=truncation,
-            budget=budget,
-            characters=characters,
-            module=module,
-            levels=n_levels,
-            n_max=n_max,
-        )
-
-    if "kappa" not in data:
-        raise ParseError("missing key 'kappa'")
-    if "A" not in data:
-        raise ParseError("missing key 'A'")
-    kappa = _as_int(data["kappa"], "kappa")
-    entries = _as_matrix(data["A"], d, "A")
-    module = CrossedModule.from_int_data(ctx, kappa, entries)
-    raw_levels = data.get("levels", [])
-    if not isinstance(raw_levels, list):
-        raise ParseError("levels: expected a list of [n, m] pairs")
-    if not raw_levels:
-        raise ValidationError("levels-nonempty", "levels must name at least one [n, m] level")
-    levels = []
-    for lv in raw_levels:
-        if not isinstance(lv, list) or len(lv) != 2:
-            raise ParseError("levels: each level is a pair [n, m]")
-        level = module.check_level(Level(_as_int(lv[0], "level"), _as_int(lv[1], "level")))
-        _check_rank(d, p, level.index_exponent, f"level ({level.n},{level.m})")
-        levels.append(level)
+    else:
+        if "kappa" not in data:
+            raise ParseError("missing key 'kappa'")
+        if "A" not in data:
+            raise ParseError("missing key 'A'")
+        kappa = _as_int(data["kappa"], "kappa")
+        entries = _as_matrix(data["A"], d, "A")
+        module = CrossedModule.from_int_data(ctx, kappa, entries)
+        raw_levels = data.get("levels", [])
+        if not isinstance(raw_levels, list):
+            raise ParseError("levels: expected a list of [n, m] pairs")
+        if not raw_levels:
+            raise ValidationError("levels-nonempty", "levels must name at least one [n, m] level")
+        levels = []
+        for lv in raw_levels:
+            if not isinstance(lv, list) or len(lv) != 2:
+                raise ParseError("levels: each level is a pair [n, m]")
+            level = module.check_level(Level(_as_int(lv[0], "level"), _as_int(lv[1], "level")))
+            _check_rank(d, p, level.index_exponent, f"level ({level.n},{level.m})")
+            levels.append(level)
+        n_max = None
     return ProblemFile(
-        kind="crossed",
+        kind=kind,
         p=p,
         precision=precision,
         truncation=truncation,
@@ -215,4 +205,5 @@ def parse_problem(text: str, overrides: dict | None = None) -> ProblemFile:
         characters=characters,
         module=module,
         levels=levels,
+        n_max=n_max,
     )

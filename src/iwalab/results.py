@@ -77,6 +77,10 @@ class TwistSearchReport:
     budget: int
 
 
+# Twist candidates a search tries when neither the caller nor the problem file sets a budget.
+DEFAULT_BUDGET = 25
+
+
 def search_twists(ctx, ks, levels, route, message):
     """First u = 1 + kp, k in `ks` ascending, with route(rho, level) finite at every level.
 

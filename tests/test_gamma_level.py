@@ -15,6 +15,7 @@ wherever that decides, and against `euler_direct` at N = 512.
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -36,7 +37,14 @@ from iwalab import _polyops as po
 from iwalab.cli import main
 from iwalab.corpus import gamma_corpus
 from iwalab.crossed import LENGTH_CAP
-from iwalab.exactint import gamma_h0_is_infinite, norm_valuation, sylvester_resultant
+from iwalab.exactint import (
+    cyclotomic_valuation,
+    gamma_h0_is_infinite,
+    lambda_mu as lambda_mu_int,
+    norm_valuation,
+    sylvester_resultant,
+    twisted_chi,
+)
 
 from oracles import (
     analytic_lambda_reference,
@@ -412,6 +420,71 @@ class TestOneExactValue:
                         M.det_int, u, n)
                     verdicts.append(got)
         assert 10 < sum(verdicts) < len(verdicts)
+
+
+def formed_twisted_chi(f, u, p, n):
+    """`twisted_chi` with every coefficient of P_u formed (sympy), read at k <= last, plus the tail."""
+    lam, mu = lambda_mu_int(f, p)
+    if not lam:
+        return mu * p**n
+    last = 0
+    while last < n and (p - 1) * p**last <= lam:
+        last += 1
+    chi = cyclotomic_valuation(twisted_char_poly_int(f, u), p, range(last + 1))
+    return None if chi is None else chi + mu * (p**n - p**last) + lam * (n - last)
+
+
+class TestTwistedChiFolded:
+    """`twisted_chi` folds P_u into p^last accumulators and matches the formed P_u."""
+
+    @staticmethod
+    def chi(f, u, p, n):
+        return twisted_chi(po.substitute_linear(f, -1, 1, None), u, p, n, *lambda_mu_int(f, p))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_corpus_matches_the_formed_polynomial(self, p):
+        rng = random.Random(900 + p)
+        seen = set()
+        for _ in range(100):
+            f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))]
+            f[-1] = f[-1] or 1
+            u = 1 + p * rng.randint(0, 3 * p)
+            shape = rng.randrange(3)
+            if shape == 1:  # mu > 0
+                f = [c * p ** rng.randint(1, 2) for c in f]
+            elif shape == 2:  # a factor Phi_(p^k)(u(1 + X)): not finite from level k on
+                f = po.pmul(compose_twist(cyclotomic(p, rng.randint(0, 2)), u), f, None)
+            n = rng.randint(0, 3)
+            want = formed_twisted_chi(f, u, p, n)
+            assert self.chi(f, u, p, n) == want, (f, u, n)
+            seen.add((shape, want is None))
+        assert {(0, False), (1, False), (2, True)} <= seen
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_corpus_and_planted_modules(self, p):
+        for M in gamma_corpus(40 + p, 6, p) + planted(p):
+            for u in characters(p):
+                for n in range(3):
+                    assert self.chi(M.det_int, u, p, n) == formed_twisted_chi(M.det_int, u, p, n)
+
+    def test_large_character_at_the_length_cap_in_bounded_time_and_memory(self):
+        # F = 3 + X g of degree 1023 (lambda = 1), n = 1, u = 1 + 3^400: P_u's
+        # coefficients alone would hold about 40 MB; the accumulators hold three values
+        rng = random.Random(5)
+        F = [3] + [rng.randint(-9, 9) for _ in range(1022)] + [1]
+        M = GammaModule.from_int_matrix(PadicContext(3, 64), [[F]])
+        rho = Character.from_int(M.context, 1 + 3**400)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            got = M.euler_analytic(rho, 1)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.exists and got.chi_exponent == 2
+        assert elapsed < 3.0, elapsed
+        assert peak < 4 << 20, peak
 
 
 class TestCertificateThroughTheCli:

@@ -312,6 +312,45 @@ class TestPrecisions:
             assert kernels.precisions(p, 64) == (64,)
 
 
+class TestSmithLadder:
+    """`smith_ladder` keeps the first result with no divisor at its precision, else the one at N."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+        smith = kernels.smith_exponents
+
+        def recorded(rows, p, N):
+            seen.append(N)
+            return smith(rows, p, N)
+
+        monkeypatch.setattr(kernels, "smith_exponents", recorded)
+        return seen
+
+    def test_ladder_table(self, passes):
+        k = kernels.word_precision(3, 64)
+        built = []
+
+        def build(rows):
+            def at(q):
+                built.append(q)
+                return [[v % q for v in r] for r in rows]
+            return at
+
+        # (rows, exponents, precisions built at, precisions eliminated at)
+        cases = [
+            ([[3, 0], [0, 1]], [0, 1], [k], [k]),  # decided at the word precision
+            ([[3**20, 0], [0, 1]], [0, 20], [k, 64], [k, 64]),  # a divisor at p^k: once more at N
+            ([[3**70, 0], [0, 1]], [0, -1], [k, 64], [k, 64]),  # a divisor at p^N: -1 at N
+            ([], [], [k], []),  # nothing left to eliminate
+        ]
+        for rows, want, at, eliminated in cases:
+            passes.clear()
+            built.clear()
+            assert kernels.smith_ladder(build(rows), 3, 64) == want, rows
+            assert built == [3**P for P in at] and passes == eliminated, rows
+
+
 class CountingRow(list):
     writes = 0
 

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from iwalab import (
 )
 from iwalab.exactint import int_valuation
 from iwalab.kernels import word_precision
-from iwalab.padic import smith_form_raw
+from iwalab.padic import _AtLeastN, smith_form_raw
 
 from oracles import cofactor_det_mod, int_valuation as naive_valuation, snf_exponents
 
@@ -55,6 +56,40 @@ class TestContext:
 
     def test_large_prime_ok(self):
         PadicContext(10**18 + 9, 2)
+
+
+class TestAtLeastNOrder:
+    """AT_LEAST_N is above every integer (bools and big ints too), equal only to itself,
+    and unordered against anything else, read from either side."""
+
+    OPS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+    INTS = (0, 1, -1, 63, -(3**200), 3**200, True, False)
+    UNORDERED = (1.5, float("inf"), None, "AtLeastN")
+
+    @pytest.mark.parametrize("x", INTS, ids=repr)
+    def test_above_every_integer(self, x):
+        assert [op(AT_LEAST_N, x) for op in self.OPS] == [False, False, True, True, False, True]
+        assert [op(x, AT_LEAST_N) for op in self.OPS] == [True, True, False, False, False, True]
+
+    def test_against_itself(self):
+        assert [op(AT_LEAST_N, AT_LEAST_N) for op in self.OPS] == [
+            False, True, False, True, True, False]
+
+    @pytest.mark.parametrize("x", UNORDERED, ids=repr)
+    def test_unordered_against_other_types(self, x):
+        assert AT_LEAST_N != x and x != AT_LEAST_N
+        assert not (AT_LEAST_N == x or x == AT_LEAST_N)
+        for op in self.OPS[:4]:
+            for a, b in ((AT_LEAST_N, x), (x, AT_LEAST_N)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+    def test_singleton_repr_and_hash(self):
+        assert _AtLeastN() is AT_LEAST_N
+        assert repr(AT_LEAST_N) == "AtLeastN"
+        assert hash(AT_LEAST_N) == hash("AtLeastN")
+        assert {AT_LEAST_N: 1}[_AtLeastN()] == 1 and len({AT_LEAST_N, _AtLeastN(), 5}) == 2
+        assert max([2, AT_LEAST_N, 7]) is AT_LEAST_N and min([AT_LEAST_N, 7]) == 7
 
 
 class TestValuation:

@@ -4,7 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from iwalab import ParseError, SizeCapExceededError, UsageError, ValidationError, exactint, series
+from iwalab import (
+    CrossedModule,
+    PadicContext,
+    ParseError,
+    SizeCapExceededError,
+    UsageError,
+    ValidationError,
+    exactint,
+    series,
+)
 from iwalab.cli import main
 from iwalab.crossed import BUDGET_CAP, LENGTH_CAP, PRECISION_CAP, RANK_CAP
 from iwalab.problems import ProblemFile, parse_problem
@@ -620,3 +629,66 @@ class TestOneCommandPath:
         assert main(argv) == 0
         assert built == [2, 4, 8, 16, 32]
         capsys.readouterr()
+
+
+class TestRefusalsNamed:
+    """Each refusal of a malformed stanza is a named error: exit 1, one `error:` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "stanza, message",
+        [
+            (dict(MINIMAL_GAMMA, p=True), "p: expected an integer, got a boolean"),
+            ({k: v for k, v in MINIMAL_GAMMA.items() if k != "d"}, "missing key 'd'"),
+            (dict(MINIMAL_GAMMA, d=0), "rank-positive: d must be >= 1, got 0"),
+            (dict(MINIMAL_GAMMA, n_levels=[0, -1]), "level: levels must be >= 0"),
+            ({k: v for k, v in MINIMAL_CROSSED.items() if k != "A"}, "missing key 'A'"),
+            (dict(MINIMAL_CROSSED, levels={"n": 1, "m": 1}),
+             "levels: expected a list of [n, m] pairs"),
+            (dict(MINIMAL_CROSSED, levels=[[1, 1], [1]]), "levels: each level is a pair [n, m]"),
+            (dict(MINIMAL_CROSSED, levels=[3]), "levels: each level is a pair [n, m]"),
+        ],
+        ids=["boolean", "missing-d", "d-zero", "negative-level", "missing-A",
+             "levels-not-a-list", "level-not-a-pair", "level-not-a-list"],
+    )
+    def test_stanza_refused(self, stanza, message, tmp_path, capsys):
+        with pytest.raises((ParseError, ValidationError)) as exc:
+            parse(stanza)
+        assert str(exc.value) == message
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(stanza))
+        assert main(["euler", "--input", str(inp)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "prob.json.report.json").exists()
+
+    def test_non_square_action_refused(self):
+        ctx = PadicContext(3, 8)
+        with pytest.raises(ValidationError) as exc:
+            CrossedModule.from_int_data(ctx, 4, [[[1], [0]]])
+        assert exc.value.invariant == "square-action"
+        with pytest.raises(ValidationError, match="square-action"):
+            CrossedModule.from_int_data(ctx, 4, [])
+
+    def test_unknown_command_refused_by_run(self):
+        with pytest.raises(ValidationError, match="unknown command 'bogus'") as exc:
+            run(None, "bogus")
+        assert exc.value.invariant == "command"
+
+
+class TestCliOutput:
+    def test_default_sidecar_path(self, tmp_path, capsys):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, characters=["4"], n_levels=[0])))
+        assert main(["euler", "--input", str(inp)]) == 0
+        sidecar = tmp_path / "prob.json.report.json"
+        out = capsys.readouterr().out
+        assert out.endswith(f"report written to {sidecar}\n")
+        assert json.loads(sidecar.read_text())["tasks"][0]["chi_exponent"] == "1"
+
+    def test_selftest_table(self, capsys):
+        assert main(["selftest"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.startswith("# iwalab ") and "  selftest  input sha256:" in header
+        report, _ = run(None, "selftest")
+        want = [f"PASS  {c['name']}" + (f"  [{c['detail']}]" if c["detail"] else "")
+                for c in report["tasks"]]
+        assert lines == want and len(want) > 1
