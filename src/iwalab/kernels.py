@@ -12,6 +12,8 @@ Akashi values) run on it.
 Conventions:
   * the modular kernels take lists of lists of nonnegative ints already
     reduced mod p^N; no kernel modifies its input;
+  * `smith_exponents` and `det_mod` store each row of their copy reversed,
+    last column first (see below);
   * valuation exponents >= N are encoded as -1 ("at least N");
   * pivot search is row-major first-unit (`hessenberg_mod`: first of least
     valuation in its column), so outputs are deterministic.
@@ -30,6 +32,9 @@ p-extraction and the elimination step; each keeps only its own bookkeeping
 (the Smith shift; the determinant's unit, sign and valuation).  A row update
 touches only the columns where the pivot row is nonzero, so sparse inputs
 (the group-ring presentations) pay for their fill-in, not for their width.
+On those the first-unit pivots walk the unit diagonal, so the pivot column
+is the first logical one; stored last column first, it leaves every row by
+an O(1) pop at the row's end instead of a shift of the whole row.
 """
 
 import sys
@@ -78,13 +83,14 @@ def smith_ladder(build, p, N):
 def smith_exponents(rows, p, N):
     """Elementary-divisor exponents of `rows` over Z/p^N, ascending, -1 = AtLeastN.
 
-    One elimination at N, on a copy of the residue rows.
+    One elimination at N, on a copy of the residue rows stored last column
+    first; the exponents do not depend on the order of the columns.
     """
-    return _smith([list(r) for r in rows], p, N)
+    return _smith([r[::-1] for r in rows], p, N)
 
 
 def _smith(m, p, N):
-    """Smith exponents of the residue rows `m` over Z/p^N, eliminating in place.
+    """Smith exponents of the residue rows `m` (stored reversed) over Z/p^N, eliminating in place.
 
     Local-ring elimination: pull a unit pivot (entry not divisible by p),
     clear its column, drop its row and column.  When no unit entry exists the
@@ -116,10 +122,11 @@ def det_mod(rows, p, N):
     Exact: the returned residue is det mod p^N (0 means valuation >= N).
     Global p-extraction keeps the certified precision at N: a factor p taken
     out of an r x r block contributes r to the determinant's valuation while
-    costing one digit of entry precision, and r >= 1.
+    costing one digit of entry precision, and r >= 1.  Rows are stored last
+    column first, so the Laplace sign reads the logical column len(row) - 1 - j.
     """
     qfull = p ** N
-    m = [list(r) for r in rows]
+    m = [r[::-1] for r in rows]
     q = qfull
     val = 0
     unit = 1
@@ -134,7 +141,7 @@ def det_mod(rows, p, N):
             continue
         pi, pj = pivot
         unit = (unit * m[pi][pj]) % qfull
-        if (pi + pj) & 1:
+        if (pi + len(m[pi]) - 1 - pj) & 1:
             sign = -sign
         _eliminate(m, pi, pj, q)
     d = (unit * pow(p, val, qfull)) % qfull
@@ -144,9 +151,11 @@ def det_mod(rows, p, N):
 
 
 def _unit_pivot(m, p):
-    """Row-major first entry of `m` not divisible by p, as (i, j); None when there is none."""
+    """Row-major first logical unit of `m` (rows read from their end) as stored (i, j), or None."""
     for i, row in enumerate(m):
-        for j, a in enumerate(row):
+        j = len(row)
+        for a in reversed(row):
+            j -= 1
             if a and a % p:
                 return i, j
     return None

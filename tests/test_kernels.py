@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -106,15 +107,19 @@ def check_kernels(rows, p, exponents, det):
 
     N runs over the word precision k and beyond it (40, 64), one elimination at
     each, which must report the divisors beyond p^k; `exponents` are the
-    oracle's at N = 64, `det` is None for a rectangular input.
+    oracle's at N = 64, `det` is None for a rectangular input.  Neither kernel
+    may modify `red`: each eliminates on its own reversed copy.
     """
     for N in (kernels.word_precision(p, 64), 40, 64):
         q = p**N
         red = [[v % q for v in r] for r in rows]
+        before = [list(r) for r in red]
         got = [None if e < 0 else e for e in kernels.smith_exponents(red, p, N)]
         assert got == [e if e is not None and e < N else None for e in exponents]
+        assert red == before
         if det is not None:
             assert kernels.det_mod(red, p, N) == det % q
+            assert red == before
 
 
 class TestStructuredInputs:
@@ -351,6 +356,18 @@ class TestSmithLadder:
             assert built == [3**P for P in at] and passes == eliminated, rows
 
 
+RANK_162_ENTRIES = [[[1, 1], [0, 2]], [[3], [1, 0, 1]]]
+
+
+def rank_162_group_ring_rows(u):
+    """The presentation g*I - u*A over Z_3[G/U] at level (2, 2), d = 2, kappa = 4 (rank 162)."""
+    from iwalab import Character, CrossedModule, Level, PadicContext
+
+    ctx = PadicContext(3, 64)
+    module = CrossedModule.from_int_data(ctx, 4, RANK_162_ENTRIES)
+    return module._group_ring_rows(Character.from_int(ctx, u), Level(2, 2))
+
+
 class CountingRow(list):
     writes = 0
 
@@ -359,12 +376,17 @@ class CountingRow(list):
         super().__setitem__(i, v)
 
 
+def stored(rows, q, row=list):
+    """`rows` mod q in the order `kernels._smith` stores them: each row last column first."""
+    return [row(v % q for v in reversed(r)) for r in rows]
+
+
 def test_row_updates_touch_only_the_pivot_support():
     # I - 4P: every pivot row has two nonzeros, so an update writes O(1) entries
     # per row; a full-width update would write n(n+1)/2 = 5050
     n, p, N = 100, 3, 18
     q = p**N
-    rows = [CountingRow(v % q for v in r) for r in cyclic(n, 4)]
+    rows = stored(cyclic(n, 4), q, CountingRow)
     CountingRow.writes = 0
     kernels._smith(rows, p, N)
     assert CountingRow.writes <= 4 * n
@@ -375,24 +397,68 @@ def test_group_ring_elimination_stays_sparse():
     # pivots walk the diagonal blocks and fill in only the last block column
     # (about 10k writes at the word precision); in the lexicographic layout the
     # first unit of a row lies in a u A block and the row fills in (62k writes)
-    from iwalab import Character, CrossedModule, Level, PadicContext
-
     p, k = 3, kernels.word_precision(3, 64)
     q = p**k
-    ctx = PadicContext(p, 64)
-    entries = [[[1, 1], [0, 2]], [[3], [1, 0, 1]]]
-    module = CrossedModule.from_int_data(ctx, 4, entries)
     for u in (1, 4):
-        new = module._group_ring_rows(Character.from_int(ctx, u), Level(2, 2))
-        old = group_ring_rows_lex(4, entries, u, p, 2, 2)
+        new = rank_162_group_ring_rows(u)
+        old = group_ring_rows_lex(4, RANK_162_ENTRIES, u, p, 2, 2)
         writes = []
         for rows in (new, old):
-            m = [CountingRow(v % q for v in r) for r in rows]
+            m = stored(rows, q, CountingRow)
             CountingRow.writes = 0
             kernels._smith(m, p, k)
             writes.append(CountingRow.writes)
         bound = len(new) ** 2  # 26,244
         assert writes[0] <= bound < writes[1], writes
+
+
+class PopRow(list):
+    """A row that records, for each pop, how far from its end the popped entry was."""
+
+    distances = []
+
+    def pop(self, i=-1):
+        PopRow.distances.append(len(self) - 1 - i % len(self))
+        return super().pop(i)
+
+
+def test_pivot_column_leaves_each_row_from_its_end(monkeypatch):
+    # the first-unit pivots walk the unit diagonal of g*I - u*A, so the pivot
+    # column is the first logical one: stored last column first, nearly every
+    # pop takes the last stored entry, where in logical order it would take the first
+    smith = kernels._smith
+
+    def recorded(m, p, N):
+        return smith([PopRow(r) for r in m], p, N)
+
+    monkeypatch.setattr(kernels, "_smith", recorded)
+    p, k = 3, kernels.word_precision(3, 64)
+    rows = rank_162_group_ring_rows(4)
+    PopRow.distances = []
+    kernels.smith_exponents([[v % p**k for v in r] for r in rows], p, k)
+    pops = PopRow.distances
+    assert len(pops) >= 13_000 and pops.count(0) >= 0.99 * len(pops), (pops.count(0), len(pops))
+
+
+def permutation_sign(perm):
+    """(-1)^(number of inversions) of `perm`."""
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions & 1 else 1
+
+
+def test_det_mod_sign_of_every_permutation_matrix():
+    # 2 times a permutation matrix: every pivot is a unit, so the sign comes
+    # from the Laplace signs alone, read at the logical column of each pivot
+    p, N = 3, 5
+    q = p**N
+    count = 0
+    for n in range(1, 7):
+        for perm in permutations(range(n)):
+            rows = [[2 * (j == perm[i]) for j in range(n)] for i in range(n)]
+            assert kernels.det_mod(rows, p, N) == permutation_sign(perm) * 2**n % q, perm
+            count += 1
+    assert count == 873
 
 
 def _packed_presentation():
