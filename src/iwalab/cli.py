@@ -7,6 +7,14 @@ Commands: prepare | char | euler | akashi | find-twist | selftest.
 Exit codes: 0 = all tasks decided, 2 = some task undecided at the precision
 or budget cap, 1 = error.  A human-readable table goes to stdout; the full
 machine-readable report goes to the sidecar file (default: <input>.report.json).
+
+The sidecar is rewritten in place: it is opened without O_TRUNC (truncating an
+existing file on open is slow on some file systems, ext4 with discard among
+them), and after the write it is cut to the report's length only when it is a
+regular file that was longer, so `--out /dev/null` and pipes
+(`--out /dev/stdout`) work.
+The write is not crash-atomic, nor was the truncating open before it: neither
+calls fsync, so a crash can leave a short or mixed file.
 """
 
 from __future__ import annotations
@@ -14,10 +22,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .crossed import PRECISION_CAP
-from .errors import IwalabError, ParseError, SizeCapExceededError, UsageError
+from .errors import IwalabError, ParseError, SizeCapExceededError, UsageError, ValidationError
 from .problems import parse_problem
 from .workbench import digest_text, run
 
@@ -47,6 +57,11 @@ def _build_parser():
     ap.add_argument("--budget", type=int, help="candidate cap for find-twist")
     ap.add_argument("--out", help="sidecar report path (default: <input>.report.json)")
     return ap
+
+
+def _open_in_place(path, flags):
+    """os.open for the sidecar without O_TRUNC, with the mode builtin open gives a new file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _level_text(lv):
@@ -105,6 +120,10 @@ def _print_table(report):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.max_precision < 1:
+            raise ValidationError(
+                "max-precision-positive", f"--max-precision must be >= 1, got {args.max_precision}"
+            )
         if args.max_precision > PRECISION_CAP:
             raise SizeCapExceededError(
                 f"--max-precision {args.max_precision} exceeds the cap {PRECISION_CAP}"
@@ -140,9 +159,14 @@ def main(argv=None) -> int:
     if out_path is None and args.input:
         out_path = args.input + ".report.json"
     if out_path:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            with open(out_path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+                old = os.fstat(fh.fileno())
+                fh.write(text)
+                # json.dumps writes ASCII, so len(text) is the new length in bytes
+                if stat.S_ISREG(old.st_mode) and old.st_size > len(text):
+                    fh.truncate()
         except OSError as exc:
             print(f"error: cannot write the report to {out_path}: {exc}", file=sys.stderr)
             return 1

@@ -52,7 +52,10 @@ def _run(stem, command, extra):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
-        report = json.loads(out_path.read_text(encoding="utf-8"))
+        raw = out_path.read_text(encoding="utf-8")
+    report = json.loads(raw)
+    # the file itself, timing included, is the serialization the golden files hold
+    assert raw == _report_text(report)
     report.pop("timing")
     lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("report written to")]
     return code, report, "\n".join(lines) + "\n"

@@ -1,6 +1,10 @@
 import json
+import os
+import stat
+import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,12 +17,14 @@ from iwalab import (
     ValidationError,
     exactint,
     series,
+    workbench,
 )
 from iwalab.cli import main
 from iwalab.crossed import BUDGET_CAP, LENGTH_CAP, PRECISION_CAP, RANK_CAP
 from iwalab.problems import ProblemFile, parse_problem
 from iwalab.workbench import run
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL_GAMMA = {"kind": "gamma", "p": 3, "d": 1, "F": [[["-3", "1"]]]}
 MINIMAL_CROSSED = {
@@ -488,6 +494,17 @@ class TestCliPrecisionCap:
         assert "--max-precision 1025 exceeds the cap 1024" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_precision_below_one_refused(self, value, tmp_path, capsys):
+        # refused like --precision 0, not run without escalating and reported undecided (exit 2)
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(MINIMAL_CROSSED))
+        out = tmp_path / "r.json"
+        assert main(["euler", "--input", str(inp), "--max-precision", value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: max-precision-positive: --max-precision must be >= 1, got {value}" in err
+        assert not out.exists()
+
 
 class TestDetIntReuse:
     """det F over Z[X] is independent of N: one poly_mat_det per escalation chain."""
@@ -683,6 +700,67 @@ class TestCliOutput:
         out = capsys.readouterr().out
         assert out.endswith(f"report written to {sidecar}\n")
         assert json.loads(sidecar.read_text())["tasks"][0]["chi_exponent"] == "1"
+
+    STANZA = dict(MINIMAL_GAMMA, characters=["4"], n_levels=[0])
+
+    def _euler(self, tmp_path, out):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(self.STANZA))
+        return main(["euler", "--input", str(inp), "--out", str(out)])
+
+    def test_sidecar_opened_without_truncation(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("x" * 100_000)
+        flags = []
+        real = os.open
+
+        def recording(path, flag, *args, **kwargs):
+            if str(path) == str(out):
+                flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert self._euler(tmp_path, out) == 0
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("old", [b"x" * 100_000, b"{}"], ids=["longer", "shorter"])
+    def test_overwrite_equals_fresh_write(self, old, tmp_path, monkeypatch, capsys):
+        # a fixed clock makes the timing field, and so the whole file, reproducible
+        monkeypatch.setattr(workbench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+        over.write_bytes(old)
+        assert self._euler(tmp_path, fresh) == 0
+        assert self._euler(tmp_path, over) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+        capsys.readouterr()
+
+    def test_out_dev_null(self, tmp_path, capsys):
+        assert self._euler(tmp_path, os.devnull) == 0
+        assert capsys.readouterr().out.endswith(f"report written to {os.devnull}\n")
+
+    def test_out_dev_stdout_pipe(self, tmp_path):
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(self.STANZA))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["euler", "--input", str(inp), "--out", "/dev/stdout"]
+        proc = subprocess.run([sys.executable, "-m", "iwalab.cli", *argv], capture_output=True,
+                              env=env, timeout=60, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the sidecar goes through its own descriptor, so it may precede the buffered table
+        start = proc.stdout.index("{\n")
+        report, _ = json.JSONDecoder().raw_decode(proc.stdout, start)
+        assert report["command"] == "euler" and report["tasks"][0]["chi_exponent"] == "1"
+
+    def test_new_sidecar_mode(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        umask = os.umask(0o027)
+        try:
+            assert self._euler(tmp_path, out) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        capsys.readouterr()
 
     def test_selftest_table(self, capsys):
         assert main(["selftest"]) == 0
