@@ -13,8 +13,6 @@ from .errors import (
     BudgetExhaustedError,
     IwalabError,
     MixedContextError,
-    NotAUnitError,
-    NotSquareError,
     ParseError,
     PrecisionExhaustedError,
     SizeCapExceededError,
@@ -26,19 +24,15 @@ from .errors import (
 from .padic import (
     AT_LEAST_N,
     ElementaryDivisors,
-    HomologyOrders,
     PadicContext,
     PadicInt,
-    cokernel_kernel_orders,
 )
 from .series import (
     Character,
     PowerSeries,
     WeierstrassData,
     det_mult_mod_omega,
-    evaluate_character,
     lambda_mu,
-    omega,
     twist_series,
     weierstrass_prepare,
 )
@@ -56,13 +50,10 @@ __all__ = [
     "EulerResult",
     "EulerStatus",
     "GammaModule",
-    "HomologyOrders",
     "IwalabError",
     "KERNEL_IMPL",
     "Level",
     "MixedContextError",
-    "NotAUnitError",
-    "NotSquareError",
     "PadicContext",
     "PadicInt",
     "ParseError",
@@ -75,13 +66,10 @@ __all__ = [
     "WeierstrassData",
     "ZeroDeterminantError",
     "ZeroToPrecisionError",
-    "cokernel_kernel_orders",
     "det_mult_mod_omega",
-    "evaluate_character",
     "find_twist",
     "find_twist_crossed",
     "lambda_mu",
-    "omega",
     "series_matrix_det",
     "twist_series",
     "weierstrass_prepare",

@@ -15,6 +15,16 @@ from .gamma import GammaModule
 from .padic import PadicContext
 
 
+def _random_entries(rng: random.Random, d: int, deg_max: int, coeff_bound: int):
+    """A d x d matrix of integer polynomials, row by row; each entry draws its degree first."""
+
+    def entry():
+        deg = rng.randint(0, deg_max)
+        return [rng.randint(-coeff_bound, coeff_bound) for _ in range(deg + 1)]
+
+    return [[entry() for _ in range(d)] for _ in range(d)]
+
+
 def random_gamma_module(
     rng: random.Random,
     ctx: PadicContext,
@@ -24,13 +34,7 @@ def random_gamma_module(
 ) -> GammaModule:
     while True:
         d = rng.randint(1, d_max)
-        entries = []
-        for _ in range(d):
-            row = []
-            for _ in range(d):
-                deg = rng.randint(0, deg_max)
-                row.append([rng.randint(-coeff_bound, coeff_bound) for _ in range(deg + 1)])
-            entries.append(row)
+        entries = _random_entries(rng, d, deg_max, coeff_bound)
         try:
             return GammaModule.from_int_matrix(ctx, entries)
         except (ZeroDeterminantError, PrecisionExhaustedError):
@@ -48,13 +52,7 @@ def random_crossed_module(
     while True:
         d = rng.randint(1, d_max)
         kappa = rng.choice(kappas)
-        entries = []
-        for _ in range(d):
-            row = []
-            for _ in range(d):
-                deg = rng.randint(0, deg_max)
-                row.append([rng.randint(-coeff_bound, coeff_bound) for _ in range(deg + 1)])
-            entries.append(row)
+        entries = _random_entries(rng, d, deg_max, coeff_bound)
         try:
             return CrossedModule.from_int_data(ctx, kappa, entries)
         except ValidationError:

@@ -9,14 +9,6 @@ class MixedContextError(IwalabError):
     """Operands live in different p-adic contexts."""
 
 
-class NotAUnitError(IwalabError):
-    """Inversion of an element of positive valuation."""
-
-
-class NotSquareError(IwalabError):
-    """A square matrix was required."""
-
-
 class ZeroToPrecisionError(IwalabError):
     """Every coefficient vanishes modulo p^N; the value is indistinguishable from 0."""
 
@@ -50,4 +42,7 @@ class BudgetExhaustedError(IwalabError):
 
 
 class SizeCapExceededError(IwalabError):
-    """A request exceeds a size cap: the matrix rank or the working precision."""
+    """A request exceeds a size cap of `iwalab.crossed`: the dense matrix rank (RANK_CAP),
+    the working precision (PRECISION_CAP, which also bounds the CLI's `--max-precision`),
+    the coefficients of one entry (LENGTH_CAP) or a twist search's budget (BUDGET_CAP).
+    """

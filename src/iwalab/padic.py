@@ -1,9 +1,9 @@
-"""Exact arithmetic in Z_p to a fixed working precision p^N.
+"""Residues modulo p^N, their valuations, and Smith exponents over Z/p^N.
 
-Everything is a residue modulo p^N with explicit "at least N" semantics for
-valuations: a residue of 0 is indistinguishable from any multiple of p^N, so
-its valuation is reported as the sentinel AT_LEAST_N rather than a number.
-Values are immutable and all operations are pure.
+A residue of 0 is indistinguishable from any multiple of p^N, so its
+valuation is the sentinel AT_LEAST_N rather than a number.  `smith_form_raw`
+gives the elementary divisors of residue rows, and `group_ring_h0` a cokernel
+order over Z/p^N[h]/(h^n - 1).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import total_ordering
 from typing import Sequence, Union
 
-from .errors import MixedContextError, NotAUnitError, NotSquareError, ValidationError
+from .errors import ValidationError
 from . import _polyops as po
 from . import exactint, kernels
 
@@ -119,57 +119,8 @@ class PadicInt:
     def __post_init__(self):
         object.__setattr__(self, "residue", self.residue % self.context.modulus)
 
-    def _check(self, other: "PadicInt") -> None:
-        if self.context != other.context:
-            raise MixedContextError(
-                f"contexts differ: {self.context} vs {other.context}"
-            )
-
     def valuation(self) -> Valuation:
         return self.context.int_valuation(self.residue)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def is_unit(self) -> bool:
-        return self.residue % self.context.p != 0
-
-    def unit_inverse(self) -> "PadicInt":
-        if not self.is_unit():
-            raise NotAUnitError(f"valuation of {self.residue} is positive; not invertible")
-        return PadicInt(self.context, pow(self.residue, -1, self.context.modulus))
-
-    def __add__(self, other):
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        self._check(other)
-        return PadicInt(self.context, self.residue + other.residue)
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        self._check(other)
-        return PadicInt(self.context, self.residue - other.residue)
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        self._check(other)
-        return PadicInt(self.context, self.residue * other.residue)
-
-    def __neg__(self):
-        return PadicInt(self.context, -self.residue)
-
-    def __truediv__(self, other):
-        if not isinstance(other, PadicInt):
-            return NotImplemented
-        self._check(other)
-        return self * other.unit_inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        return PadicInt(self.context, pow(self.residue, e, self.context.modulus))
 
     def __repr__(self):
         return f"PadicInt({self.residue} mod {self.context.p}^{self.context.N})"
@@ -213,37 +164,6 @@ def smith_form_raw(rows: Sequence[Sequence[int]], ctx: PadicContext) -> Elementa
         row_count=len(rows),
         col_count=len(rows[0]) if rows else 0,
     )
-
-
-@dataclass(frozen=True)
-class HomologyOrders:
-    """Orders of cokernel (h0) and kernel (h1) as p-power exponents.
-
-    None means Indeterminate: some divisor was AT_LEAST_N, so an infinite
-    cokernel cannot be told apart from a large finite one at this precision.
-    """
-
-    h0_exponent: int | None
-    h1_exponent: int | None
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.h0_exponent is None
-
-
-def cokernel_kernel_orders(divisors: ElementaryDivisors) -> HomologyOrders:
-    """Cokernel/kernel orders of a square map between equal-rank free modules.
-
-    The kernel of an injective map between free modules of equal finite rank
-    is zero, so h1 is trivial whenever the cokernel is certified finite.
-    """
-    if divisors.row_count != divisors.col_count:
-        raise NotSquareError(
-            f"presentation is {divisors.row_count}x{divisors.col_count}, need square"
-        )
-    if divisors.has_at_least_n:
-        return HomologyOrders(None, None)
-    return HomologyOrders(divisors.finite_sum, 0)
 
 
 def group_ring_h0(build, p: int, N: int) -> int | None:

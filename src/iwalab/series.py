@@ -29,6 +29,8 @@ class PowerSeries:
         cs = [c % q for c in self.coeffs]
         if not cs:
             raise ValidationError("nonempty", "a series needs at least one coefficient")
+        if self.exact_degree < 0:
+            raise ValidationError("exact-degree", f"degree must be >= 0, got {self.exact_degree}")
         want = self.exact_degree + 1
         if len(cs) < want:
             cs += [0] * (want - len(cs))
@@ -45,10 +47,6 @@ class PowerSeries:
         """Exact polynomial from integer coefficients (ascending)."""
         c = po.trim_int(list(ints))
         return cls(ctx, variable, tuple(c), exact_degree=len(c) - 1)
-
-    @classmethod
-    def zero(cls, ctx: PadicContext, variable: str) -> "PowerSeries":
-        return cls.from_ints(ctx, variable, [0])
 
     # -- structure ---------------------------------------------------------
 
@@ -68,28 +66,6 @@ class PowerSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check(other)
-        out = po.padd(list(self.coeffs), list(other.coeffs), self.context.modulus)
-        deg = max(self.exact_degree, other.exact_degree)
-        return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        q = self.context.modulus
-        return PowerSeries(
-            self.context,
-            self.variable,
-            tuple((-c) % q for c in self.coeffs),
-            exact_degree=self.exact_degree,
-        )
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
@@ -97,17 +73,6 @@ class PowerSeries:
         out = po.pmul(list(self.coeffs), list(other.coeffs), self.context.modulus)
         deg = self.exact_degree + other.exact_degree
         return PowerSeries(self.context, self.variable, tuple(out), exact_degree=deg)
-
-    def scale(self, c) -> "PowerSeries":
-        """Multiply by a scalar (int or PadicInt)."""
-        r = c.residue if isinstance(c, PadicInt) else c
-        q = self.context.modulus
-        return PowerSeries(
-            self.context,
-            self.variable,
-            tuple((x * r) % q for x in self.coeffs),
-            exact_degree=self.exact_degree,
-        )
 
 
 @dataclass(frozen=True)
@@ -227,24 +192,6 @@ def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
     c = rho.value_residue(inverse=(direction == "inverse"))
     out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q)
     return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
-
-
-def evaluate_character(f: PowerSeries, rho: Character, direction: str) -> PadicInt:
-    """rho~ evaluation: f at u-1 (forward) or at u^-1 - 1 (inverse)."""
-    if f.variable != "X":
-        raise ValidationError("eval-variable", "character evaluation acts on the variable X")
-    if direction not in ("forward", "inverse"):
-        raise ValidationError("eval-direction", f"unknown direction {direction!r}")
-    q = f.context.modulus
-    x0 = (rho.value_residue(inverse=(direction == "inverse")) - 1) % q
-    return PadicInt(f.context, po.poly_eval(list(f.coeffs), x0, q))
-
-
-def omega(n: int, ctx: PadicContext, variable: str = "X") -> PowerSeries:
-    """The level-n augmentation generator (1+X)^(p^n) - 1, as an exact polynomial."""
-    if n < 0:
-        raise ValidationError("level", "level must be >= 0")
-    return PowerSeries.from_ints(ctx, variable, po.omega_coeffs(ctx.p, n))
 
 
 def det_mult_mod_omega(f: PowerSeries, n: int) -> PadicInt:

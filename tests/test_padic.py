@@ -4,16 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from iwalab import (
-    AT_LEAST_N,
-    MixedContextError,
-    NotAUnitError,
-    NotSquareError,
-    PadicContext,
-    PadicInt,
-    ValidationError,
-    cokernel_kernel_orders,
-)
+from iwalab import AT_LEAST_N, PadicContext, ValidationError
 from iwalab.exactint import int_valuation
 from iwalab.kernels import word_precision
 from iwalab.padic import _AtLeastN, smith_form_raw
@@ -134,49 +125,6 @@ class TestValuation:
             assert ctx.int_valuation(x) == want and ctx.int_valuation(-x) == want, (p, v)
 
 
-class TestUnitInverse:
-    def test_identity(self):
-        ctx = PadicContext(3, 4)
-        assert ctx.make(1).unit_inverse().residue == 1
-
-    def test_four_mod_eighty_one(self):
-        # oracle: extended Euclid gives 4 * 61 = 244 = 3 * 81 + 1
-        assert 4 * 61 == 3 * 81 + 1
-        ctx = PadicContext(3, 4)
-        assert ctx.make(4).unit_inverse().residue == 61
-
-    def test_non_unit_raises(self):
-        ctx = PadicContext(3, 4)
-        with pytest.raises(NotAUnitError):
-            ctx.make(3).unit_inverse()
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_involution(self, a):
-        ctx = PadicContext(3, 12)
-        x = ctx.make(a)
-        if not x.is_unit():
-            return
-        inv = x.unit_inverse()
-        assert (x * inv).residue == 1
-        assert inv.unit_inverse() == x
-
-
-class TestArithmetic:
-    def test_mixed_context_rejected(self):
-        a = PadicContext(3, 4).make(1)
-        b = PadicContext(3, 5).make(1)
-        with pytest.raises(MixedContextError):
-            a + b
-
-    def test_ring_ops(self):
-        ctx = PadicContext(5, 6)
-        a, b = ctx.make(7), ctx.make(-3)
-        assert (a + b).residue == 4
-        assert (a * b).residue == (-21) % 5**6
-        assert (a - a).is_zero()
-        assert (a / a).residue == 1
-
-
 class TestSmithForm:
     def test_already_diagonal(self):
         ctx = PadicContext(3, 8)
@@ -263,36 +211,3 @@ class TestSmithForm:
             for el, eh in zip(dl, dh):
                 if el is not AT_LEAST_N:
                     assert el == eh
-
-
-class TestCokernelOrders:
-    def test_finite(self):
-        ctx = PadicContext(3, 8)
-        d = smith_form_raw(residues(ctx, [[3, 0], [0, 1]]), ctx)
-        orders = cokernel_kernel_orders(d)
-        assert (orders.h0_exponent, orders.h1_exponent) == (1, 0)
-
-    def test_indeterminate(self):
-        ctx = PadicContext(3, 8)
-        d = smith_form_raw(residues(ctx, [[0]]), ctx)
-        orders = cokernel_kernel_orders(d)
-        assert orders.indeterminate
-
-    def test_diag_nine_cubed(self):
-        # oracle: enumerate the image of multiplication by 9 in Z/3^6 and cube
-        box = 3**6
-        image = {(9 * k) % box for k in range(box)}
-        per_factor = box // len(image)
-        assert per_factor == 9
-        total_exp = 3 * 2  # |coker diag(9,9,9)| = 9^3 = 3^6
-        assert per_factor**3 == 3**total_exp
-        ctx = PadicContext(3, 6)
-        d = smith_form_raw(residues(ctx, [[9, 0, 0], [0, 9, 0], [0, 0, 9]]), ctx)
-        orders = cokernel_kernel_orders(d)
-        assert orders.h0_exponent == total_exp
-        assert orders.h1_exponent == 0
-
-    def test_not_square(self):
-        ctx = PadicContext(3, 8)
-        with pytest.raises(NotSquareError):
-            cokernel_kernel_orders(smith_form_raw(residues(ctx, [[1, 0]]), ctx))

@@ -12,9 +12,7 @@ from iwalab import (
     ValidationError,
     ZeroToPrecisionError,
     det_mult_mod_omega,
-    evaluate_character,
     lambda_mu,
-    omega,
     twist_series,
     weierstrass_prepare,
 )
@@ -45,11 +43,22 @@ class TestPowerSeries:
         assert f.exact_degree == 2
         assert f.coeffs == (0, 0, 1)
 
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValidationError) as err:
+            PowerSeries(PadicContext(3, 4), "X", (0,), -1)
+        assert err.value.invariant == "exact-degree"
+
     def test_variable_mismatch(self):
         from iwalab import MixedContextError
 
         with pytest.raises(MixedContextError):
             S([1]) * PowerSeries.from_ints(CTX, "Y", [1])
+
+
+class TestCharacter:
+    def test_character_invariant(self):
+        with pytest.raises(ValidationError):
+            Character.from_int(CTX, 2)
 
 
 class TestWeierstrassPrepare:
@@ -220,7 +229,11 @@ class TestTwist:
         rho = Character.from_int(CTX, u)
         d = rng.choice(["forward", "inverse"])
         tf, tg = twist_series(f, rho, d), twist_series(g, rho, d)
-        assert twist_series(f + g, rho, d).coeffs == (tf + tg).coeffs
+        q = CTX.modulus
+        deg = max(f.exact_degree, g.exact_degree)
+        f_plus_g = PowerSeries(CTX, "X", tuple(series.po.padd(f.coeffs, g.coeffs, q)), deg)
+        want = tuple(series.po.padd(tf.coeffs, tg.coeffs, q))
+        assert twist_series(f_plus_g, rho, d).coeffs == want
         fg_t = twist_series(f * g, rho, d)
         assert fg_t.coeffs == (tf * tg).coeffs
         assert twist_series(S([1]), rho, d).coeffs == (1,)
@@ -232,47 +245,6 @@ class TestTwist:
         rho = Character.from_int(CTX, 1 + 3 * rng.randint(1, 20))
         back = twist_series(twist_series(f, rho, "forward"), rho, "inverse")
         assert back.coeffs == f.coeffs
-
-    def test_evaluation_is_twist_at_zero(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            f = rand_series(rng, CTX, rng.randint(1, 7))
-            rho = Character.from_int(CTX, 1 + 3 * rng.randint(0, 20))
-            for d in ("forward", "inverse"):
-                ev = evaluate_character(f, rho, d)
-                assert ev.residue == twist_series(f, rho, d).coeffs[0]
-
-
-class TestEvaluateCharacter:
-    def test_forward_at_four(self):
-        rho = Character.from_int(CTX, 4)
-        assert evaluate_character(S([0, 1]), rho, "forward").residue == 3
-
-    def test_inverse_valuation(self):
-        # oracle: u^-1 - 1 = (1-u)/u = -3/4 has valuation 1 at u = 4
-        rho = Character.from_int(CTX, 4)
-        v = evaluate_character(S([0, 1]), rho, "inverse").valuation()
-        assert v == 1
-
-    def test_constants_fixed(self):
-        rho = Character.from_int(CTX, 7)
-        assert evaluate_character(S([11]), rho, "forward").residue == 11
-
-    def test_character_invariant(self):
-        with pytest.raises(ValidationError):
-            Character.from_int(CTX, 2)
-
-
-class TestOmega:
-    def test_level_zero(self):
-        assert omega(0, CTX).coeffs == (0, 1)
-
-    def test_level_one_p3(self):
-        assert omega(1, CTX).coeffs == (0, 3, 3, 1)
-
-    def test_level_one_p5(self):
-        ctx5 = PadicContext(5, 10)
-        assert omega(1, ctx5).coeffs == (0, 5, 10, 10, 5, 1)
 
 
 class TestDetMultModOmega:
