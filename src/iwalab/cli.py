@@ -3,7 +3,7 @@
     iwalab <command> --input <file> [--precision N] [--max-precision N]
                      [--budget K] [--out <file>]
 
-Commands: prepare | char | euler | akashi | find-twist | selftest.
+Commands: the keys of the command table `workbench.COMMANDS`.
 Exit codes: 0 = all tasks decided, 2 = some task undecided at the precision
 or budget cap, 1 = error.  A human-readable table goes to stdout; the full
 machine-readable report goes to the sidecar file (default: <input>.report.json).
@@ -29,9 +29,7 @@ import sys
 from .crossed import PRECISION_CAP
 from .errors import IwalabError, ParseError, SizeCapExceededError, UsageError, ValidationError
 from .problems import parse_problem
-from .workbench import digest_text, run
-
-COMMANDS = ("prepare", "char", "euler", "akashi", "find-twist", "selftest")
+from .workbench import COMMANDS, digest_text, run
 
 
 class _Parser(argparse.ArgumentParser):

@@ -59,7 +59,6 @@ def sylvester_resultant(f, g) -> int:
     n = len(g) - 1
     if m == 0 and n == 0:
         return 1
-    size = m + n
     fd = f[::-1]
     gd = g[::-1]
     rows = []

@@ -92,14 +92,15 @@ class GammaModule:
         return GammaModule(ctx, self.exact_entries, self.det_int, self._entries_h, self._det_h)
 
     @cached_property
-    def _wdata(self):
+    def weierstrass(self):
+        """det F as p^mu * distinguished * unit (`series.weierstrass_prepare`)."""
         return weierstrass_prepare(self.det)
 
     # -- characteristic element ---------------------------------------------
 
     def characteristic_element(self) -> PowerSeries:
         """det F in Weierstrass normal form p^mu * P, the unit part dropped."""
-        w = self._wdata
+        w = self.weierstrass
         pm = self.context.p ** w.mu
         q = self.context.modulus
         coeffs = [(c * pm) % q for c in w.distinguished.coeffs]

@@ -71,7 +71,7 @@ def _as_matrix(value, d: int, what: str):
                 raise SizeCapExceededError(
                     f"{what}[{i}][{j}]: {len(e)} coefficients exceed the cap {LENGTH_CAP}"
                 )
-        rows.append([_as_int_list(e, f"{what}[{i}]") for e in row])
+        rows.append([_as_int_list(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)])
     return rows
 
 

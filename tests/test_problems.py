@@ -460,6 +460,13 @@ class TestCliUsage:
         with pytest.raises(UsageError, match="invalid choice"):
             _build_parser().parse_args(["bogus"])
 
+    def test_unknown_command_lists_the_commands_in_order(self, capsys):
+        assert main(["bogus"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument command: invalid choice: 'bogus' (choose from 'prepare', "
+            "'char', 'euler', 'akashi', 'find-twist', 'selftest')\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -630,6 +637,23 @@ class TestOneCommandPath:
             run(None, command)
         assert exc.value.invariant == "command-stanza"
 
+    @pytest.mark.parametrize(
+        "command, refused",
+        [("prepare", "crossed"), ("char", "crossed"), ("akashi", "gamma"),
+         ("euler", None), ("find-twist", None)],
+    )
+    def test_stanza_kind_each_command_needs(self, command, refused):
+        for stanza in (MINIMAL_GAMMA, MINIMAL_CROSSED):
+            pf = parse(stanza)
+            if pf.kind == refused:
+                needed = "gamma" if refused == "crossed" else "crossed"
+                message = f": {command} needs a '{needed}' stanza, got '{refused}'$"
+                with pytest.raises(ValidationError, match=message) as exc:
+                    run(pf, command)
+                assert exc.value.invariant == "command-stanza"
+            else:
+                assert run(pf, command)[0]["kind"] == pf.kind
+
     def test_each_precision_built_once(self, monkeypatch, tmp_path, capsys):
         # four tasks escalate from N = 1; the two u = 4 chains reach N = 8 and N = 32
         built = []
@@ -663,9 +687,18 @@ class TestRefusalsNamed:
              "levels: expected a list of [n, m] pairs"),
             (dict(MINIMAL_CROSSED, levels=[[1, 1], [1]]), "levels: each level is a pair [n, m]"),
             (dict(MINIMAL_CROSSED, levels=[3]), "levels: each level is a pair [n, m]"),
+            # a malformed entry is named by its row and column
+            (dict(MINIMAL_GAMMA, F=[["5"]]), "F[0][0]: expected a list"),
+            (dict(MINIMAL_GAMMA, d=2, F=[[["1"], ["x", "1"]], [["0"], ["1"]]]),
+             "F[0][1]: 'x' is not a decimal integer"),
+            (dict(MINIMAL_CROSSED, d=2, A=[[["1"], ["0"]], [["0"], "5"]]),
+             "A[1][1]: expected a list"),
+            (dict(MINIMAL_CROSSED, A=[[["1", "x"]]]), "A[0][0]: 'x' is not a decimal integer"),
         ],
         ids=["boolean", "missing-d", "d-zero", "negative-level", "missing-A",
-             "levels-not-a-list", "level-not-a-pair", "level-not-a-list"],
+             "levels-not-a-list", "level-not-a-pair", "level-not-a-list",
+             "F-entry-not-a-list", "F-entry-not-an-integer", "A-entry-not-a-list",
+             "A-entry-not-an-integer"],
     )
     def test_stanza_refused(self, stanza, message, tmp_path, capsys):
         with pytest.raises((ParseError, ValidationError)) as exc:

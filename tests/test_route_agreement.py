@@ -2,10 +2,12 @@
 
 Crossed modules (three routes): p = 7, kappa = 1 + p^2 at m = n + 2 (group-ring
 rank d*p^(n+m) <= 98), n = 3 at p = 3, d = 1 (ranks 27 and 81), p = 11, 13, 17
-and 19 at group-ring rank <= p^2, and staged matrices with and without unit
-entries.  Gamma modules (two routes and the X-basis reference): presentations
-with mu > 0, p = 11, 13, 17 and 19 at n <= 1 (rank <= 3p), and d = 3 at
-direct-route ranks 75 to 243, with and without unit entries.  Each test
+and 19 at group-ring rank <= p^2, swap modules at p = 13, 17 and 19 up to
+level (1,1), levels (0,4) and (1,4) at p = 3 with not-finite ones among them,
+and staged matrices with and without unit entries.  Gamma modules (two
+routes and the X-basis reference): presentations with mu > 0, p = 11, 13, 17
+and 19 at n <= 1 (rank <= 3p), and d = 3 at direct-route ranks 75 to 243,
+with and without unit entries.  Each test
 asserts the wall-time bound RUNTIME_BOUND_S, ten times what the slowest of
 them takes on a 2-core VM (about 1 s), so a slowdown of a route shows here
 before it shows in the suite's total.
@@ -288,4 +290,47 @@ def test_crossed_with_and_without_unit_entries():
                 seen |= {(p, kind, s) for s in statuses}
     for p in (3, 5):
         assert {(p, kind, "exists") for kind in ("swap", "near-identity", "unit")} <= seen
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+@pytest.mark.parametrize("p", [13, 17, 19])
+def test_large_prime_swap_triple_agreement(p):
+    # the swap modules are far from the identity mod (p, Y); A = swap exactly
+    # is not finite at u = 1; group-ring ranks 2 * p^(n+m) <= 2p^2
+    t0 = time.perf_counter()
+    ctx = PadicContext(p, 64)
+    rng = random.Random(130 + p)
+    levels = [Level(0, 1), Level(1, 0), Level(1, 1)]
+    seen = set()
+    for _ in range(2):
+        X = unit_swap_crossed(rng, ctx, 1 + p)
+        for lv in levels:
+            statuses = assert_routes_agree(X, X.check_level(lv), (1, 1 + p, 1 + 2 * p))
+            seen |= {(lv, s) for s in statuses}
+    swap = CrossedModule.from_int_data(ctx, 1 + p, [[[0], [1]], [[1], [0]]])
+    for lv in levels:
+        assert assert_routes_agree(swap, swap.check_level(lv), (1,)) == {"not-finite-detected"}
+    assert seen == {(lv, "exists") for lv in levels}
+    assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def test_m_four_triple_agreement():
+    # levels (0,4) and (1,4): group-ring ranks d * 3^(n+4) <= 486.  kappa = 82
+    # = 1 + 3^4 is normal there.  u = 1 is not finite on [[1]], [[1+Y]] and
+    # the swap; at u = 4 and 7, [[1]] and the swap reach chi = 81 and 162, so
+    # the Akashi route needs N > chi
+    t0 = time.perf_counter()
+    ctx = PadicContext(3, 256)
+    seen = set()
+    for kappa in (1, 82):
+        rng = random.Random(34)
+        modules = [CrossedModule.from_int_data(ctx, kappa, e)
+                   for e in ([[[1]]], [[[1, 1]]], [[[0], [1]], [[1], [0]]])]
+        modules.append(unit_swap_crossed(rng, ctx, kappa))
+        for X in modules:
+            for lv in (Level(0, 4), Level(1, 4)):
+                statuses = assert_routes_agree(X, X.check_level(lv), (1, 4, 7))
+                seen |= {(X.d, lv.n, s) for s in statuses}
+    assert seen == {(d, n, s) for d in (1, 2) for n in (0, 1)
+                    for s in ("exists", "not-finite-detected")}
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
