@@ -25,34 +25,24 @@ def _random_entries(rng: random.Random, d: int, deg_max: int, coeff_bound: int):
     return [[entry() for _ in range(d)] for _ in range(d)]
 
 
-def random_gamma_module(
-    rng: random.Random,
-    ctx: PadicContext,
-    d_max: int = 3,
-    deg_max: int = 4,
-    coeff_bound: int = 9,
-) -> GammaModule:
+def random_gamma_module(rng: random.Random, ctx: PadicContext, d_max: int = 3) -> GammaModule:
+    """Entries of degree <= 4 and coefficients in [-9, 9]."""
     while True:
         d = rng.randint(1, d_max)
-        entries = _random_entries(rng, d, deg_max, coeff_bound)
+        entries = _random_entries(rng, d, 4, 9)
         try:
             return GammaModule.from_int_matrix(ctx, entries)
         except (ZeroDeterminantError, PrecisionExhaustedError):
             continue
 
 
-def random_crossed_module(
-    rng: random.Random,
-    ctx: PadicContext,
-    d_max: int = 2,
-    deg_max: int = 2,
-    coeff_bound: int = 5,
-) -> CrossedModule:
+def random_crossed_module(rng: random.Random, ctx: PadicContext, d_max: int = 2) -> CrossedModule:
+    """kappa = 1 + p or 1 + 2p, and entries of degree <= 2 and coefficients in [-5, 5]."""
     kappas = (1 + ctx.p, 1 + 2 * ctx.p)
     while True:
         d = rng.randint(1, d_max)
         kappa = rng.choice(kappas)
-        entries = _random_entries(rng, d, deg_max, coeff_bound)
+        entries = _random_entries(rng, d, 2, 5)
         try:
             return CrossedModule.from_int_data(ctx, kappa, entries)
         except ValidationError:

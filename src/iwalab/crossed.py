@@ -239,7 +239,7 @@ class CrossedModule:
         C = self._cocycle(level)
 
         def build(q):
-            upn = pow(rho.u.residue, pn, q)
+            upn = pow(rho.u_exact, pn, q)
             M = [[[upn * v % q for v in e] for e in row] for row in C]
             for i, row in enumerate(M):
                 row[i][0] = (row[i][0] - 1) % q

@@ -127,10 +127,9 @@ class GammaModule:
         """
         p = self.context.p
         pn = p ** n
-        u = rho.u.residue
 
         def build(q):
-            c = pow(u, -1, q)
+            c = pow(rho.u_exact, -1, q)
             cb = [1] * self._width
             for b in range(1, self._width):
                 cb[b] = cb[b - 1] * c % q

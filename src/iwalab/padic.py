@@ -97,9 +97,6 @@ class PadicContext:
             raise ValidationError("precision-positive", f"N must be >= 1, got {self.N}")
         object.__setattr__(self, "modulus", self.p ** self.N)
 
-    def make(self, value: int) -> "PadicInt":
-        return PadicInt(self, value % self.modulus)
-
     def with_precision(self, N: int) -> "PadicContext":
         return PadicContext(self.p, N)
 

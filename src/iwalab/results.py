@@ -74,7 +74,6 @@ class TwistSearchReport:
 
     accepted_u: int | None
     candidates: tuple
-    budget: int
 
 
 # Twist candidates a search tries when neither the caller nor the problem file sets a budget.
@@ -85,8 +84,8 @@ def search_twists(ctx, ks, levels, route, message):
     """First u = 1 + kp, k in `ks` ascending, with route(rho, level) finite at every level.
 
     Each candidate's record stops at its first level that is not `exists`.
-    Returns (rho, report); the report's budget is len(ks).  When no candidate
-    is accepted, raises BudgetExhaustedError(message) carrying the report.
+    Returns (rho, report).  When no candidate is accepted, raises
+    BudgetExhaustedError(message) carrying the report.
     """
     records = []
     for k in ks:
@@ -102,7 +101,7 @@ def search_twists(ctx, ks, levels, route, message):
                 break
         records.append(CandidateRecord(u, tuple(outcomes), ok))
         if ok:
-            return rho, TwistSearchReport(u, tuple(records), len(ks))
+            return rho, TwistSearchReport(u, tuple(records))
     err = BudgetExhaustedError(message)
-    err.report = TwistSearchReport(None, tuple(records), len(ks))
+    err.report = TwistSearchReport(None, tuple(records))
     raise err

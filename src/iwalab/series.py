@@ -77,30 +77,26 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class Character:
-    """A continuous character of Gamma, pinned down by u = rho(gamma) in 1+pZ_p."""
+    """A continuous character of Gamma, pinned down by u = rho(gamma) in 1+pZ_p.
 
-    u: PadicInt
+    It holds the exact integer u and the prime p it was checked against, and
+    no residue: each route reduces u modulo its own p^N.
+    """
+
     u_exact: int
+    p: int
 
     def __post_init__(self):
-        p = self.u.context.p
-        if (self.u.residue - 1) % p != 0:
+        if (self.u_exact - 1) % self.p != 0:
             raise ValidationError("character-image", "rho(gamma) must lie in 1 + pZ_p")
-        if self.u_exact % self.u.context.modulus != self.u.residue:
-            raise ValidationError("character-exact", "exact value disagrees with residue")
 
     @classmethod
     def from_int(cls, ctx: PadicContext, value: int) -> "Character":
-        return cls(ctx.make(value), u_exact=value)
+        return cls(value, ctx.p)
 
     @classmethod
     def trivial(cls, ctx: PadicContext) -> "Character":
         return cls.from_int(ctx, 1)
-
-    def value_residue(self, inverse: bool = False) -> int:
-        if inverse:
-            return pow(self.u.residue, -1, self.u.context.modulus)
-        return self.u.residue
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ def twist_series(f: PowerSeries, rho: Character, direction: str) -> PowerSeries:
     if direction not in ("forward", "inverse"):
         raise ValidationError("twist-direction", f"unknown direction {direction!r}")
     q = f.context.modulus
-    c = rho.value_residue(inverse=(direction == "inverse"))
+    c = pow(rho.u_exact, -1 if direction == "inverse" else 1, q)
     out = po.substitute_linear(list(f.coeffs), (c - 1) % q, c, q)
     return PowerSeries(f.context, "X", tuple(out), exact_degree=f.exact_degree)
 

@@ -137,11 +137,11 @@ def _cmd_euler(problem, report, max_precision):
     modules = {problem.precision: problem.module}
     undecided = 0
     for u in problem.characters:
+        rho = Character.from_int(problem.module.context, u)
         for lv in problem.levels:
             level, tag = _level(lv)
 
-            def compute(m, u=u, lv=lv):
-                rho = Character.from_int(m.context, u)
+            def compute(m, rho=rho, lv=lv):
                 return getattr(m, primary)(rho, lv), getattr(m, cross)(rho, lv)
 
             N, (rp, rc) = _escalating(
@@ -194,13 +194,12 @@ def _outcome_dicts(outcomes):
 def _cmd_find_twist(problem, report, max_precision):
     try:
         if problem.kind == "gamma":
-            _, search = find_twist(problem.module, problem.n_max, budget=problem.budget)
+            rho, search = find_twist(problem.module, problem.n_max, budget=problem.budget)
         else:
-            _, search = find_twist_crossed(problem.module, problem.levels, budget=problem.budget)
-        accepted = search.accepted_u
+            rho, search = find_twist_crossed(problem.module, problem.levels, budget=problem.budget)
     except BudgetExhaustedError as exc:
         search = exc.report
-        accepted = None
+    accepted = search.accepted_u
 
     task = {
         "accepted_u": _s(accepted),
@@ -216,12 +215,10 @@ def _cmd_find_twist(problem, report, max_precision):
     n2 = problem.precision * 2
     if accepted is not None and n2 <= max_precision:
         # the accepted certificate again, on the primary route at twice the precision
-        module2 = problem.build_module(n2)
-        rho2 = Character.from_int(module2.context, accepted)
-        route = getattr(module2, _ROUTES[problem.kind][0])
+        route = getattr(problem.build_module(n2), _ROUTES[problem.kind][0])
         ok = True
         for oc in search.candidates[-1].outcomes:
-            r = route(rho2, oc.level)
+            r = route(rho, oc.level)
             ok = ok and r.exists and r.chi_exponent == oc.chi_exponent
         task["reverified_at"] = str(n2)
         task["reverified_ok"] = ok

@@ -532,6 +532,24 @@ def poly_det_int(entries):
     return [int(c) for c in reversed(Poly(det, _T).all_coeffs())]
 
 
+def gamma_not_finite(entries, u, p, n):
+    """Is Phi_(p^k)(u(1 + X)) a factor of det F over Z for some k <= n?
+
+    Its roots are zeta/u - 1 for the primitive p^k-th roots of unity zeta,
+    and in h = 1 + X its constant term is Phi_(p^k)(0) = 1, so it is
+    primitive and irreducible.  By Gauss's lemma the twist by u is not
+    finite at level n exactly when one of them divides det F: sympy's
+    determinant (`poly_det_int`) and division over ZZ, independent of both
+    gamma routes and of `exactint.twisted_chi`.
+    """
+    det = Poly(list(reversed(poly_det_int(entries))), _T)
+    twist = Poly([u, u], _T)
+    return any(
+        det.rem(Poly(sympy.cyclotomic_poly(p**k, _T), _T).compose(twist)).is_zero
+        for k in range(n + 1)
+    )
+
+
 def poly_reduce_mod_int(f, g):
     """Remainder of f mod monic-over-Q g, exact over Z when g is monic (ascending)."""
     pf = Poly(list(reversed(f)), _T)

@@ -99,7 +99,7 @@ class TestGroupRingBasis:
         rng = random.Random(200 * p + n)
         for u in (1 + p, 1 + p * p):
             rho = Character.from_int(ctx, u)
-            c = rho.value_residue(inverse=True)
+            c = pow(u, -1, q)
             for f in sample_polys(rng, p, pn):
                 got = po.circulant(twisted_group_ring(f, pn, q, c))
                 tw = twist_series(PowerSeries.from_ints(ctx, "X", f), rho, "inverse")
@@ -177,12 +177,11 @@ class TestSplitUnits:
         assert po.split_units(M, 3, q) == [[[3, q - 9, 0]]]
 
     def test_truncated_entries_split_at_the_window(self):
-        # the quotient mod 3^3 lies below the character's precision 3^12: one
-        # of the two rows of the twisted presentation still splits off there
-        rho = Character.from_int(PadicContext(3, 12), 4)
+        # at the window mod 3^3, one of the two rows of the twisted
+        # presentation by u = 4 still splits off
         F = [[[1, 2, 0, 5], [3, 1]], [[6, 0, 1], [9, 3, 3, 1]]]
         q = 3**3
-        c = rho.value_residue(inverse=True)
+        c = pow(4, -1, q)
         ring = [[twisted_group_ring(e, 3, q, c) for e in row] for row in F]
         assert len(po.split_units(ring, 3, q)) == 1
 

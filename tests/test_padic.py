@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from iwalab import AT_LEAST_N, PadicContext, ValidationError
+from iwalab import AT_LEAST_N, PadicContext, PadicInt, ValidationError
 from iwalab.exactint import int_valuation
 from iwalab.kernels import word_precision
 from iwalab.padic import _AtLeastN, smith_form_raw
@@ -86,17 +86,17 @@ class TestAtLeastNOrder:
 class TestValuation:
     def test_nine_base_three(self):
         ctx = PadicContext(3, 8)
-        assert ctx.make(9).valuation() == 2
+        assert PadicInt(ctx, 9).valuation() == 2
 
     def test_zero_is_at_least_n(self):
         ctx = PadicContext(3, 8)
-        assert ctx.make(0).valuation() is AT_LEAST_N
+        assert PadicInt(ctx, 0).valuation() is AT_LEAST_N
 
     def test_350_base_five(self):
         # oracle: 350 = 2 * 5^2 * 7 by integer factorization
         assert 350 == 2 * 5**2 * 7
         ctx = PadicContext(5, 4)
-        assert ctx.make(350).valuation() == 2
+        assert PadicInt(ctx, 350).valuation() == 2
 
     def test_at_least_n_ordering(self):
         assert AT_LEAST_N > 63

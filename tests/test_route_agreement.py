@@ -7,10 +7,14 @@ level (1,1), levels (0,4) and (1,4) at p = 3 with not-finite ones among them,
 and staged matrices with and without unit entries.  Gamma modules (two
 routes and the X-basis reference): presentations with mu > 0, p = 11, 13, 17
 and 19 at n <= 1 (rank <= 3p), and d = 3 at direct-route ranks 75 to 243,
-with and without unit entries.  Each test
-asserts the wall-time bound RUNTIME_BOUND_S, ten times what the slowest of
-them takes on a 2-core VM (about 1 s), so a slowdown of a route shows here
-before it shows in the suite's total.
+with and without unit entries.  Every task also checks the integer-character
+theorems: no crossed route is not finite at u != 1, and a gamma task is not
+finite exactly when Phi_(p^k)(u(1+X)) divides det F for some k <= n
+(`oracles.gamma_not_finite`).  All five routes give one verdict for a
+character whatever context it was built in.  Each test asserts the wall-time
+bound RUNTIME_BOUND_S, ten times what the slowest of them takes on a 2-core
+VM (about 1 s), so a slowdown of a route shows here before it shows in the
+suite's total.
 """
 
 import random
@@ -23,14 +27,17 @@ from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, random_crossed_module, random_gamma_module
 from iwalab.padic import AT_LEAST_N, smith_form_raw
 
-from oracles import direct_reference, twisted_group_ring
+from oracles import direct_reference, gamma_not_finite, twisted_group_ring
 
 RUNTIME_BOUND_S = 10.0
 RANK = 98
 
 
 def assert_routes_agree(X, lv, us):
-    """The three crossed routes agree at level lv for each u; returns the statuses seen."""
+    """The three crossed routes agree at level lv for each u, and are finite unless u = 1.
+
+    Returns the statuses seen.
+    """
     statuses = set()
     for u in us:
         rho = Character.from_int(X.context, u)
@@ -39,10 +46,17 @@ def assert_routes_agree(X, lv, us):
         r3 = X.group_ring_oracle(rho, lv)
         assert r1.status is r2.status is r3.status, (lv, u)
         assert r1.chi_exponent == r2.chi_exponent == r3.chi_exponent, (lv, u)
+        assert u == 1 or r1.status is not EulerStatus.NOT_FINITE, (lv, u)
         if r1.exists:
             assert r1.h1_exponent == r2.h1_exponent == r3.h1_exponent == 0
         statuses.add(r1.status.value)
     return statuses
+
+
+def assert_gamma_theorem(M, u, n, result):
+    """A gamma route is not finite exactly when Phi_(p^k)(u(1+X)) divides det F, some k <= n."""
+    bad = gamma_not_finite(M.exact_entries, u, M.context.p, n)
+    assert (result.status is EulerStatus.NOT_FINITE) == bad, (M.exact_entries, u, n)
 
 
 def test_p7_triple_agreement():
@@ -122,6 +136,7 @@ def test_mu_positive_gamma_direct_vs_analytic():
                     ra = M.euler_analytic(rho, n)
                     assert rd.status is ra.status, (p, entries, u, n)
                     assert rd.chi_exponent == ra.chi_exponent, (p, entries, u, n)
+                    assert_gamma_theorem(M, u, n, rd)
                     if rd.exists:
                         assert rd.chi_exponent >= mu * p**n
                     seen.add((p, rd.status.value))
@@ -170,6 +185,7 @@ def test_large_prime_gamma_direct_vs_analytic(p):
                 ra = M.euler_analytic(rho, n)
                 assert rd.status is ra.status, (M.exact_entries, u, n)
                 assert rd.chi_exponent == ra.chi_exponent, (M.exact_entries, u, n)
+                assert_gamma_theorem(M, u, n, rd)
                 seen.add((M.d, n, rd.status.value))
     assert {(d, 1, "exists") for d in (1, 2, 3)} <= seen
     assert (2, 1, "not-finite-detected") in seen
@@ -223,7 +239,7 @@ def test_gamma_d3_at_large_ranks():
             M = GammaModule.from_int_matrix(ctx, entries)
             for u in (1, 1 + p):
                 rho = Character.from_int(ctx, u)
-                c = rho.value_residue(inverse=True)
+                c = pow(u, -1, q)
                 ring = [[twisted_group_ring(e, p**n, q, c) for e in row] for row in M.exact_entries]
                 split = len(po.split_units(ring, p, q)) < 3
                 assert not (split and unit_free), (p, n, entries, u)
@@ -231,6 +247,7 @@ def test_gamma_d3_at_large_ranks():
                 ra = M.euler_analytic(rho, n)
                 assert rd.status is ra.status, (p, n, entries, u)
                 assert rd.chi_exponent == ra.chi_exponent, (p, n, entries, u)
+                assert_gamma_theorem(M, u, n, rd)
                 want = (EulerStatus.INDETERMINATE, None)
                 if rd.exists:
                     want = (rd.status, rd.chi_exponent)
@@ -261,7 +278,7 @@ def unit_swap_crossed(rng, ctx, kappa):
 def staged_split(X, rho, lv):
     """Size of what `split_units` leaves of u^(p^n) C - I, as euler_reduced builds it."""
     q = X.context.modulus
-    upn = pow(rho.u.residue, X.context.p ** lv.n, q)
+    upn = pow(rho.u_exact, X.context.p ** lv.n, q)
     M = [[[upn * v % q for v in e] for e in row] for row in X._cocycle(lv)]
     for i, row in enumerate(M):
         row[i][0] = (row[i][0] - 1) % q
@@ -334,3 +351,21 @@ def test_m_four_triple_agreement():
     assert seen == {(d, n, s) for d in (1, 2) for n in (0, 1)
                     for s in ("exists", "not-finite-detected")}
     assert time.perf_counter() - t0 < RUNTIME_BOUND_S
+
+
+def test_a_character_twists_alike_whatever_precision_it_was_built_at():
+    # u = 1 + 3^20 is 1 mod 3^8: a route that read u mod the precision of the
+    # context the character was built in, rather than mod its own p^N, would
+    # twist the module by 1
+    u = 1 + 3**20
+    M = GammaModule.from_int_matrix(PadicContext(3, 128), [[[2 * 3**70, 1]]])
+    X = CrossedModule.from_int_data(PadicContext(3, 64), 4, [[[1, 1]]])
+    cases = (
+        (M, 0, (M.euler_direct, M.euler_analytic), 20),
+        (X, Level(1, 1), (X.euler_reduced, X.euler_akashi, X.group_ring_oracle), 63),
+    )
+    for module, lv, routes, chi in cases:
+        for ctx in (PadicContext(3, 8), module.context):
+            rho = Character.from_int(ctx, u)
+            got = [(r.status, r.chi_exponent) for r in (route(rho, lv) for route in routes)]
+            assert got == [(EulerStatus.EXISTS, chi)] * len(routes), (module.context.N, ctx.N, got)

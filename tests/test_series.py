@@ -60,6 +60,11 @@ class TestCharacter:
         with pytest.raises(ValidationError):
             Character.from_int(CTX, 2)
 
+    def test_holds_no_precision(self):
+        # the exact u and its prime only: built in any context, it is one character
+        u = 1 + 3**20
+        assert Character.from_int(PadicContext(3, 8), u) == Character.from_int(CTX, u) == Character(u, 3)
+
 
 class TestWeierstrassPrepare:
     def test_already_distinguished(self):
