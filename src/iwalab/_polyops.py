@@ -5,7 +5,9 @@ All functions are pure; `q` is the working modulus p^N, or None for exact
 integer arithmetic (used by the finiteness certificates).
 """
 
+from itertools import accumulate
 from math import comb
+from operator import neg
 
 
 def trim_int(coeffs):
@@ -125,11 +127,56 @@ def cyclotomic_fold(v, p):
     return out
 
 
+def h_shift(coeffs):
+    """An integer polynomial f in X rewritten as f(h - 1) in h = 1 + X (the Taylor shift by -1).
+
+    Horner's scheme in place: pass i, for i = 0, ..., n - 2, sets
+    a_j -= a_(j+1) for j = n - 2 down to i, n(n - 1)/2 subtractions and no
+    product.  With b_j = (-1)^j a_j a pass is the suffix sum
+    b_j += b_(j+1), one `itertools.accumulate` over the reversed list.
+    """
+    r = list(coeffs)
+    r[1::2] = map(neg, r[1::2])
+    r.reverse()
+    for m in range(len(r), 1, -1):
+        r[:m] = accumulate(r[:m])
+    r.reverse()
+    r[1::2] = map(neg, r[1::2])
+    return r
+
+
 def h_basis(entries):
     """A matrix of integer polynomials in X, each entry rewritten as f(h - 1) in h = 1 + X."""
-    return tuple(
-        tuple(tuple(substitute_linear(e, -1, 1, None)) for e in row) for row in entries
-    )
+    return tuple(tuple(tuple(h_shift(e)) for e in row) for row in entries)
+
+
+def kronecker_bits(entries):
+    """Slot width b that packs a square polynomial matrix and all its minors at X = 2^b.
+
+    No coefficient of a minor exceeds B = prod_i sum_j |F_ij|_1: its 1-norm is
+    at most the sum over permutations of products of entry norms, each a term
+    of the product over its rows, and a row left out has norm >= 1 unless
+    det F = 0.  With b = B.bit_length() + 1 every coefficient lies strictly
+    inside (-2^(b-1), 2^(b-1)), so `kronecker_unpack` recovers it.
+    """
+    bound = 1
+    for row in entries:
+        bound *= sum(abs(c) for e in row for c in e)
+    return bound.bit_length() + 1
+
+
+def kronecker_unpack(v, b):
+    """The polynomial packed as v at X = 2^b: v's signed base-2^b digits, trimmed ([0] for 0)."""
+    full = 1 << b
+    half = full >> 1
+    out = []
+    while v:
+        c = v & (full - 1)
+        if c >= half:
+            c -= full
+        out.append(c)
+        v = (v - c) >> b
+    return out or [0]
 
 
 def to_group_ring(coeffs, order, q):

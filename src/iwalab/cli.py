@@ -7,6 +7,8 @@ Commands: the keys of the command table `workbench.COMMANDS`.
 Exit codes: 0 = all tasks decided, 2 = some task undecided at the precision
 or budget cap, 1 = error.  A human-readable table goes to stdout; the full
 machine-readable report goes to the sidecar file (default: <input>.report.json).
+A character wider than its table column is printed as its head and tail
+around "..", so every row keeps the header's width; the sidecar holds it whole.
 
 The sidecar is rewritten in place: it is opened without O_TRUNC (truncating an
 existing file on open is slow on some file systems, ext4 with discard among
@@ -67,6 +69,14 @@ def _level_text(lv):
     return f"({lv[0]},{lv[1]})" if isinstance(lv, list) else lv
 
 
+def _fit(text, width):
+    """text, or its head and tail around "..", so that it takes at most `width` columns."""
+    if len(text) <= width:
+        return text
+    head = (width - 1) // 2
+    return text[:head] + ".." + text[len(text) - (width - 2 - head):]
+
+
 def _print_table(report):
     cmd = report["command"]
     tasks = report["tasks"]
@@ -94,7 +104,7 @@ def _print_table(report):
         for t in tasks:
             cross = t.get("analytic_exponent", t.get("akashi_exponent"))
             print(
-                f"{t['u']:>10} {_level_text(t['level']):>8} {t['status']:>28} "
+                f"{_fit(t['u'], 10):>10} {_level_text(t['level']):>8} {t['status']:>28} "
                 f"{str(t['chi_exponent']):>6} {str(cross):>6} "
                 f"{str(t['routes_agree']):>6} {t['precision']:>5}"
             )
@@ -109,7 +119,7 @@ def _print_table(report):
                     + (f"/chi={o['chi_exponent']}" if o["chi_exponent"] is not None else "")
                     for o in c["outcomes"]
                 )
-                print(f"  u = {c['u']:>8}  {stat}  {outs}")
+                print(f"  u = {_fit(c['u'], 8):>8}  {stat}  {outs}")
             if "reverified_at" in t:
                 print(f"  certificate re-verified at N = {t['reverified_at']}: {t['reverified_ok']}")
         return

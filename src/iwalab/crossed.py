@@ -234,6 +234,7 @@ class CrossedModule:
         takes the rest (at m = 0 the whole scalar matrix) on the ladder of
         `kernels.smith_ladder`.
         """
+        rho.check_prime(self.context.p)
         p = self.context.p
         pn = p ** level.n
         C = self._cocycle(level)
@@ -257,6 +258,7 @@ class CrossedModule:
         below N, where its residue mod p^N is nonzero; a value of 0 is
         NotFinite, and a nonzero value of v_p >= N is indeterminate at N.
         """
+        rho.check_prime(self.context.p)
         return EulerResult.from_exact(self._akashi_exponent(rho, level), below=self.context.N)
 
     def group_ring_oracle(self, rho: Character, level: Level) -> EulerResult:
@@ -270,6 +272,7 @@ class CrossedModule:
         when a divisor reaches it; the NotFinite certificate is the Bareiss
         determinant of the exact rows.
         """
+        rho.check_prime(self.context.p)
         self.check_level(level)
         p = self.context.p
         D = self.d * p ** level.index_exponent

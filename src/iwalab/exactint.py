@@ -72,32 +72,19 @@ def sylvester_resultant(f, g) -> int:
 def poly_mat_det(entries):
     """Determinant over Z[X] of a matrix of integer polynomials (ascending lists).
 
-    Kronecker substitution: no coefficient of det F exceeds
-    B = prod_i sum_j |F_ij|_1, since |det F|_1 is at most the sum over
-    permutations s of prod_i |F_i,s(i)|_1, each a term of B.  With
-    b = B.bit_length() + 1 every coefficient lies strictly inside
-    (-2^(b-1), 2^(b-1)), so evaluating the entries at X = 2^b, taking the one
-    integer determinant `bareiss_det` and reading its signed base-2^b digits
-    recovers det F.  The package's only polynomial-matrix determinant:
+    Kronecker substitution: every coefficient of det F fits a signed slot of
+    b bits (`_polyops.kronecker_bits`), so evaluating the entries at X = 2^b,
+    taking the one integer determinant `bareiss_det` and reading its signed
+    base-2^b digits (`_polyops.kronecker_unpack`) recovers det F.  The
+    package's only polynomial-matrix determinant:
     series determinants reduce it mod p^N, and the crossed Akashi value
     reads it at the roots of unity.
     Returns the trimmed ascending coefficient list ([0] when singular).
     """
-    bound = 1
-    for row in entries:
-        bound *= sum(abs(c) for e in row for c in e)
-    b = bound.bit_length() + 1
-    full = 1 << b
-    det = bareiss_det([[po.poly_eval(e, full, None) for e in row] for row in entries])
-    half = full >> 1
-    out = []
-    while det:
-        c = det & (full - 1)
-        if c >= half:
-            c -= full
-        out.append(c)
-        det = (det - c) >> b
-    return out or [0]
+    b = po.kronecker_bits(entries)
+    x = 1 << b
+    det = bareiss_det([[po.poly_eval(e, x, None) for e in row] for row in entries])
+    return po.kronecker_unpack(det, b)
 
 
 def cyclotomic_residue(f, p: int, k: int):
@@ -179,5 +166,5 @@ def gamma_h0_is_infinite(det_poly, u: int, p: int, n: int) -> bool:
     if det_poly == [0]:
         return True
     lam, mu = lambda_mu(det_poly, p)
-    det_h = po.substitute_linear(det_poly, -1, 1, None)
+    det_h = po.h_shift(det_poly)
     return twisted_chi(det_h, u, p, n, lam, mu) is None

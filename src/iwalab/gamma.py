@@ -3,7 +3,8 @@
 A module is the cokernel of right multiplication by a d x d matrix F of integer
 polynomials on the series ring (row-vector convention).  Finite-level Euler
 characteristics come by two independent routes: Smith elimination of the
-twisted presentation modulo the level polynomial over Z/p^N (direct), and
+twisted unit-free core of F (its units split off once, at construction)
+modulo the level polynomial over Z/p^N (direct), and
 the exact sum over k <= n of v_p of the norms of the twisted characteristic
 polynomial at the p^k-th roots of unity (analytic), most of them in closed
 form from lambda and mu (`exactint.twisted_chi`).  Exactness of NotFinite verdicts is guaranteed by
@@ -48,13 +49,13 @@ class GammaModule:
     """Cokernel of x -> x*F on Z_p[[X]]^d; must be torsion (det F != 0).
 
     The module holds F's exact integer polynomial entries (ascending in X),
-    the same entries F(h - 1) in the basis of h = 1 + X, det F over Z[X] with
-    its (lambda, mu), and det F(h - 1); the direct route and the preparation
-    work mod p^N, the analytic route and the certificates over Z.  det F is
-    prepared on first use.
+    the unit-free core of F in the basis of h = 1 + X (`unit_free_core`),
+    det F over Z[X] with its (lambda, mu), and det F(h - 1); the direct route
+    and the preparation work mod p^N, the analytic route and the
+    certificates over Z.  det F is prepared on first use.
     """
 
-    def __init__(self, ctx: PadicContext, entries, _det_int=None, _entries_h=None, _det_h=None):
+    def __init__(self, ctx: PadicContext, entries, _det_int=None, _core=None, _det_h=None):
         entries = tuple(tuple(tuple(int(c) for c in e) for e in row) for row in entries)
         d = len(entries)
         if d == 0 or any(len(row) != d for row in entries):
@@ -64,10 +65,7 @@ class GammaModule:
         self.context = ctx
         self.d = d
         self.exact_entries = entries
-        # F(h - 1), det F and det F(h - 1) over Z do not depend on N: a re-embedding passes them on
-        self._entries_h = po.h_basis(entries) if _entries_h is None else _entries_h
-        # the twist powers c^b a level build needs: b below the longest entry
-        self._width = max(len(e) for row in entries for e in row)
+        # det F, det F(h - 1) and the core over Z do not depend on N: a re-embedding passes them on
         if _det_int is None:
             _det_int = exactint.poly_mat_det(entries)
         self.det_int = _det_int
@@ -79,7 +77,8 @@ class GammaModule:
                 )
             raise ZeroDeterminantError("det F = 0 to working precision; module is not torsion")
         self._lam_mu = exactint.lambda_mu(_det_int, ctx.p)
-        self._det_h = po.substitute_linear(_det_int, -1, 1, None) if _det_h is None else _det_h
+        self._det_h = po.h_shift(_det_int) if _det_h is None else _det_h
+        self._core = unit_free_core(entries, ctx.p) if _core is None else _core
 
     @classmethod
     def from_int_matrix(cls, ctx: PadicContext, entries) -> "GammaModule":
@@ -89,7 +88,7 @@ class GammaModule:
     def with_precision(self, N: int) -> "GammaModule":
         """Re-embed the exact integer data at a different precision."""
         ctx = self.context.with_precision(N)
-        return GammaModule(ctx, self.exact_entries, self.det_int, self._entries_h, self._det_h)
+        return GammaModule(ctx, self.exact_entries, self.det_int, self._core, self._det_h)
 
     @cached_property
     def weierstrass(self):
@@ -117,26 +116,28 @@ class GammaModule:
         return exactint.twisted_chi(self._det_h, rho.u_exact, self.context.p, n, *self._lam_mu)
 
     def euler_direct(self, rho: Character, n: int) -> EulerResult:
-        """chi at level n from the twisted presentation over Z_p[h]/(h^(p^n) - 1).
+        """chi at level n from the twisted core over Z_p[h]/(h^(p^n) - 1).
 
-        The twist by rho^-1 sends h to c*h, c = u^-1, so coefficient b of an
-        entry F(h - 1) is scaled by c^b and the indices then fold mod p^n.
-        `padic.group_ring_h0` works the result on the ladder of
-        `kernels.smith_ladder`: at the word precision first, and again at p^N
-        only when some divisor reaches it.
+        The twist by rho^-1 sends h to c*h, c = u^-1, so coefficient b of a
+        core entry (in the h-basis) is scaled by c^b and the indices then
+        fold mod p^n.  The core has the cokernel of F at every level and
+        twist, and no entry of it is a unit there, so nothing splits per
+        level; an empty core gives h0 = 0.  `padic.group_ring_h0` works the
+        result on the ladder of `kernels.smith_ladder`: at the word
+        precision first, and again at p^N only when some divisor reaches it.
         """
-        p = self.context.p
-        pn = p ** n
+        rho.check_prime(self.context.p)
+        pn = self.context.p ** n
 
         def build(q):
             c = pow(rho.u_exact, -1, q)
-            cb = [1] * self._width
-            for b in range(1, self._width):
-                cb[b] = cb[b - 1] * c % q
+            cb = [1]
             M = []
-            for row in self._entries_h:
+            for row in self._core:
                 Mi = []
                 for e in row:
+                    while len(cb) < len(e):
+                        cb.append(cb[-1] * c % q)
                     out = [0] * pn
                     for b, a in enumerate(e):
                         out[b % pn] += a * cb[b]
@@ -144,7 +145,7 @@ class GammaModule:
                 M.append(Mi)
             return M
 
-        h0 = group_ring_h0(build, p, self.context.N)
+        h0 = group_ring_h0(build, self.context.p, self.context.N)
         if h0 is None:
             return EulerResult.from_exact(self._exact_chi(rho, n), below=0)
         return EulerResult.from_h0(h0)
@@ -155,7 +156,55 @@ class GammaModule:
         chi = v_p Res(h^(p^n) - 1, P_u) is `exactint.twisted_chi`, which states
         the closed form, of the held det F(h - 1).  Never indeterminate.
         """
+        rho.check_prime(self.context.p)
         return EulerResult.from_exact(self._exact_chi(rho, n))
+
+
+def unit_free_core(entries, p: int):
+    """F with every unit split off over Z_p[[X]], in the h-basis: a tuple of rows, maybe empty.
+
+    F must have det F != 0, as a module's has.  Fraction-free (Bareiss) elimination over Z[X] on the entries packed at
+    X = 2^b (`_polyops.kronecker_bits`).  The pivot is the row-major first
+    entry a whose constant term, the signed low slot, is prime to p; every
+    other row r, c its column-j entry, becomes (a*row_r - c*row_i) / prev,
+    prev the previous pivot (1 at first), and row i and column j go.  Each
+    entry left is then a minor of F (Sylvester's identity), so the division
+    is exact and the coefficients fit the slots.  The elimination stops when
+    no constant term is prime to p, after r = rank F(0) mod p pivots, and the
+    (d - r) x (d - r) rest is unpacked and shifted to h = 1 + X.
+
+    Every pivot is a unit of Z_p[[X]]: twisting by u sends its constant term
+    a(0) to a(u^-1 - 1) = a(0) mod p, so it stays a unit in every level ring
+    Z/p^N[h]/(h^(p^n) - 1) under every character.  Each step there
+    multiplies rows by units, adds multiples of a row and splits off the
+    summand R/(a) = 0, so the cokernel of F and of the core agree at every
+    (rho, n, N), and no entry of the core is a unit at any of them.  Empty
+    exactly when det F(0) is a unit mod p.
+    """
+    b = po.kronecker_bits(entries)
+    x = 1 << b
+    half = x >> 1
+    M = [[po.poly_eval(e, x, None) for e in row] for row in entries]
+    prev = 1
+    while True:
+        # ((v + half) mod x) - half is v's signed low slot
+        pivot = next(((i, j) for i, row in enumerate(M) for j, v in enumerate(row)
+                      if (((v + half) & (x - 1)) - half) % p), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        prow = M.pop(i)
+        a = prow.pop(j)
+        for row in M:
+            c = row.pop(j)
+            if c or a != prev:
+                for k, f in enumerate(prow):
+                    row[k] = (a * row[k] - c * f) // prev
+        prev = a
+    return tuple(
+        tuple(tuple(po.h_shift(po.kronecker_unpack(v, b))) for v in row)
+        for row in M
+    )
 
 
 def find_twist(module: GammaModule, n_max: int, budget: int = DEFAULT_BUDGET):

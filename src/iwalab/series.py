@@ -90,6 +90,13 @@ class Character:
         if (self.u_exact - 1) % self.p != 0:
             raise ValidationError("character-image", "rho(gamma) must lie in 1 + pZ_p")
 
+    def check_prime(self, p: int) -> None:
+        """Refuse a route at a prime other than the one u was checked against."""
+        if p != self.p:
+            raise MixedContextError(
+                f"a character checked at p = {self.p} cannot twist a module at p = {p}"
+            )
+
     @classmethod
     def from_int(cls, ctx: PadicContext, value: int) -> "Character":
         return cls(value, ctx.p)

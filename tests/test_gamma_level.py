@@ -363,8 +363,9 @@ class TestOneExactValue:
     def test_not_finite_verdicts_take_no_taylor_shift(self, monkeypatch):
         M, rho = self.x_times_g_at_the_length_cap()
         shifts = []
-        inner = po.substitute_linear
-        monkeypatch.setattr(po, "substitute_linear", lambda *a: shifts.append(a) or inner(*a))
+        for name in ("substitute_linear", "h_shift"):
+            inner = getattr(po, name)
+            monkeypatch.setattr(po, name, lambda *a, inner=inner: shifts.append(a) or inner(*a))
         for n in range(3):
             assert M.euler_direct(rho, n).status is EulerStatus.NOT_FINITE
             assert M.euler_analytic(rho, n).status is EulerStatus.NOT_FINITE

@@ -270,6 +270,28 @@ class TestCli:
         assert report["input_digest"].startswith("sha256:")
         assert "exists" in capsys.readouterr().out
 
+    def test_a_wide_character_keeps_the_table_width(self, tmp_path, capsys):
+        u = str(1 + 3**200)
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, characters=["4", u], n_levels=[0, 1])))
+        out = tmp_path / "rep.json"
+        assert main(["euler", "--input", str(inp), "--out", str(out)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:6]
+        assert [len(r) for r in rows] == [len(header)] * 4
+        assert [r.split()[0] for r in rows] == ["4", "4"] + [u[:4] + ".." + u[-4:]] * 2
+        assert [t["u"] for t in json.loads(out.read_text())["tasks"]] == ["4", "4", u, u]
+
+    def test_a_wide_candidate_keeps_its_column(self, tmp_path, capsys):
+        p = 100000007
+        inp = tmp_path / "prob.json"
+        inp.write_text(json.dumps(dict(MINIMAL_GAMMA, p=p, F=[[[str(-p), "1"]]], n_levels=[0],
+                                       n_max=0, budget=1)))
+        out = tmp_path / "rep.json"
+        main(["find-twist", "--input", str(inp), "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("  u = 100..008  ")
+        assert json.loads(out.read_text())["tasks"][0]["candidates"][0]["u"] == str(p + 1)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         inp = tmp_path / "bad.json"
         inp.write_text('{"kind": "gamma", "foo": 1}')

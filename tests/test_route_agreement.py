@@ -11,7 +11,8 @@ with and without unit entries.  Every task also checks the integer-character
 theorems: no crossed route is not finite at u != 1, and a gamma task is not
 finite exactly when Phi_(p^k)(u(1+X)) divides det F for some k <= n
 (`oracles.gamma_not_finite`).  All five routes give one verdict for a
-character whatever context it was built in.  Each test asserts the wall-time
+character whatever precision it was built at, and refuse one built at
+another prime.  Each test asserts the wall-time
 bound RUNTIME_BOUND_S, ten times what the slowest of them takes on a 2-core
 VM (about 1 s), so a slowdown of a route shows here before it shows in the
 suite's total.
@@ -22,7 +23,15 @@ import time
 
 import pytest
 
-from iwalab import Character, CrossedModule, EulerStatus, GammaModule, Level, PadicContext
+from iwalab import (
+    Character,
+    CrossedModule,
+    EulerStatus,
+    GammaModule,
+    Level,
+    MixedContextError,
+    PadicContext,
+)
 from iwalab import _polyops as po
 from iwalab.corpus import admissible_levels, random_crossed_module, random_gamma_module
 from iwalab.padic import AT_LEAST_N, smith_form_raw
@@ -369,3 +378,19 @@ def test_a_character_twists_alike_whatever_precision_it_was_built_at():
             rho = Character.from_int(ctx, u)
             got = [(r.status, r.chi_exponent) for r in (route(rho, lv) for route in routes)]
             assert got == [(EulerStatus.EXISTS, chi)] * len(routes), (module.context.N, ctx.N, got)
+
+
+def test_a_character_of_another_prime_is_refused_by_every_route():
+    # u = 4 is 1 mod 3 but not 1 mod 5; unchecked, every route read exists with chi = 0
+    rho = Character.from_int(PadicContext(3, 8), 4)
+    M = GammaModule.from_int_matrix(PadicContext(5, 16), [[[1, 1]]])
+    X = CrossedModule.from_int_data(PadicContext(5, 16), 6, [[[1, 1]]])
+    cases = (
+        (0, (M.euler_direct, M.euler_analytic)),
+        (Level(0, 0), (X.euler_reduced, X.euler_akashi, X.group_ring_oracle)),
+    )
+    for lv, routes in cases:
+        for route in routes:
+            with pytest.raises(MixedContextError, match="p = 3 cannot twist a module at p = 5"):
+                route(rho, lv)
+            assert route(Character.from_int(PadicContext(5, 8), 6), lv).exists
