@@ -122,11 +122,14 @@ class GammaModule:
         core entry (in the h-basis) is scaled by c^b and the indices then
         fold mod p^n.  The core has the cokernel of F at every level and
         twist, and no entry of it is a unit there, so nothing splits per
-        level; an empty core gives h0 = 0.  `padic.group_ring_h0` works the
-        result on the ladder of `kernels.smith_ladder`: at the word
-        precision first, and again at p^N only when some divisor reaches it.
+        level, and an empty core (det F(0) a unit mod p) is answered here:
+        h0 = 0, with no elimination.  `padic.group_ring_h0` works any other
+        on the ladder of `kernels.smith_ladder`: at the word precision
+        first, and again at p^N only when some divisor reaches it.
         """
         rho.check_prime(self.context.p)
+        if not self._core:
+            return EulerResult.from_h0(0)
         pn = self.context.p ** n
 
         def build(q):

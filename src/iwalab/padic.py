@@ -171,15 +171,11 @@ def group_ring_h0(build, p: int, N: int) -> int | None:
     entries split off over the group ring (`_polyops.split_units`), and
     Smith takes the block circulant of what is left.  At n = 1 the ring is
     Z/q, where splitting units is the kernel's own unit pivoting, so the
-    scalar matrix goes to Smith whole.  An empty matrix (a gamma core, whose
-    units split off once per module) has no divisors: h0 = 0.  None means
-    some divisor reached p^N.
+    scalar matrix goes to Smith whole.  None means some divisor reached p^N.
     """
 
     def rows(q):
         M = build(q)
-        if not M:
-            return []
         if len(M[0][0]) == 1:
             return [[e[0] for e in row] for row in M]
         return po.block_circulant(po.split_units(M, p, q))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import BudgetExhaustedError
 from .series import Character
@@ -21,7 +22,8 @@ class EulerResult:
 
     When status is EXISTS: chi = p^chi_exponent, the homology orders are
     p^h0_exponent and p^h1_exponent, and chi_exponent = h0 - h1 with h1 = 0
-    for every square presentation.
+    for every square presentation.  `from_h0` and `from_exact` hand out one
+    shared instance per status and exponent; no other code constructs one.
     """
 
     status: EulerStatus
@@ -33,9 +35,10 @@ class EulerResult:
     def exists(self) -> bool:
         return self.status is EulerStatus.EXISTS
 
-    @classmethod
-    def from_h0(cls, h0: int) -> "EulerResult":
-        return cls(EulerStatus.EXISTS, chi_exponent=h0, h0_exponent=h0, h1_exponent=0)
+    @staticmethod
+    @cache
+    def from_h0(h0: int) -> "EulerResult":
+        return EulerResult(EulerStatus.EXISTS, chi_exponent=h0, h0_exponent=h0, h1_exponent=0)
 
     @classmethod
     def from_exact(cls, chi: int | None, below: int | None = None) -> "EulerResult":
@@ -45,10 +48,14 @@ class EulerResult:
         a route that met p^N passes below=0 and reads the value as its certificate.
         """
         if chi is None:
-            return cls(EulerStatus.NOT_FINITE)
+            return NOT_FINITE
         if below is None or chi < below:
             return cls.from_h0(chi)
-        return cls(EulerStatus.INDETERMINATE)
+        return INDETERMINATE
+
+
+NOT_FINITE = EulerResult(EulerStatus.NOT_FINITE)
+INDETERMINATE = EulerResult(EulerStatus.INDETERMINATE)
 
 
 @dataclass(frozen=True)

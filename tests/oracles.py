@@ -540,13 +540,17 @@ def gamma_not_finite(entries, u, p, n):
     primitive and irreducible.  By Gauss's lemma the twist by u is not
     finite at level n exactly when one of them divides det F: sympy's
     determinant (`poly_det_int`) and division over ZZ, independent of both
-    gamma routes and of `exactint.twisted_chi`.
+    gamma routes and of `exactint.twisted_chi`.  A factor of degree
+    phi(p^k) above deg det F cannot divide a nonzero det F, so those k are
+    not tried (Phi_(p^k) has degree 11,638 at p = 23, k = 3); every one
+    divides det F = 0.
     """
     det = Poly(list(reversed(poly_det_int(entries))), _T)
     twist = Poly([u, u], _T)
-    return any(
+    return det.is_zero or any(
         det.rem(Poly(sympy.cyclotomic_poly(p**k, _T), _T).compose(twist)).is_zero
         for k in range(n + 1)
+        if sympy.totient(p**k) <= det.degree()
     )
 
 

@@ -17,9 +17,15 @@ hold them; one `ast` walker finds the references in every module.
   references `precisions`.  Every route that eliminates at the word precision
   first and at p^N only when a divisor reaches p^k hands `smith_ladder` a
   builder of its rows; a reference elsewhere would be a second copy of it.
+* Verdicts are constructed only in `results.py`: only it calls
+  `EulerResult(...)`.  Every route answers through the interned
+  `EulerResult.from_h0` and `from_exact`; a verdict built elsewhere would
+  be a second, uncached instance of one answer.
 
 A reference is a bare name, an import, or an attribute: `.x` for any object's
-attribute x and `m.x` for the attribute x of the name m.  A place is a module
+attribute x and `m.x` for the attribute x of the name m.  A call of a
+reference r is also the reference `r()`, so a rule can confine calls and
+leave imports, annotations and attribute reads alone.  A place is a module
 and, when the rule needs it, the outermost function around the reference.
 Every confined name must still be referenced, so that a rule whose names left
 the package fails instead of passing unread.
@@ -42,6 +48,7 @@ RULES = {
     ),
     "file-io": ({"open", "os.open"}, {("cli.py", None)}),
     "precision-ladder": ({"precisions", ".precisions"}, {("kernels.py", "smith_ladder")}),
+    "interned-verdicts": ({"EulerResult()", ".EulerResult()"}, {("results.py", None)}),
 }
 
 
@@ -59,6 +66,8 @@ def references(source, filename, confined):
             if isinstance(node.value, ast.Name):
                 out.add(f"{node.value.id}.{node.attr}")
             return out
+        if isinstance(node, ast.Call):
+            return {key + "()" for key in keys(node.func)}
         return set()
 
     def visit(node, owner):
@@ -95,7 +104,7 @@ PLANTED = {
         "from .kernels import _unit_pivot\n"
         "def route(rows, p, N):\n"
         "    return kernels._smith([list(r) for r in rows], p, N)\n",
-        [("x.py", "<module>", 2, "_unit_pivot"), ("x.py", "route", 4, "._smith")],
+        [("gamma.py", "<module>", 2, "_unit_pivot"), ("gamma.py", "route", 4, "._smith")],
     ),
     "file-io": (
         "import os\n"
@@ -106,7 +115,7 @@ PLANTED = {
         "    return os.open(path, os.O_RDONLY)\n"
         "def unrelated(z):\n"
         "    return z.open()\n",
-        [("x.py", "load", 3, "open"), ("x.py", "raw", 6, "os.open")],
+        [("gamma.py", "load", 3, "open"), ("gamma.py", "raw", 6, "os.open")],
     ),
     "precision-ladder": (
         "from . import kernels\n"
@@ -115,7 +124,15 @@ PLANTED = {
         "        pass\n"
         "def other():\n"
         "    return [precisions for _ in ()]\n",
-        [("x.py", "route", 3, ".precisions"), ("x.py", "other", 6, "precisions")],
+        [("gamma.py", "route", 3, ".precisions"), ("gamma.py", "other", 6, "precisions")],
+    ),
+    "interned-verdicts": (
+        "from .results import EulerResult, EulerStatus\n"
+        "def route(rho, n) -> EulerResult:\n"
+        "    if n:\n"
+        "        return EulerResult.from_h0(0)\n"
+        "    return EulerResult(EulerStatus.EXISTS, 0, 0, 0)\n",
+        [("gamma.py", "route", 5, "EulerResult()")],
     ),
 }
 
@@ -123,6 +140,6 @@ PLANTED = {
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_a_planted_breach_is_reported(rule):
     source, want = PLANTED[rule]
-    hits = references(source, "x.py", RULES[rule][0])
+    hits = references(source, "gamma.py", RULES[rule][0])
     assert hits == want
     assert not any(allowed(h, RULES[rule][1]) for h in hits)

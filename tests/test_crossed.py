@@ -413,6 +413,7 @@ class TestNotFiniteCertificate:
                             got = X._akashi_exponent(rho, lv) is None
                             assert got == h0_infinite_block_circulant(X, rho, lv), (
                                 X.exact_entries, X.kappa_exact, lv, u)
+                            assert u == 1 or not got, (X.exact_entries, lv, u)  # finite at u != 1
                             verdicts.append(got)
         assert len(verdicts) > 1000 and 30 < sum(verdicts) < len(verdicts)
 
@@ -454,6 +455,7 @@ class TestExactAkashiValue:
     def check(self, X, u, lv):
         chi = X._akashi_exponent(Character.from_int(X.context, u), lv)
         r = self.staged(X, u, lv)
+        assert u == 1 or chi is not None, (X.exact_entries, lv, u)  # finite at u != 1
         if chi is None:
             assert r.status is EulerStatus.NOT_FINITE, (X.exact_entries, lv, u)
         else:
@@ -785,6 +787,7 @@ class TestEulerRoutes:
                         r3 = X.group_ring_oracle(rho, lv)
                         assert r1.status is r2.status is r3.status
                         assert r1.chi_exponent == r2.chi_exponent == r3.chi_exponent
+                        assert u == 1 or r1.status is not EulerStatus.NOT_FINITE, (lv, u)
                         if r1.exists:
                             assert r1.h1_exponent == r2.h1_exponent == r3.h1_exponent == 0
 

@@ -22,7 +22,7 @@ from iwalab import (
 from iwalab.corpus import random_gamma_module
 from iwalab.exactint import poly_mat_det
 
-from oracles import poly_det_int
+from oracles import gamma_not_finite, poly_det_int
 
 CTX = PadicContext(3, 32)
 TRIV = Character.trivial(CTX)
@@ -265,6 +265,9 @@ class TestRouteAgreement:
                         ra = M.euler_analytic(rho, n)
                         assert rd.status is ra.status
                         assert rd.chi_exponent == ra.chi_exponent
+                        # not finite exactly when Phi_(p^k)(u(1+X)) divides det F, some k <= n
+                        bad = gamma_not_finite(M.exact_entries, rho.u_exact, p, n)
+                        assert (rd.status is EulerStatus.NOT_FINITE) == bad, (M.exact_entries, n)
 
     def test_direct_sum_multiplicativity(self):
         rng = random.Random(21)

@@ -22,7 +22,7 @@ from iwalab.corpus import gamma_corpus
 from iwalab.crossed import LENGTH_CAP
 from iwalab.kernels import smith_exponents
 
-from oracles import det_int, twisted_group_ring
+from oracles import det_int, gamma_not_finite, twisted_group_ring
 
 # planted presentations at p = 23, where the corpus generator gives near-trivial modules:
 # det F = X - 23, (23 + X)(X^2 - 23), X (not finite at u = 1), and a d = 2 one with mu = 0
@@ -31,6 +31,15 @@ PLANTED_23 = [
     [[[23, 1], [1]], [[0], [-23, 0, 1]]],
     [[[0, 1]]],
     [[[23**2, 1, 1], [23]], [[1], [1, 23]]],
+]
+
+# planted p = 23 presentations with det F(0) a unit mod 23, so an empty core:
+# det F = 1 + 23X, 5 - X + X^2, and d = 2 and d = 3 ones with units off the diagonal
+PLANTED_23_UNIT = [
+    [[[1, 23]]],
+    [[[5, -1, 1]]],
+    [[[2, 1], [23]], [[5], [3, 0, 1]]],
+    [[[1, 1], [0], [23]], [[2], [1, 23], [0]], [[0], [3, 1], [4, 0, 1]]],
 ]
 
 
@@ -70,16 +79,19 @@ class TestCoreKeepsTheCokernel:
                 for n in range(3):
                     builds.clear()
                     M.euler_direct(Character.from_int(M.context, u), n)
-                    (build,) = builds
+                    # an empty core is answered at the call: no builder, h0 = 0
+                    assert len(builds) == (1 if M._core else 0), M.exact_entries
                     for P in (k, 64):
                         q = p**P
-                        core = build(q)
-                        assert po.split_units(core, p, q) == core  # no unit at this level
                         c = pow(u, -1, q)
                         full = [[twisted_group_ring(e, p**n, q, c) for e in row]
                                 for row in M.exact_entries]
                         want = nonzero(level_exponents(po.split_units(full, p, q), p, P))
-                        got = nonzero(level_exponents(core, p, P))
+                        got = []
+                        for build in builds:
+                            core = build(q)
+                            assert po.split_units(core, p, q) == core  # no unit at this level
+                            got = nonzero(level_exponents(core, p, P))
                         assert got == want, (M.exact_entries, u, n, P)
         assert 0 in sizes and max(sizes) > 0
 
@@ -119,6 +131,60 @@ class TestCoreKeepsTheCokernel:
         for length in list(range(1, 12)) + [LENGTH_CAP]:
             f = [rng.randint(-9, 9) * 3 ** rng.randint(0, 40) for _ in range(length)]
             assert po.h_shift(f) == po.substitute_linear(f, -1, 1, None)
+
+
+class TestEmptyCore:
+    """det F(0) a unit mod p: the core is empty, and every (u, n) reads chi = 0.
+
+    `euler_direct` answers such a module at the call.  The theorem behind it:
+    for u = 1 mod p, Phi_(p^k)(u) = 0 mod p, so were Phi_(p^k)(u(1+X)) a
+    factor of det F, det F(0) would be 0 mod p.  So no level is not finite
+    (checked with sympy, by neither route), and the twisted det F is a unit
+    power series, whose norms are units: the analytic route reads chi = 0.
+    """
+
+    @staticmethod
+    def modules():
+        for p in (3, 5, 7):
+            for M in gamma_corpus(20 + p, 16, p):
+                if det_int([[e[0] for e in row] for row in M.exact_entries]) % p:
+                    yield M
+        for F in PLANTED_23_UNIT:
+            yield GammaModule.from_int_matrix(PadicContext(23, 64), F)
+
+    def test_no_level_is_not_finite_and_chi_is_zero(self):
+        count = 0
+        for M in self.modules():
+            assert M._core == (), M.exact_entries
+            p = M.context.p
+            for u in (1, 1 + p, 1 + 2 * p):
+                rho = Character.from_int(M.context, u)
+                for n in range(4):
+                    assert not gamma_not_finite(M.exact_entries, u, p, n), (M.exact_entries, u, n)
+                    r = M.euler_analytic(rho, n)
+                    assert r.exists and r.chi_exponent == 0, (M.exact_entries, u, n, r)
+            count += 1
+        assert count > 30
+
+    def test_answered_at_the_call(self, monkeypatch):
+        calls = []
+        for owner, name in ((gamma_layer, "group_ring_h0"), (kernels, "smith_ladder"),
+                            (kernels, "smith_exponents")):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, name=name, inner=inner: calls.append(name) or inner(*a))
+        for M in self.modules():
+            p = M.context.p
+            for u in (1, 1 + p, 1 + 2 * p):
+                rho = Character.from_int(M.context, u)
+                for n in range(4):
+                    r = M.euler_direct(rho, n)
+                    assert r.exists and r.chi_exponent == r.h0_exponent == 0, (M.exact_entries, u, n)
+        assert calls == []
+        # the spies see a module with a core: det F = X + 3
+        M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[3, 1]]])
+        M.euler_direct(Character.trivial(M.context), 1)
+        assert set(calls) == {"group_ring_h0", "smith_ladder", "smith_exponents"}
 
 
 def elementary(d, rng):

@@ -135,6 +135,11 @@ class TestSmithForm:
         d = smith_form_raw(residues(ctx, [[0, 0], [0, 0]]), ctx)
         assert d.exponents == (AT_LEAST_N, AT_LEAST_N)
 
+    def test_empty_matrix(self):
+        for ctx in (PadicContext(3, 8), PadicContext(3, 64)):
+            d = smith_form_raw([], ctx)
+            assert (d.exponents, d.row_count, d.col_count) == ((), 0, 0)
+
     def test_three_six_nine_twelve(self):
         # oracle: integer Smith normal form has divisors 3 and 6
         assert snf_exponents([[3, 6], [9, 12]], 3, 8) == [1, 1]
