@@ -16,14 +16,14 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _polyops as po
-from . import exactint
+from . import exactint, kernels
 from .errors import (
     MixedContextError,
     PrecisionExhaustedError,
     ValidationError,
     ZeroDeterminantError,
 )
-from .padic import PadicContext, group_ring_h0
+from .padic import PadicContext
 from .results import DEFAULT_BUDGET, EulerResult, search_twists
 from .series import Character, PowerSeries, weierstrass_prepare
 
@@ -123,9 +123,10 @@ class GammaModule:
         fold mod p^n.  The core has the cokernel of F at every level and
         twist, and no entry of it is a unit there, so nothing splits per
         level, and an empty core (det F(0) a unit mod p) is answered here:
-        h0 = 0, with no elimination.  `padic.group_ring_h0` works any other
-        on the ladder of `kernels.smith_ladder`: at the word precision
-        first, and again at p^N only when some divisor reaches it.
+        h0 = 0, with no elimination.  Any other goes to `kernels.smith_ladder`
+        as the block circulant of its twisted level matrix (at n = 0 the
+        scalar matrix): at the word precision first, and again at p^N only
+        when some divisor reaches it.
         """
         rho.check_prime(self.context.p)
         if not self._core:
@@ -146,12 +147,12 @@ class GammaModule:
                         out[b % pn] += a * cb[b]
                     Mi.append([v % q for v in out])
                 M.append(Mi)
-            return M
+            return po.block_circulant(M)
 
-        h0 = group_ring_h0(build, self.context.p, self.context.N)
-        if h0 is None:
+        exps = kernels.smith_ladder(build, self.context.p, self.context.N)
+        if -1 in exps:
             return EulerResult.from_exact(self._exact_chi(rho, n), below=0)
-        return EulerResult.from_h0(h0)
+        return EulerResult.from_h0(sum(exps))
 
     def euler_analytic(self, rho: Character, n: int) -> EulerResult:
         """chi at level n as the exact sum over k <= n of v_p N(P_u(zeta_(p^k))).

@@ -18,28 +18,37 @@ Conventions:
   * pivot search is row-major first-unit (`hessenberg_mod`: first of least
     valuation in its column), so outputs are deterministic.
 
-The word precision k is the largest k with p^k below CPython's int digit
-base, where every residue is a single machine digit.  `precisions(p, N)`
-lists the precisions a computation tries in turn: k first when k < N, then
-N.  The exponents of a matrix mod p^k are min(e, k) of its exponents, so a
-result none of whose divisors reaches p^k is exact at every N >= k.
-`smith_ladder` is the one loop over that list: the Smith-based Euler routes
-and `padic.smith_form_raw` hand it a builder of their rows mod p^P, and every
-kernel makes one pass at the precision it is given.
+The word precision k is the half word: the largest k with p^(2k) below
+CPython's int digit base (2^30 on 64-bit builds: k = 9, 6, 5 for p = 3, 5,
+7).  A residue mod p^k, the product c*v of two of them and a row update
+row[t] - c*v then all stay one digit, and CPython's int arithmetic on single
+digits allocates no multi-digit number and takes its fast path.
+`precisions(p, N)` lists the precisions a computation tries in turn: k first
+when k < N, then N.  The exponents of a matrix mod p^k are min(e, k) of its
+exponents, so a result none of whose divisors reaches p^k is exact at every
+N >= k.  `smith_ladder` is the one loop over that list: the Smith-based
+Euler routes and `padic.smith_form_raw` hand it a builder of their rows mod
+p^P, and every kernel makes one pass at the precision it is given.
 
-`smith_exponents` and `det_mod` share the pivot search, the global
-p-extraction and the elimination step; each keeps only its own bookkeeping
-(the Smith shift; the determinant's unit, sign and valuation).  A row update
-touches only the columns where the pivot row is nonzero, so sparse inputs
-(the group-ring presentations) pay for their fill-in, not for their width.
-On those the first-unit pivots walk the unit diagonal, so the pivot column
-is the first logical one; stored last column first, it leaves every row by
-an O(1) pop at the row's end instead of a shift of the whole row.
+`smith_exponents` and `det_mod` share one elimination step, `_pivots`: the
+pivot search, the p-power extraction and the row elimination, in one loop
+with no call per pivot, since most calls are at ranks below 30; each keeps
+only its own bookkeeping (the Smith shift; the determinant's unit, sign and
+valuation).  A block with no unit gives up its whole common p-power
+p^v = gcd(q, every entry) in one pass, not one pass per factor p.  The
+pivot row is scaled by the pivot's inverse once, and not at all when the
+pivot is 1, as every unit-diagonal pivot of a group-ring presentation is.
+A row update touches only the columns where the pivot row is nonzero, so
+sparse inputs (the group-ring presentations) pay for their fill-in, not for
+their width.  On those the first-unit pivots walk the unit diagonal, so the
+pivot column is the first logical one; stored last column first, it leaves
+every row by an O(1) pop at the row's end instead of a shift of the whole
+row.
 """
 
 import sys
 from functools import cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 
 KERNEL_IMPL = "python"
@@ -48,12 +57,12 @@ _DIGIT_BASE = 1 << sys.int_info.bits_per_digit
 
 
 def word_precision(p, N):
-    """Largest k <= N with p^k < the int digit base (0 when p itself is not below it)."""
+    """Largest k <= N with p^(2k) below the int digit base (0 when p^2 is not below it)."""
     k = 0
-    q = p
+    q = p * p
     while k < N and q < _DIGIT_BASE:
         k += 1
-        q *= p
+        q *= p * p
     return k
 
 
@@ -92,26 +101,12 @@ def smith_exponents(rows, p, N):
 def _smith(m, p, N):
     """Smith exponents of the residue rows `m` (stored reversed) over Z/p^N, eliminating in place.
 
-    Local-ring elimination: pull a unit pivot (entry not divisible by p),
-    clear its column, drop its row and column.  When no unit entry exists the
-    whole active block is divisible by p, so p is factored out globally and
-    the running shift increases; once the block vanishes at the remaining
-    precision every outstanding divisor is AtLeastN.
+    Each pivot of `_pivots` is one divisor, p to the shift taken out before
+    it; once the active block vanishes at the remaining precision (or runs
+    out of rows or columns) every outstanding divisor is AtLeastN.
     """
     k = min(len(m), len(m[0])) if m else 0
-    out = []
-    shift = 0
-    q = p ** N
-    while len(out) < k:
-        pivot = _unit_pivot(m, p)
-        if pivot is None:
-            shift += 1
-            if shift >= N or not _divide_out_p(m, p):
-                break
-            q //= p
-            continue
-        out.append(shift)
-        _eliminate(m, *pivot, q)
+    out = [shift for shift, _, _ in _pivots(m, p, N)]
     out.extend([-1] * (k - len(out)))
     return out
 
@@ -120,74 +115,94 @@ def det_mod(rows, p, N):
     """Determinant of a square matrix over Z/p^N, as a residue in [0, p^N).
 
     Exact: the returned residue is det mod p^N (0 means valuation >= N).
-    Global p-extraction keeps the certified precision at N: a factor p taken
-    out of an r x r block contributes r to the determinant's valuation while
-    costing one digit of entry precision, and r >= 1.  Rows are stored last
-    column first, so the Laplace sign reads the logical column len(row) - 1 - j.
+    Each pivot of `_pivots` contributes its unit, the p-power shift taken
+    out before it and its Laplace sign: a factor p^v taken out of an r x r
+    block is v in the shift of each of its r pivots, so r*v in the
+    valuation, while costing v digits of entry precision, and r >= 1.
     """
-    qfull = p ** N
-    m = [r[::-1] for r in rows]
-    q = qfull
+    q = p ** N
     val = 0
     unit = 1
-    sign = 1
-    while m:
-        pivot = _unit_pivot(m, p)
-        if pivot is None:
-            val += len(m)
-            if val >= N or not _divide_out_p(m, p):
-                return 0
-            q //= p
+    odd = 0
+    pivots = 0
+    for shift, a, parity in _pivots([r[::-1] for r in rows], p, N):
+        val += shift
+        if val >= N:
+            return 0
+        unit = unit * a % q
+        odd ^= parity
+        pivots += 1
+    if pivots < len(rows):
+        return 0
+    d = unit * p**val % q
+    return (-d) % q if odd else d
+
+
+def _pivots(m, p, N):
+    """Eliminate the residue rows `m` (stored reversed) over Z/p^N in place, one pivot at a time.
+
+    Local-ring elimination, the step `_smith` and `det_mod` share.  The
+    pivot is the row-major first logical unit (rows read from their end).
+    Yields (shift, pivot, parity) before it eliminates: the total p-power
+    taken out so far, the pivot residue, and the parity of its Laplace sign
+    (row i plus the logical column len(row) - 1 - j).  Then the pivot row
+    leaves `m`, scaled once by the pivot's inverse unless the pivot is 1,
+    and every other row pops its column-j entry c and, when c is nonzero,
+    subtracts c times the pivot row on its support only (a column where the
+    pivot row is zero is unchanged by it).  A block with no unit is
+    divisible by p, and its whole common p-power is taken out at once
+    (`_divide_out_p_power`), which lowers the precision by as many digits.
+    Stops when the block has no row, no column, or no entry nonzero at the
+    remaining precision.
+    """
+    q = p ** N
+    shift = 0
+    while m and m[0]:
+        # the pivot a = m[i][j], stored indices; a block with no unit falls to the else
+        for i, prow in enumerate(m):
+            j = len(prow)
+            for a in reversed(prow):
+                j -= 1
+                if a and a % p:
+                    break
+            else:
+                continue
+            break
+        else:
+            v = _divide_out_p_power(m, p, q)
+            if not v:
+                return
+            shift += v
+            q //= p**v
             continue
-        pi, pj = pivot
-        unit = (unit * m[pi][pj]) % qfull
-        if (pi + len(m[pi]) - 1 - pj) & 1:
-            sign = -sign
-        _eliminate(m, pi, pj, q)
-    d = (unit * pow(p, val, qfull)) % qfull
-    if sign < 0:
-        d = (-d) % qfull
-    return d
+        yield shift, a, (i + len(prow) - 1 - j) & 1
+        del m[i]
+        prow.pop(j)
+        support = [(t, prow[t]) for t in compress(range(len(prow)), prow)]
+        if a != 1:
+            inv = pow(a, -1, q)
+            support = [(t, v * inv % q) for t, v in support]
+        for row in m:
+            c = row.pop(j)
+            if c:
+                for t, v in support:
+                    row[t] = (row[t] - c * v) % q
 
 
-def _unit_pivot(m, p):
-    """Row-major first logical unit of `m` (rows read from their end) as stored (i, j), or None."""
-    for i, row in enumerate(m):
-        j = len(row)
-        for a in reversed(row):
-            j -= 1
-            if a and a % p:
-                return i, j
-    return None
-
-
-def _divide_out_p(m, p):
-    """Divide every entry of `m` by p in place (all are multiples of p); False when `m` is zero."""
-    nonzero = False
+def _divide_out_p_power(m, p, q):
+    """Divide `m` in place by p^v = gcd(q, every entry), all multiples of p; v, or 0 when `m` is 0 mod q."""
+    g = gcd(q, *chain.from_iterable(m))
+    if g == q:
+        return 0
     for row in m:
         for j, a in enumerate(row):
             if a:
-                nonzero = True
-                row[j] = a // p
-    return nonzero
-
-
-def _eliminate(m, pi, pj, q):
-    """Clear column pj mod q with the unit pivot m[pi][pj], then drop its row and column.
-
-    One pass: the pivot row leaves `m`, and every other row pops its column-pj
-    entry and, when that is nonzero, updates only the pivot row's support (a
-    column where the pivot row is zero is unchanged by it).
-    """
-    prow = m.pop(pi)
-    inv = pow(prow.pop(pj), -1, q)
-    support = [(t, prow[t]) for t in compress(range(len(prow)), prow)]
-    for row in m:
-        c = row.pop(pj)
-        if c:
-            c = c * inv % q
-            for t, v in support:
-                row[t] = (row[t] - c * v) % q
+                row[j] = a // g
+    v = 1
+    while g > p:
+        g //= p
+        v += 1
+    return v
 
 
 def hessenberg_mod(rows, q):

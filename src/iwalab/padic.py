@@ -172,6 +172,9 @@ def group_ring_h0(build, p: int, N: int) -> int | None:
     Smith takes the block circulant of what is left.  At n = 1 the ring is
     Z/q, where splitting units is the kernel's own unit pivoting, so the
     scalar matrix goes to Smith whole.  None means some divisor reached p^N.
+    The crossed staged route works here; the gamma direct route's unit-free
+    core has no unit to split, so it hands its block circulant to
+    `kernels.smith_ladder` itself.
     """
 
     def rows(q):

@@ -27,7 +27,7 @@ from .errors import BudgetExhaustedError, ValidationError
 from .gamma import find_twist
 from .padic import PadicContext
 from .problems import ProblemFile
-from .results import EulerStatus
+from .results import INDETERMINATE, EulerStatus
 from .series import Character
 
 _DECIDED = (EulerStatus.EXISTS, EulerStatus.NOT_FINITE)
@@ -53,17 +53,23 @@ def _level(lv):
     return [str(n), str(m)], f"level=({n},{m})"
 
 
-def _escalating(problem, modules, max_precision, escalations, task_id, compute):
-    """Run compute(module at N), doubling N while any returned status is indeterminate.
+def _escalating(problem, modules, max_precision, escalations, task_id, routes, rho, lv):
+    """Each named route of the module at N on (rho, lv), doubling N while a verdict is indeterminate.
 
     `modules` maps each precision to the module built there; one command
-    shares it among all its tasks, so each precision is built once.
+    shares it among all its tasks, so each precision is built once.  A
+    decided verdict is exact and the same at every N, so it is kept: each
+    doubling runs only the routes still indeterminate.
     """
     N = problem.precision
+    results = [INDETERMINATE] * len(routes)
     while True:
         if N not in modules:
             modules[N] = problem.build_module(N)
-        results = compute(modules[N])
+        results = [
+            getattr(modules[N], route)(rho, lv) if r.status is EulerStatus.INDETERMINATE else r
+            for route, r in zip(routes, results)
+        ]
         undecided = any(r.status is EulerStatus.INDETERMINATE for r in results)
         if not undecided or N * 2 > max_precision:
             return N, results
@@ -140,12 +146,9 @@ def _cmd_euler(problem, report, max_precision):
         rho = Character.from_int(problem.module.context, u)
         for lv in problem.levels:
             level, tag = _level(lv)
-
-            def compute(m, rho=rho, lv=lv):
-                return getattr(m, primary)(rho, lv), getattr(m, cross)(rho, lv)
-
             N, (rp, rc) = _escalating(
-                problem, modules, max_precision, report["escalations"], f"u={u},{tag}", compute
+                problem, modules, max_precision, report["escalations"], f"u={u},{tag}",
+                (primary, cross), rho, lv,
             )
             report["tasks"].append(
                 {

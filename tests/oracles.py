@@ -4,6 +4,7 @@ These deliberately avoid the package's own elimination and resultant code so
 every dual-route check keeps two genuinely distinct sides.
 """
 
+from functools import cache
 from math import comb
 
 import sympy
@@ -532,7 +533,7 @@ def poly_det_int(entries):
     return [int(c) for c in reversed(Poly(det, _T).all_coeffs())]
 
 
-def gamma_not_finite(entries, u, p, n):
+def gamma_not_finite(entries, u, p, n, det=None):
     """Is Phi_(p^k)(u(1 + X)) a factor of det F over Z for some k <= n?
 
     Its roots are zeta/u - 1 for the primitive p^k-th roots of unity zeta,
@@ -543,15 +544,22 @@ def gamma_not_finite(entries, u, p, n):
     gamma routes and of `exactint.twisted_chi`.  A factor of degree
     phi(p^k) above deg det F cannot divide a nonzero det F, so those k are
     not tried (Phi_(p^k) has degree 11,638 at p = 23, k = 3); every one
-    divides det F = 0.
+    divides det F = 0.  A caller asking about many (u, n) of one F passes
+    `det`, det F as `poly_det_int(entries)` gives it, and sympy's
+    determinant runs once.
     """
-    det = Poly(list(reversed(poly_det_int(entries))), _T)
-    twist = Poly([u, u], _T)
+    det = Poly(list(reversed(poly_det_int(entries) if det is None else det)), _T)
     return det.is_zero or any(
-        det.rem(Poly(sympy.cyclotomic_poly(p**k, _T), _T).compose(twist)).is_zero
+        det.rem(_twisted_cyclotomic(p, k, u)).is_zero
         for k in range(n + 1)
         if sympy.totient(p**k) <= det.degree()
     )
+
+
+@cache
+def _twisted_cyclotomic(p, k, u):
+    """Phi_(p^k)(u(1 + X)) as a sympy Poly."""
+    return Poly(sympy.cyclotomic_poly(p**k, _T), _T).compose(Poly([u, u], _T))
 
 
 def poly_reduce_mod_int(f, g):

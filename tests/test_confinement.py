@@ -5,8 +5,7 @@ hold them; one `ast` walker finds the references in every module.
 
 * Elimination internals stay in `kernels.py`.  `smith_exponents` and
   `det_mod` store each row of their copy last column first, and `_smith`,
-  `_eliminate`, `_unit_pivot` and `_divide_out_p` work on rows in that
-  order.  Code elsewhere that handed them rows in logical order would still
+  `_pivots` and `_divide_out_p_power` work on rows in that order.  Code elsewhere that handed them rows in logical order would still
   get an answer, but a different pivot sequence.
 * File I/O stays in `cli.py`: only it references `open` or `os.open`.  The
   CLI reads the problem file and writes the sidecar report; every other
@@ -38,7 +37,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "iwalab"
 
-_INTERNALS = ("_smith", "_eliminate", "_unit_pivot", "_divide_out_p")
+_INTERNALS = ("_smith", "_pivots", "_divide_out_p_power")
 
 # rule -> (confined references, allowed places: (module, outermost function or None for any))
 RULES = {
@@ -101,10 +100,10 @@ def test_each_rule_holds_in_the_package(rule):
 PLANTED = {
     "elimination-internals": (
         "from . import kernels\n"
-        "from .kernels import _unit_pivot\n"
+        "from .kernels import _pivots\n"
         "def route(rows, p, N):\n"
         "    return kernels._smith([list(r) for r in rows], p, N)\n",
-        [("gamma.py", "<module>", 2, "_unit_pivot"), ("gamma.py", "route", 4, "._smith")],
+        [("gamma.py", "<module>", 2, "_pivots"), ("gamma.py", "route", 4, "._smith")],
     ),
     "file-io": (
         "import os\n"

@@ -15,7 +15,7 @@ from functools import reduce
 
 import pytest
 
-from iwalab import Character, EulerStatus, GammaModule, PadicContext, exactint, kernels, padic
+from iwalab import Character, EulerStatus, GammaModule, PadicContext, exactint, kernels
 from iwalab import _polyops as po
 from iwalab import gamma as gamma_layer
 from iwalab.corpus import gamma_corpus
@@ -51,16 +51,23 @@ def level_exponents(M, p, P):
     return smith_exponents(po.block_circulant(M), p, P) if M else []
 
 
+def unfold(rows, pn):
+    """The matrix over Z/q[h]/(h^pn - 1) whose block circulant is `rows`: row 0 of each block."""
+    r = len(rows) // pn
+    return [[rows[i * pn][j * pn:(j + 1) * pn] for j in range(r)] for i in range(r)]
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The level builders `euler_direct` hands to `group_ring_h0`, in call order."""
+    """The row builders `euler_direct` hands to `kernels.smith_ladder`, in call order."""
     seen = []
+    ladder = kernels.smith_ladder
 
     def recorded(build, p, N):
         seen.append(build)
-        return padic.group_ring_h0(build, p, N)
+        return ladder(build, p, N)
 
-    monkeypatch.setattr(gamma_layer, "group_ring_h0", recorded)
+    monkeypatch.setattr(kernels, "smith_ladder", recorded)
     return seen
 
 
@@ -89,9 +96,11 @@ class TestCoreKeepsTheCokernel:
                         want = nonzero(level_exponents(po.split_units(full, p, q), p, P))
                         got = []
                         for build in builds:
-                            core = build(q)
+                            rows = build(q)
+                            core = unfold(rows, p**n)
+                            assert po.block_circulant(core) == rows
                             assert po.split_units(core, p, q) == core  # no unit at this level
-                            got = nonzero(level_exponents(core, p, P))
+                            got = nonzero(smith_exponents(rows, p, P))
                         assert got == want, (M.exact_entries, u, n, P)
         assert 0 in sizes and max(sizes) > 0
 
@@ -168,7 +177,7 @@ class TestEmptyCore:
 
     def test_answered_at_the_call(self, monkeypatch):
         calls = []
-        for owner, name in ((gamma_layer, "group_ring_h0"), (kernels, "smith_ladder"),
+        for owner, name in ((po, "block_circulant"), (kernels, "smith_ladder"),
                             (kernels, "smith_exponents")):
             inner = getattr(owner, name)
             monkeypatch.setattr(owner, name,
@@ -184,7 +193,7 @@ class TestEmptyCore:
         # the spies see a module with a core: det F = X + 3
         M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[3, 1]]])
         M.euler_direct(Character.trivial(M.context), 1)
-        assert set(calls) == {"group_ring_h0", "smith_ladder", "smith_exponents"}
+        assert set(calls) == {"block_circulant", "smith_ladder", "smith_exponents"}
 
 
 def elementary(d, rng):

@@ -21,11 +21,8 @@ from iwalab import (
     PadicContext,
     PowerSeries,
     kernels,
-    padic,
     twist_series,
 )
-from iwalab import crossed as crossed_layer
-from iwalab import gamma as gamma_layer
 from iwalab.corpus import gamma_corpus
 from iwalab.kernels import det_mod, smith_exponents
 
@@ -189,42 +186,47 @@ class TestSplitUnits:
 class TestRankOne:
     """A ring of rank 1 (gamma n = 0, crossed m = 0) is Z/q: its scalar matrix goes to Smith whole.
 
-    `group_ring_h0` must then call no `split_units`, and return what the Smith
-    exponents of the block circulant of `build(p^N)` give (None when a divisor
-    reaches p^N).
+    No `split_units` may run there, and each route's `kernels.smith_ladder`
+    must return what the Smith exponents of its `build(p^N)` give (-1 when a
+    divisor reaches p^N).  The gamma direct route hands the ladder the
+    twisted core's block circulant, which at n = 0 is the scalar matrix; the
+    crossed staged route reaches it through `padic.group_ring_h0`.
     """
 
     @pytest.fixture
-    def h0_calls(self, monkeypatch):
-        """Record (build, p, N, h0) of every level route's `group_ring_h0`; count `split_units`."""
+    def ladder_calls(self, monkeypatch):
+        """Record (build, p, N, exponents) of every `kernels.smith_ladder`; count `split_units`."""
         calls = []
         splits = []
+        ladder = kernels.smith_ladder
         split = po.split_units
 
         def recorded(build, p, N):
-            h0 = padic.group_ring_h0(build, p, N)
-            calls.append((build, p, N, h0))
-            return h0
+            exps = ladder(build, p, N)
+            calls.append((build, p, N, exps))
+            return exps
 
         def spy(M, p, q):
             splits.append(len(M))
             return split(M, p, q)
 
         monkeypatch.setattr(po, "split_units", spy)
-        monkeypatch.setattr(gamma_layer, "group_ring_h0", recorded)
-        monkeypatch.setattr(crossed_layer, "group_ring_h0", recorded)
+        monkeypatch.setattr(kernels, "smith_ladder", recorded)
         return calls, splits
 
     @staticmethod
-    def assert_smith_of_build(calls):
-        for build, p, N, h0 in calls:
-            M = build(p**N)
-            assert all(len(e) == 1 for row in M for e in row)
-            exps = smith_exponents(po.block_circulant(M), p, N)
-            assert h0 == (None if -1 in exps else sum(exps)), M
+    def h0(exps):
+        return None if -1 in exps else sum(exps)
 
-    def test_gamma_level_zero(self, h0_calls):
-        calls, splits = h0_calls
+    @classmethod
+    def assert_smith_of_build(cls, calls, size):
+        for build, p, N, exps in calls:
+            rows = build(p**N)
+            assert len(rows) == len(rows[0]) == size, rows
+            assert cls.h0(exps) == cls.h0(smith_exponents(rows, p, N)), rows
+
+    def test_gamma_level_zero(self, ladder_calls):
+        calls, splits = ladder_calls
         statuses = set()
         cored = 0
         for p, seed in ((3, 5), (5, 6)):
@@ -232,18 +234,18 @@ class TestRankOne:
                 for u in (1, 1 + p, 1 + 2 * p):
                     before = len(calls)
                     statuses.add(M.euler_direct(Character.from_int(M.context, u), 0).status)
-                    # an empty core is answered at the call, with no group_ring_h0
+                    # an empty core is answered at the call, with no ladder
                     assert len(calls) == before + bool(M._core), M.exact_entries
                     cored += bool(M._core)
+                    self.assert_smith_of_build(calls[before:], len(M._core))
         assert splits == []
         assert len(calls) == cored > 0
-        self.assert_smith_of_build(calls)
         assert EulerStatus.EXISTS in statuses
 
-    def test_crossed_m_zero(self, h0_calls):
+    def test_crossed_m_zero(self, ladder_calls):
         # A(0) = [[1, 3], [0, 1]], so C - I at m = 0 is [[u' - 1, 3^(n+1) u'], [0, u' - 1]],
         # u' = u^(p^n): not finite at u = 1, chi = 2 v_3(u' - 1) otherwise
-        calls, splits = h0_calls
+        calls, splits = ladder_calls
         X = CrossedModule.from_int_data(PadicContext(3, 64), 4, [[[1, 1], [3]], [[0], [1, 2]]])
         got = {}
         for n in range(3):
@@ -252,26 +254,26 @@ class TestRankOne:
                 got[n, u] = (r.status, r.chi_exponent)
         assert splits == []
         assert len(calls) == 9
-        self.assert_smith_of_build(calls)
+        self.assert_smith_of_build(calls, X.d)
         for n in range(3):
             assert got[n, 1][0] is EulerStatus.NOT_FINITE
             assert got[n, 4] == (EulerStatus.EXISTS, 2 * (n + 1))
             assert got[n, 10] == (EulerStatus.EXISTS, 2 * (n + 2))
 
-    def test_gamma_not_finite(self, h0_calls):
+    def test_gamma_not_finite(self, ladder_calls):
         # det F = X (1 + X) vanishes at X = u^-1 - 1 = 0 for u = 1
-        calls, splits = h0_calls
+        calls, splits = ladder_calls
         M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[0, 1], [1]], [[0], [1, 1]]])
         r = M.euler_direct(Character.from_int(M.context, 1), 0)
         assert r.status is EulerStatus.NOT_FINITE
-        assert splits == [] and [h0 for *_, h0 in calls] == [None]
-        self.assert_smith_of_build(calls)
+        assert splits == [] and [self.h0(e) for *_, e in calls] == [None]
+        self.assert_smith_of_build(calls, len(M._core))
 
-    def test_word_precision_falls_back_to_n(self, h0_calls, monkeypatch):
+    def test_word_precision_falls_back_to_n(self, ladder_calls, monkeypatch):
         # det F = (X + 2*3^70) g with g(0) = 2, as in an escalation stanza: chi = 70 at
-        # n = 0, u = 1, so the word pass at k = 18 saturates, N = 64 is undetermined
+        # n = 0, u = 1, so the word pass at k = 9 saturates, N = 64 is undetermined
         # and N = 128 decides
-        calls, splits = h0_calls
+        calls, splits = ladder_calls
         used = []
         smith = kernels.smith_exponents
 
@@ -290,7 +292,7 @@ class TestRankOne:
             got.append((r.status, r.chi_exponent))
             assert used == [k, N], used
         assert got == [(EulerStatus.INDETERMINATE, None), (EulerStatus.EXISTS, 70)]
-        assert splits == [] and [h0 for *_, h0 in calls] == [None, 70]
+        assert splits == [] and [self.h0(e) for *_, e in calls] == [None, 70]
         monkeypatch.setattr(kernels, "smith_exponents", smith)
-        self.assert_smith_of_build(calls)
+        self.assert_smith_of_build(calls, len(M._core))
 

@@ -83,8 +83,42 @@ def cyclic(n, u):
     return [[(j == i) - u * (j == (i + 1) % n) for j in range(n)] for i in range(n)]
 
 
+# the least prime above 2^15: p^2 is past the 30-bit digit base, so it has no word pass
+P_NO_WORD = 32771
+PRIMES = [3, 5, 7, 23, P_NO_WORD]
+
+
+def planted_divisors(p, rng):
+    """U * diag(p^e) * V with U, V unimodular over Z, e in {0, k - 1, k, k + 1, 2k, 150}.
+
+    k is the word precision: e < k is decided there, e >= k sends the ladder
+    to p^N, and 2k and 150 take a large common p-power out of a unit-free
+    block.
+    """
+    k = kernels.word_precision(p, 256)
+    es = sorted({0, max(k - 1, 0), k, k + 1, 2 * k, 150})
+    return unimodular_mix([[p**e if i == j else 0 for j in range(len(es))]
+                           for i, e in enumerate(es)], rng)
+
+
+def unimodular_mix(rows, rng):
+    """U * rows * V for random products U, V of elementary matrices over Z (a new list)."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]  # add c * row j to row i
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for r in rows:
+            r[j] += c * r[i]  # add c * column i to column j
+    return rows
+
+
 def structured_inputs(p, rng):
-    """Sparse and degenerate integer matrices, square and rectangular."""
+    """Sparse and degenerate integer matrices, square and rectangular, and planted divisors."""
+    yield planted_divisors(p, rng)
     yield cyclic(40, 1 + p)  # det 1 - (1+p)^40, valuation 1 + v_p(40)
     yield cyclic(30, p)  # unit determinant
     yield cyclic(10, 1 + p**20)  # a divisor beyond p^k, k the word precision
@@ -102,15 +136,19 @@ def structured_inputs(p, rng):
     yield [[rng.randint(-9, 9) * p ** rng.randint(0, 2) for _ in range(3)] for _ in range(6)]
 
 
-def check_kernels(rows, p, exponents, det):
+def check_kernels(rows, p, exponents, det, top=256):
     """smith_exponents and det_mod on `rows` mod p^N against the oracles' answers.
 
-    N runs over the word precision k and beyond it (40, 64), one elimination at
-    each, which must report the divisors beyond p^k; `exponents` are the
-    oracle's at N = 64, `det` is None for a rectangular input.  Neither kernel
-    may modify `red`: each eliminates on its own reversed copy.
+    N runs over the word precision k, k + 1, 40, 64 and 256, up to `top`,
+    one elimination at each, which must report the divisors beyond p^k;
+    `exponents` are the oracle's at N = top, `det` is None for a rectangular
+    input.  Neither kernel may modify `red`: each eliminates on its own
+    reversed copy.
     """
-    for N in (kernels.word_precision(p, 64), 40, 64):
+    k = kernels.word_precision(p, top)
+    for N in sorted({max(k, 1), k + 1, 40, 64, 256}):
+        if N > top:
+            break
         q = p**N
         red = [[v % q for v in r] for r in rows]
         before = [list(r) for r in red]
@@ -123,12 +161,35 @@ def check_kernels(rows, p, exponents, det):
 
 
 class TestStructuredInputs:
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", PRIMES)
     def test_smith_and_det_vs_oracles(self, p):
         rng = random.Random(p)
         for rows in structured_inputs(p, rng):
-            det = det_int(rows) if len(rows) == len(rows[0]) else None
-            check_kernels(rows, p, snf_exponents(rows, p, 64), det)
+            det = kernels.bareiss_det(rows) if len(rows) == len(rows[0]) else None
+            assert det is None or det == det_int(rows)
+            check_kernels(rows, p, snf_exponents(rows, p, 256), det)
+
+    def test_a_unit_free_block_is_divided_once(self, monkeypatch):
+        # p^150 times a unimodular matrix at N = 256: its whole common p-power
+        # comes out in one pass, not in 150 passes of one factor p each
+        passes = []
+        divide = kernels._divide_out_p_power
+
+        def recorded(m, p, q):
+            v = divide(m, p, q)
+            passes.append(v)
+            return v
+
+        monkeypatch.setattr(kernels, "_divide_out_p_power", recorded)
+        p, N, n = 3, 256, 6
+        U = unimodular_mix([[int(i == j) for j in range(n)] for i in range(n)], random.Random(5))
+        assert abs(kernels.bareiss_det(U)) == 1
+        block = [[p**150 * v % p**N for v in r] for r in U]
+        assert kernels.smith_exponents(block, p, N) == [150] * n
+        assert passes == [150]
+        passes.clear()
+        assert kernels.det_mod(block, p, N) == 0  # valuation 900 >= N
+        assert passes == [150]
 
     @pytest.mark.parametrize(
         "p, kappa, entries, level, u",
@@ -145,7 +206,7 @@ class TestStructuredInputs:
         rows = module._group_ring_rows(Character.from_int(ctx, u), Level(*level))
         assert len(rows) >= 50
         det = det_int(rows)
-        check_kernels(rows, p, index_snf_exponents(rows, p, 64), det)
+        check_kernels(rows, p, index_snf_exponents(rows, p, 64), det, top=64)
         assert kernels.bareiss_det(rows) == det
 
     def test_index_oracle_vs_integer_snf(self):
@@ -291,12 +352,18 @@ class TestCharpolyPivot:
 
 
 class TestPrecisions:
-    """The word precision k comes first when k < N; otherwise N alone is tried."""
+    """The word precision k comes first when k < N; otherwise N alone is tried.
 
-    @pytest.mark.parametrize("p, k30", [(3, 18), (5, 12), (7, 10)])
+    k is the half word: p^(2k) is below the int digit base, so a residue mod
+    p^k, the product of two of them and a row update all stay one digit.
+    """
+
+    @pytest.mark.parametrize("p, k30", [(3, 9), (5, 6), (7, 5)])
     def test_word_precision_then_full(self, p, k30):
         k = kernels.word_precision(p, 10**6)
-        assert p**k < 1 << sys.int_info.bits_per_digit <= p ** (k + 1)
+        base = 1 << sys.int_info.bits_per_digit
+        assert (p**k - 1) ** 2 < base
+        assert p ** (2 * k) < base <= p ** (2 * k + 2)
         if sys.int_info.bits_per_digit == 30:
             assert k == k30
         for N in (k + 1, 64, 1024):
@@ -309,9 +376,10 @@ class TestPrecisions:
             assert kernels.precisions(p, N) == (N,)
 
     def test_large_prime_has_no_word_pass(self):
-        # p itself is not below the digit base: every residue spans several digits
+        # p^2 is not below the digit base: a product of two residues spans several digits
         base = 1 << sys.int_info.bits_per_digit
-        for p in (base + 3, 2**61 - 1):
+        for p in (P_NO_WORD, base + 3, 2**61 - 1):
+            assert p * p >= base
             assert kernels.word_precision(p, 64) == 0
             assert kernels.precisions(p, 1) == (1,)
             assert kernels.precisions(p, 64) == (64,)

@@ -1,12 +1,13 @@
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from iwalab import AT_LEAST_N, PadicContext, PadicInt, ValidationError
 from iwalab.exactint import int_valuation
-from iwalab.kernels import word_precision
+from iwalab.kernels import bareiss_det, det_mod, word_precision
 from iwalab.padic import _AtLeastN, smith_form_raw
 
 from oracles import cofactor_det_mod, int_valuation as naive_valuation, snf_exponents
@@ -30,6 +31,19 @@ def planted_rows(rng, p, e, n=3):
         for r in rows:
             r[j] += c * r[i]
     return rows
+
+
+# the planted exponent e of `planted_rows` as a function of the word precision k,
+# with the seed offset of its draws
+PLANTED = {
+    "0": (3, lambda k: 0),
+    "k-1": (-1, lambda k: k - 1),
+    "k": (0, lambda k: k),
+    "k+1": (1, lambda k: k + 1),
+    "2k": (4, lambda k: 2 * k),
+    "150": (5, lambda k: 150),
+    "singular": (2, lambda k: None),
+}
 
 
 class TestContext:
@@ -163,22 +177,31 @@ class TestSmithForm:
         want = snf_exponents(rows, p, N)
         assert [None if e is AT_LEAST_N else e for e in got] == want
 
-    @pytest.mark.parametrize("shift", [-1, 0, 1, None], ids=["k-1", "k", "k+1", "singular"])
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_matches_integer_snf_beyond_word_precision(self, p, shift):
+    @pytest.mark.parametrize(
+        "p, planted",
+        [pytest.param(p, name, id=f"{p}-{name}") for p in (3, 5, 7, 23, 32771) for name in PLANTED
+         if word_precision(p, 256) or name != "k-1"],  # above 2^15 k = 0, so no k - 1
+    )
+    def test_matches_integer_snf_beyond_word_precision(self, p, planted):
         # A divisor p^e at the word precision k decides whether elimination
-        # mod p^k suffices (e < k) or falls back to the full p^N.
-        rng = random.Random(p * 10 + (2 if shift is None else shift))
-        for N in (40, 64):
-            k = word_precision(p, N)
-            assert 0 < k < N
-            e = None if shift is None else k + shift
+        # mod p^k suffices (e < k) or falls back to the full p^N; the half
+        # word k is 9, 6, 5, 3 for p = 3, 5, 7, 23 on 30-bit digits, and 0
+        # above 2^15 (no word pass).  N runs over 40, 64, k itself (where one
+        # pass at N is all), k + 1 and 256.
+        k = word_precision(p, 256)
+        assert (p**k - 1) ** 2 < 1 << sys.int_info.bits_per_digit
+        offset, planted_e = PLANTED[planted]
+        e = planted_e(k)
+        rng = random.Random(p * 10 + offset)
+        for N in dict.fromkeys((40, 64, max(k, 1), k + 1, 256)):
             rows = planted_rows(rng, p, e)
             ctx = PadicContext(p, N)
             got = smith_form_raw(residues(ctx, rows), ctx).exponents
             want = snf_exponents(rows, p, N)
-            assert e in want
+            assert (e if e is not None and e < N else None) in want
             assert [None if x is AT_LEAST_N else x for x in got] == want
+            det = bareiss_det(rows)
+            assert det_mod(residues(ctx, rows), p, N) == det % ctx.modulus
 
     @given(st.integers(min_value=0, max_value=10**4))
     def test_permutation_invariance(self, seed):

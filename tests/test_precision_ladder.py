@@ -1,10 +1,13 @@
 """Every level route works at the word precision k first and at p^N only when needed.
 
 `kernels.precisions(p, N)` is (k, N) for 0 < k < N, and each route computes
-its whole pipeline mod p^k before it falls back.  The exponents of a matrix
-mod p^k are min(e, k), so a result with no divisor at p^k is exact.  These
-tests check the fallback on divisors planted beyond p^k, the single pass when
-N <= k, and that routes on small exponents never leave the word precision.
+its whole pipeline mod p^k before it falls back.  k is the half word, the
+largest k with p^(2k) below the int digit base (9, 6, 5 for p = 3, 5, 7 on
+30-bit digits), so every residue, product and row update of the word pass is
+one digit.  The exponents of a matrix mod p^k are min(e, k), so a result with
+no divisor at p^k is exact.  These tests check the fallback on divisors
+planted beyond p^k, the single pass when N <= k, and that a route whose
+exponents all stay below k never leaves the word precision.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from iwalab.padic import smith_form_raw
 
 from oracles import direct_reference
 
-# (p, e) with e above the word precision k = 18, 12, 10 of p = 3, 5, 7
+# (p, e) with e above the word precision k = 9, 6, 5 of p = 3, 5, 7
 FALLBACK = [(3, 20), (5, 13), (7, 11)]
 LEVELS = [Level(0, 0), Level(1, 0), Level(1, 1)]
 
@@ -91,7 +94,7 @@ def test_crossed_fallback_table(p, e, precisions_used):
 
 
 def test_one_pass_at_or_below_word_precision(monkeypatch):
-    # N = 10 < k = 18 at p = 3: every kernel call is one elimination at N
+    # N = k = 9 at p = 3: every kernel call is one elimination at N
     passes = []
     for name in ("_smith", "det_mod"):
         kernel = getattr(kernels, name)
@@ -101,7 +104,8 @@ def test_one_pass_at_or_below_word_precision(monkeypatch):
             return kernel(rows, p, N)
 
         monkeypatch.setattr(kernels, name, recorded)
-    ctx = PadicContext(3, 10)
+    N = kernels.word_precision(3, 64)
+    ctx = PadicContext(3, N)
     M = GammaModule.from_int_matrix(ctx, [[[3, 1]]])
     X = CrossedModule.from_int_data(ctx, 4, [[[1, 3, 1]]])
     rho = Character.from_int(ctx, 4)
@@ -113,33 +117,61 @@ def test_one_pass_at_or_below_word_precision(monkeypatch):
     for call in calls:
         passes.clear()
         assert call().exists
-        assert passes == [10], passes
+        assert passes == [N], passes
 
 
-def test_small_exponents_never_leave_the_word_precision(precisions_used):
-    # corpus modules whose exponents stay below k: if a route reduced at p^N
-    # again, the speedup of the word precision would be gone without a failure
+def test_small_exponents_never_leave_the_word_precision(monkeypatch):
+    # corpus modules, task by task: a ladder whose exponents all stay below k
+    # must be decided at k alone.  If a route reduced at p^N again, the speedup
+    # of the word precision would be gone without a failure.  At the half word
+    # some tasks of this corpus have chi >= k, though no single exponent
+    # reaches k; a ladder that met one would have to go on to N = 64.
+    ladders = []
+    ladder, smith = kernels.smith_ladder, kernels.smith_exponents
+
+    def recorded_ladder(build, p, N):
+        ladders.append([])
+        return ladder(build, p, N)
+
+    def recorded_smith(rows, p, N):
+        exps = smith(rows, p, N)
+        ladders[-1].append((N, exps))
+        return exps
+
+    monkeypatch.setattr(kernels, "smith_ladder", recorded_ladder)
+    monkeypatch.setattr(kernels, "smith_exponents", recorded_smith)
+    below = large_chi = 0
     for p, seed in ((3, 1), (5, 2)):
         k = kernels.word_precision(p, 64)
-        gamma = gamma_corpus(seed, 3, p)
-        crossed = crossed_corpus(seed, 2, p)
-        precisions_used.clear()  # the unit check of A at construction works mod p
-        results = []
-        for M in gamma:
+        tasks = []
+        for M in gamma_corpus(seed, 3, p):
             for u in (1 + p, 1 + p * p):
                 rho = Character.from_int(M.context, u)
                 for n in range(3):
-                    results.append((M.euler_direct(rho, n), M.euler_analytic(rho, n)))
-        for X in crossed:
+                    tasks.append((M.euler_direct, M.euler_analytic, rho, n))
+        for X in crossed_corpus(seed, 2, p):
             for lv in admissible_levels(X, 1, 1):
                 rho = Character.from_int(X.context, 1 + p)
-                results.append((X.euler_reduced(rho, lv), X.group_ring_oracle(rho, lv)))
-        assert all(a.exists and a.chi_exponent == b.chi_exponent < k for a, b in results)
-        assert len(precisions_used) >= 5 and set(precisions_used) == {k}, (p, precisions_used)
+                tasks.append((X.euler_reduced, X.group_ring_oracle, rho, lv))
+        for first, second, rho, lv in tasks:
+            ladders.clear()
+            a, b = first(rho, lv), second(rho, lv)
+            assert a.exists and a.chi_exponent == b.chi_exponent
+            large_chi += a.chi_exponent >= k
+            for passes in filter(None, ladders):  # an empty matrix takes no pass
+                # the last pass is exact: at k with no -1, or at N
+                exps = passes[-1][1]
+                assert -1 not in exps, (p, passes)
+                if max(exps, default=0) < k:
+                    assert [N for N, _ in passes] == [k], (p, passes)
+                    below += 1
+                else:
+                    assert [N for N, _ in passes] == [k, 64], (p, passes)
+    assert below >= 10 and large_chi >= 1, (below, large_chi)
 
 
 def test_last_precision_eliminates_once(monkeypatch):
-    # a divisor past p^k = 3^18 sends each route from k to N = 64: the pass at
+    # a divisor past p^k = 3^9 sends each route from k to N = 64: the pass at
     # N is one elimination, not the word precision tried again inside the kernel
     passes = []
     smith = kernels._smith
@@ -149,6 +181,7 @@ def test_last_precision_eliminates_once(monkeypatch):
         return smith(m, p, N)
 
     monkeypatch.setattr(kernels, "_smith", recorded)
+    k = kernels.word_precision(3, 64)
     ctx = PadicContext(3, 64)
     rho = Character.trivial(ctx)
     M = GammaModule.from_int_matrix(ctx, [[[2 * 3**20, 1], [0]], [[0], [1, 1]]])
@@ -156,9 +189,9 @@ def test_last_precision_eliminates_once(monkeypatch):
     for call in (lambda: M.euler_direct(rho, 1), lambda: X.group_ring_oracle(rho, Level(1, 1))):
         passes.clear()
         assert call().exists
-        assert passes == [18, 64], passes
+        assert passes == [k, 64], passes
     # smith_form_raw keeps its own word-first pass for rows handed to it mod p^N
-    for rows, want in (([[2 * 3**20, 0], [0, 1]], [18, 64]), ([[3, 0], [0, 1]], [18])):
+    for rows, want in (([[2 * 3**20, 0], [0, 1]], [k, 64]), ([[3, 0], [0, 1]], [k])):
         passes.clear()
         smith_form_raw(rows, ctx)
         assert passes == want, passes

@@ -237,6 +237,29 @@ class TestRun:
         (task,) = report["tasks"]
         assert task["status"] == "exists" and task["precision"] == "2"
 
+    def test_escalation_reruns_only_the_undecided_route(self, monkeypatch):
+        # kappa = 28, A = 1 + 3Y at level (1, 4), u = 4: the staged route reads
+        # chi = 219 from N = 6 on, the Akashi route only at N = 384; a decided
+        # verdict is exact, so the staged route runs at N = 3 and 6 and no more
+        calls = {"euler_reduced": [], "euler_akashi": []}
+        for name, seen in calls.items():
+            real = getattr(CrossedModule, name)
+
+            def spy(self, rho, lv, real=real, seen=seen):
+                seen.append(self.context.N)
+                return real(self, rho, lv)
+
+            monkeypatch.setattr(CrossedModule, name, spy)
+        pf = parse(dict(MINIMAL_CROSSED, kappa="28", A=[[["1", "3"]]], levels=[[1, 4]],
+                        characters=["4"], precision="3"))
+        report, code = run(pf, "euler")
+        assert code == 0
+        chain = [3 * 2**i for i in range(8)]
+        assert [int(e["to"]) for e in report["escalations"]] == chain[1:]
+        (task,) = report["tasks"]
+        assert (task["chi_exponent"], task["akashi_exponent"], task["precision"]) == ("219", "219", "384")
+        assert calls == {"euler_reduced": [3, 6], "euler_akashi": chain}
+
     def test_escalation_respects_cap(self):
         pf = parse(dict(MINIMAL_GAMMA, precision=1, n_levels=[0]))
         report, code = run(pf, "euler", max_precision=1)
