@@ -10,10 +10,13 @@ machine-readable report goes to the sidecar file (default: <input>.report.json).
 A character wider than its table column is printed as its head and tail
 around "..", so every row keeps the header's width; the sidecar holds it whole.
 
-The sidecar is rewritten in place: it is opened without O_TRUNC (truncating an
-existing file on open is slow on some file systems, ext4 with discard among
-them), and after the write it is cut to the report's length only when it is a
-regular file that was longer, so `--out /dev/null` and pipes
+The sidecar's bytes are json.dumps(report, sort_keys=True, indent=2) plus a
+newline, built by `_sidecar_text` (json.dumps drops to its pure-Python encoder
+whenever `indent` is set).  They are written through one descriptor: opened
+without O_TRUNC (truncating an existing file on open is slow on some file
+systems, ext4 with discard among them), written with short writes retried
+until every byte is out, and then cut to the report's length only when the
+file is a regular file that was longer, so `--out /dev/null` and pipes
 (`--out /dev/stdout`) work.
 The write is not crash-atomic, nor was the truncating open before it: neither
 calls fsync, so a crash can leave a short or mixed file.
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .crossed import PRECISION_CAP
 from .errors import IwalabError, ParseError, SizeCapExceededError, UsageError, ValidationError
@@ -59,9 +63,72 @@ def _build_parser():
     return ap
 
 
-def _open_in_place(path, flags):
-    """os.open for the sidecar without O_TRUNC, with the mode builtin open gives a new file."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def _emit(value, pad, out):
+    """Append `value` to the list `out` as json.dumps(..., sort_keys=True, indent=2) writes it.
+
+    `pad` is a newline and the indentation of the line the value starts on.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _emit(item, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"sidecar keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + _quote(key) + ": ")
+            _emit(value[key], inner, out)
+            sep = ","
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot write {value!r} of type {type(value).__name__} to the sidecar")
+
+
+def _sidecar_text(report):
+    """The sidecar text of `report`: json.dumps(report, sort_keys=True, indent=2) plus a newline."""
+    out = []
+    _emit(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_sidecar(path, data):
+    """Write the bytes `data` to `path` in place through one descriptor (see the module docstring)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        view = memoryview(data)
+        while view:
+            written = os.write(fd, view)
+            if not written:
+                raise OSError(f"the write made no progress with {len(view)} bytes left")
+            view = view[written:]
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _level_text(lv):
@@ -167,14 +234,8 @@ def main(argv=None) -> int:
     if out_path is None and args.input:
         out_path = args.input + ".report.json"
     if out_path:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         try:
-            with open(out_path, "w", encoding="utf-8", opener=_open_in_place) as fh:
-                old = os.fstat(fh.fileno())
-                fh.write(text)
-                # json.dumps writes ASCII, so len(text) is the new length in bytes
-                if stat.S_ISREG(old.st_mode) and old.st_size > len(text):
-                    fh.truncate()
+            _write_sidecar(out_path, _sidecar_text(report).encode("ascii"))
         except OSError as exc:
             print(f"error: cannot write the report to {out_path}: {exc}", file=sys.stderr)
             return 1

@@ -8,6 +8,7 @@ true zeros in Z_p, so the only precision is the context's p^N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _polyops as po
 from . import exactint, kernels
@@ -99,11 +100,18 @@ class Character:
 
     @classmethod
     def from_int(cls, ctx: PadicContext, value: int) -> "Character":
-        return cls(value, ctx.p)
+        """The character u = value at ctx's prime: one shared instance per (u, p)."""
+        return _shared_character(value, ctx.p)
 
     @classmethod
     def trivial(cls, ctx: PadicContext) -> "Character":
         return cls.from_int(ctx, 1)
+
+
+@lru_cache(maxsize=1024)
+def _shared_character(u: int, p: int) -> Character:
+    """Character(u, p), built once per (u, p) among the last 1024; a bad u is not cached."""
+    return Character(u, p)
 
 
 @dataclass(frozen=True)

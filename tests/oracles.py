@@ -4,7 +4,7 @@ These deliberately avoid the package's own elimination and resultant code so
 every dual-route check keeps two genuinely distinct sides.
 """
 
-from functools import cache
+from functools import cache, reduce
 from math import comb
 
 import sympy
@@ -641,3 +641,19 @@ def hensel_prepare_one_digit(f1, lam, p, N):
             U[i] = (U[i] + pk * c) % q
         pk *= p
     return P, _fp_trim(U)
+
+
+def elementary(d, rng):
+    """I + c E_ij, i != j, c of degree <= 2 with coefficients in [-3, 3]: unimodular over Z[X]."""
+    E = [[[1] if i == j else [0] for j in range(d)] for i in range(d)]
+    i, j = rng.sample(range(d), 2)
+    E[i][j] = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+    return E
+
+
+def mat_mul(A, B):
+    """A B over Z[X] for square matrices of ascending integer coefficient lists."""
+    d = len(A)
+    return [[po.trim_int(reduce(lambda s, t: po.padd(s, po.pmul(A[i][t], B[t][j], None), None),
+                                range(d), [0]))
+             for j in range(d)] for i in range(d)]

@@ -7,11 +7,12 @@ hold them; one `ast` walker finds the references in every module.
   `det_mod` store each row of their copy last column first, and `_smith`,
   `_pivots` and `_divide_out_p_power` work on rows in that order.  Code elsewhere that handed them rows in logical order would still
   get an answer, but a different pivot sequence.
-* File I/O stays in `cli.py`: only it references `open` or `os.open`.  The
-  CLI reads the problem file and writes the sidecar report; every other
-  module computes on values it is handed.  An `open` anywhere else would be
-  a second I/O policy (encoding, sidecar truncation, error messages) to keep
-  in step with the first.
+* File I/O stays in `cli.py`: only it references `open`, `os.open`,
+  `os.write` or `os.ftruncate`.  The CLI reads the problem file and writes
+  the sidecar report through one descriptor; every other module computes on
+  values it is handed.  File I/O anywhere else would be a second I/O policy
+  (encoding, short writes, sidecar truncation, error messages) to keep in
+  step with the first.
 * The Smith precision ladder stays in `kernels.smith_ladder`: only it
   references `precisions`.  Every route that eliminates at the word precision
   first and at p^N only when a divisor reaches p^k hands `smith_ladder` a
@@ -45,7 +46,7 @@ RULES = {
         {k + name for name in _INTERNALS for k in ("", ".")},
         {("kernels.py", None)},
     ),
-    "file-io": ({"open", "os.open"}, {("cli.py", None)}),
+    "file-io": ({"open", "os.open", "os.write", "os.ftruncate"}, {("cli.py", None)}),
     "precision-ladder": ({"precisions", ".precisions"}, {("kernels.py", "smith_ladder")}),
     "interned-verdicts": ({"EulerResult()", ".EulerResult()"}, {("results.py", None)}),
 }
@@ -113,8 +114,12 @@ PLANTED = {
         "def raw(path):\n"
         "    return os.open(path, os.O_RDONLY)\n"
         "def unrelated(z):\n"
-        "    return z.open()\n",
-        [("gamma.py", "load", 3, "open"), ("gamma.py", "raw", 6, "os.open")],
+        "    return z.open()\n"
+        "def put(fd, data):\n"
+        "    os.write(fd, data)\n"
+        "    os.ftruncate(fd, len(data))\n",
+        [("gamma.py", "load", 3, "open"), ("gamma.py", "raw", 6, "os.open"),
+         ("gamma.py", "put", 10, "os.write"), ("gamma.py", "put", 11, "os.ftruncate")],
     ),
     "precision-ladder": (
         "from . import kernels\n"

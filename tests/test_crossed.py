@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,11 @@ from oracles import (
     cocycle_residues,
     cyclotomic_rows_circulant,
     det_int,
+    elementary,
     gamma_power_matrix,
     group_ring_rows_lex,
     h0_infinite_block_circulant,
+    mat_mul,
     poly_reduce_mod_int,
     sigma_power,
 )
@@ -880,6 +883,82 @@ class TestEulerRoutes:
                     rm = M.euler_direct(rho, n)
                     assert rx.status is rm.status
                     assert rx.chi_exponent == rm.chi_exponent
+
+
+def sigma_int(f, kappa):
+    """sigma(f) = f((1 + Y)^kappa - 1) over Z, for an ascending integer coefficient list f."""
+    s = [0] + [comb(kappa, i) for i in range(1, kappa + 1)]
+    out = [0]
+    for c in reversed(f):
+        out = po.padd(po.pmul(out, s, None), [c], None)
+    return po.trim_int(out)
+
+
+def inverse_elementary(E):
+    """I - c E_ij, the inverse of the elementary I + c E_ij."""
+    return [[e if i == j else [-c for c in e] for j, e in enumerate(row)] for i, row in enumerate(E)]
+
+
+class TestBasisChange:
+    """x -> sigma(x) A in the basis e' = P e is x' -> sigma(x') A', A' = sigma(P) A P^-1.
+
+    For P = E1 E2, a product of elementary matrices over Z[Y], A and A' are one
+    module, so each route gives both one answer at every level and twist.  The
+    transform P A P^-1, with sigma dropped, is the same one wherever sigma is
+    trivial on the level's quotient of Z_p[[Y]], that is at m <= v_p(kappa - 1),
+    and must change some answer above it.
+    """
+
+    @staticmethod
+    def cases():
+        for p, seed, n_max, rank_cap in ((3, 101, 2, 250), (3, 113, 2, 250), (5, 101, 2, 250),
+                                         (7, 101, 1, 686)):
+            for X in crossed_corpus(seed, 6, p):
+                if X.d == 2:
+                    yield X, admissible_levels(X, n_max, 2, rank_cap=rank_cap)
+        # swap-type modules at p = 23, one of them the swap itself (not finite at u = 1)
+        ctx = PadicContext(23, 64)
+        levels = [Level(0, 0), Level(0, 1), Level(1, 0)]
+        for A in ([[[23, 1], [1, -2]], [[1, 3], [-23, 0, 1]]], [[[0], [1]], [[1], [0]]]):
+            yield crossed(24, A, ctx), levels
+
+    @staticmethod
+    def answers(X, levels):
+        p = X.context.p
+        out = {}
+        for lv in levels:
+            for u in (1, 1 + p, 1 + 2 * p):
+                rho = Character.from_int(X.context, u)
+                out[lv, u] = [(r.status, r.chi_exponent) for r in
+                              (X.euler_reduced(rho, lv), X.euler_akashi(rho, lv),
+                               X.group_ring_oracle(rho, lv))]
+        return out
+
+    def test_every_route_gives_one_answer(self):
+        rng = random.Random(17)
+        seen, above, wrong = set(), set(), []
+        for X, levels in self.cases():
+            p, kappa = X.context.p, X.kappa_exact
+            E1, E2 = elementary(2, rng), elementary(2, rng)
+            P = mat_mul(E1, E2)
+            P_inv = mat_mul(inverse_elementary(E2), inverse_elementary(E1))
+            assert mat_mul(P, P_inv) == [[[1], [0]], [[0], [1]]]
+            A = [list(map(list, row)) for row in X.exact_entries]
+            sigma_P = [[sigma_int(e, kappa) for e in row] for row in P]
+            changed = crossed(kappa, mat_mul(mat_mul(sigma_P, A), P_inv), X.context)
+            want = self.answers(X, levels)
+            assert self.answers(changed, levels) == want, (A, P)
+            v = exactint.int_valuation(kappa - 1, p)
+            no_sigma = self.answers(crossed(kappa, mat_mul(mat_mul(P, A), P_inv), X.context), levels)
+            for (lv, u), got in no_sigma.items():
+                if got != want[lv, u]:
+                    assert lv.m > v, (A, P, lv, u)
+                    wrong.append((p, lv, u))
+            seen |= {(p, s) for routes in want.values() for s, _ in routes}
+            above |= {(p, lv.m > v) for lv in levels}
+        assert {(p, True) for p in (3, 5, 7)} <= above
+        assert {(23, EulerStatus.EXISTS), (23, EulerStatus.NOT_FINITE)} <= seen
+        assert wrong
 
 
 class TestExactKappa:

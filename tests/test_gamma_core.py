@@ -11,7 +11,6 @@ routes keep no per-task state on the module.
 """
 
 import random
-from functools import reduce
 
 import pytest
 
@@ -22,7 +21,7 @@ from iwalab.corpus import gamma_corpus
 from iwalab.crossed import LENGTH_CAP
 from iwalab.kernels import smith_exponents
 
-from oracles import det_int, gamma_not_finite, twisted_group_ring
+from oracles import det_int, elementary, gamma_not_finite, mat_mul, twisted_group_ring
 
 # planted presentations at p = 23, where the corpus generator gives near-trivial modules:
 # det F = X - 23, (23 + X)(X^2 - 23), X (not finite at u = 1), and a d = 2 one with mu = 0
@@ -194,21 +193,6 @@ class TestEmptyCore:
         M = GammaModule.from_int_matrix(PadicContext(3, 64), [[[3, 1]]])
         M.euler_direct(Character.trivial(M.context), 1)
         assert set(calls) == {"block_circulant", "smith_ladder", "smith_exponents"}
-
-
-def elementary(d, rng):
-    """I + c(X) E_ij, i != j, with c of degree <= 2 and coefficients in [-3, 3]."""
-    E = [[[1] if i == j else [0] for j in range(d)] for i in range(d)]
-    i, j = rng.sample(range(d), 2)
-    E[i][j] = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-    return E
-
-
-def mat_mul(A, B):
-    d = len(A)
-    return [[po.trim_int(reduce(lambda s, t: po.padd(s, po.pmul(A[i][t], B[t][j], None), None),
-                                range(d), [0]))
-             for j in range(d)] for i in range(d)]
 
 
 def answers(M, us, n_max):

@@ -813,6 +813,30 @@ class TestCliOutput:
         assert over.read_bytes() == fresh.read_bytes()
         capsys.readouterr()
 
+    def test_short_writes_are_retried(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(workbench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        fresh, short = tmp_path / "fresh.json", tmp_path / "short.json"
+        assert self._euler(tmp_path, fresh) == 0
+        real, sizes = os.write, []
+
+        def seven_bytes(fd, data):
+            sizes.append(real(fd, bytes(data[:7])))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", seven_bytes)
+        assert self._euler(tmp_path, short) == 0
+        assert short.read_bytes() == fresh.read_bytes()
+        assert len(sizes) == -(-len(fresh.read_bytes()) // 7) > 1
+        capsys.readouterr()
+
+    def test_a_write_without_progress_is_an_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(os, "write", lambda fd, data: 0)
+        assert self._euler(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write the report to {out}: ")
+        assert "no progress" in err
+
     def test_out_dev_null(self, tmp_path, capsys):
         assert self._euler(tmp_path, os.devnull) == 0
         assert capsys.readouterr().out.endswith(f"report written to {os.devnull}\n")

@@ -65,6 +65,19 @@ class TestCharacter:
         u = 1 + 3**20
         assert Character.from_int(PadicContext(3, 8), u) == Character.from_int(CTX, u) == Character(u, 3)
 
+    def test_interned_per_u_and_prime(self):
+        u = 1 + 15 * 7
+        assert Character.from_int(PadicContext(3, 8), u) is Character.from_int(CTX, u)
+        assert Character.from_int(PadicContext(5, 8), u) is Character.from_int(PadicContext(5, 64), u)
+        assert Character.from_int(PadicContext(5, 8), u) is not Character.from_int(CTX, u)
+        assert Character.from_int(PadicContext(5, 8), u).p == 5
+
+    def test_a_bad_u_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValidationError) as err:
+                Character.from_int(CTX, 5)
+            assert err.value.invariant == "character-image"
+
 
 class TestWeierstrassPrepare:
     def test_already_distinguished(self):
